@@ -64,6 +64,7 @@ back to the scalar kernel or the object path.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -78,6 +79,7 @@ __all__ = [
     "KernelResult",
     "SimulationKernel",
     "batch_trace_view",
+    "lru_stack_hits",
     "make_clock_kernel",
     "make_fifo_kernel",
     "make_lru_batch_kernel",
@@ -334,6 +336,56 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                             evictions, admitted, t)
 
     return kernel
+
+
+def lru_stack_hits(pages: Sequence[PageId], warmup: int) -> array:
+    """LRU's measured hits at every buffer size, from one pass.
+
+    LRU is a stack algorithm (Mattson et al., "Evaluation techniques for
+    storage hierarchies", IBM Syst. J. 1970): a c-frame buffer always
+    holds the c most recently used pages, so a reference hits exactly
+    when its *stack distance* — one plus the number of distinct pages
+    referenced since the page's previous reference — is at most c. A
+    Fenwick tree over reference times holds a 1 at each page's most
+    recent use, so counting those pages costs O(log T) per reference.
+
+    Returns ``hits`` where ``hits[c]`` is the number of references after
+    the first ``warmup`` that hit in a fresh c-frame LRU buffer, for c
+    from 0 to the number of distinct pages; any larger buffer hits as
+    often as ``hits[-1]``.
+    """
+    n = len(pages)
+    tree = array("q", [0]) * (n + 1)
+    # hits[d] first counts measured references at stack distance d, then
+    # becomes the running total over distances up to d.
+    hits = array("q", [0])
+    last: Dict[PageId, int] = {}
+    for t, page in enumerate(pages, 1):
+        previous = last.get(page)
+        if previous is None:
+            hits.append(0)
+        else:
+            # Pages used since `previous`: every distinct page so far, less
+            # the marks at or before it (its own mark included).
+            i = previous
+            recent = len(hits) - 1
+            while i:
+                recent -= tree[i]
+                i &= i - 1
+            if t > warmup:
+                hits[recent + 1] += 1
+            i = previous
+            while i <= n:
+                tree[i] -= 1
+                i += i & -i
+        last[page] = t
+        i = t
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+    for capacity in range(1, len(hits)):
+        hits[capacity] += hits[capacity - 1]
+    return hits
 
 
 def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:

@@ -58,6 +58,18 @@ class LRUPolicy(ReplacementPolicy):
         from .kernel import make_lru_batch_kernel
         return make_lru_batch_kernel(self, capacity)
 
+    def stack_hits(self, pages, warmup: int):
+        """Measured hits at every capacity from one Mattson pass.
+
+        LRU is a stack algorithm, so one pass over ``pages`` yields what a
+        fresh run would measure at each buffer size (see
+        :func:`repro.policies.kernel.lru_stack_hits`). Only LRU declares
+        this hook; the B(1) search (:mod:`repro.sim.equi_effective`)
+        looks capacities up on it instead of simulating each one.
+        """
+        from .kernel import lru_stack_hits
+        return lru_stack_hits(pages, warmup)
+
     def reset(self) -> None:
         super().reset()
         self._order.clear()

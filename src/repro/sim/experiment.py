@@ -18,8 +18,10 @@ from ..errors import ConfigurationError, SimulationError
 from ..obs.dispatcher import EventDispatcher
 from ..workloads.base import Workload
 from . import recovery
-from .equi_effective import equi_effective_buffer_size
-from .runner import PolicySpec, run_paper_protocol
+from .equi_effective import baseline_evaluator, equi_effective_buffer_size
+# run_paper_protocol is unused here but stays importable from this
+# module: benchmarks/e2e/tracing.py wraps it by name.
+from .runner import PolicySpec, run_paper_protocol  # noqa: F401
 from .sweep import SweepCell, sweep_buffer_sizes
 from .tables import Table
 from .trace_cache import TraceCache
@@ -138,24 +140,17 @@ def _run_experiment(spec: ExperimentSpec,
     result = ExperimentResult(spec=spec, cells=cells)
     if spec.equi_effective is not None:
         baseline_label, improved_label = spec.equi_effective
-        baseline_spec = spec.spec_by_label(baseline_label)
         high = (spec.equi_effective_high
                 if spec.equi_effective_high is not None
                 else 64 * max(spec.capacities))
-        # Baseline hit ratios are reusable across rows: cache by capacity.
-        cache: Dict[int, float] = {
-            cell.capacity: cell.hit_ratio(baseline_label) for cell in cells}
-
-        def evaluate(capacity: int) -> float:
-            if capacity not in cache:
-                run = run_paper_protocol(
-                    spec.workload, baseline_spec, capacity,
-                    spec.warmup, spec.measured,
-                    seed=spec.seed, repetitions=spec.repetitions,
-                    observability=observability, trace_cache=trace_cache)
-                cache[capacity] = run.hit_ratio
-            return cache[capacity]
-
+        # One evaluator serves every row, so its curves (or simulated
+        # capacities) are shared across the searches.
+        evaluate = baseline_evaluator(
+            spec.workload, spec.spec_by_label(baseline_label),
+            spec.warmup, spec.measured, trace_cache, seed=spec.seed,
+            repetitions=spec.repetitions, observability=observability,
+            known={cell.capacity: cell.hit_ratio(baseline_label)
+                   for cell in cells})
         for cell in cells:
             target = cell.hit_ratio(improved_label)
             try:

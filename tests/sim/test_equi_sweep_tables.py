@@ -39,6 +39,13 @@ class TestEquiEffectiveSearch:
         with pytest.raises(ConfigurationError):
             equi_effective_buffer_size(lambda b: 0.5, 0.5, low=0)
 
+    def test_converges_when_the_search_needs_many_probes(self):
+        # 39 bracketing doublings plus ~38 bisection steps: a probe budget
+        # would stop early and return an unconverged capacity.
+        evaluate = lambda b: min(1.0, b / 10**12)
+        assert equi_effective_buffer_size(
+            evaluate, 0.5, high=1 << 41) == 5 * 10**11
+
     def test_caches_probes(self):
         calls = []
 
