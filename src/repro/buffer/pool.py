@@ -4,8 +4,13 @@ A fixed set of :class:`~repro.buffer.frame.Frame` objects fronting a
 :class:`~repro.storage.disk.SimulatedDisk`, with:
 
 - a page table (page id -> frame) for O(1) lookup;
-- pin/unpin discipline — pinned frames are passed to the replacement
-  policy as exclusions, so no policy can evict a page in use;
+- pin/unpin discipline — pinned pages are passed to the replacement
+  policy as exclusions, so no policy can evict a page in use; the
+  pinned set is kept as pins are taken and released, so a miss never
+  scans the frames;
+- the victim of the latest fetch (:attr:`BufferPool.last_victim`), so
+  callers that account for residency (the sharded service) learn what
+  left without comparing resident sets;
 - dirty tracking and write-back on eviction (the Figure 2.1 "if victim is
   dirty then write victim back into the database" step);
 - a pluggable :class:`~repro.policies.base.ReplacementPolicy` driven
@@ -30,7 +35,7 @@ observability dispatcher.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..clock import LogicalClock
 from ..errors import (
@@ -95,6 +100,12 @@ class BufferPool:
         self._frames = [Frame(i) for i in range(capacity)]
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         self._page_table: Dict[PageId, int] = {}
+        # Pages with at least one pin: added when a fetch takes the
+        # first pin, removed when unpin drops the last one.
+        self._pinned: Set[PageId] = set()
+        #: The page the latest :meth:`fetch` evicted to make room, or
+        #: ``None`` when it hit or filled a free frame.
+        self.last_victim: Optional[PageId] = None
         # Session context: default process/txn annotation for references
         # issued by engine code that does not thread ids explicitly.
         self._context_process: Optional[int] = None
@@ -124,6 +135,11 @@ class BufferPool:
         """Snapshot of resident page ids."""
         return frozenset(self._page_table)
 
+    @property
+    def resident_count(self) -> int:
+        """How many pages occupy frames, without building a snapshot."""
+        return len(self._page_table)
+
     def is_resident(self, page_id: PageId) -> bool:
         """True when the page occupies a frame."""
         return page_id in self._page_table
@@ -149,9 +165,11 @@ class BufferPool:
 
         This is the single entry point for all logical page access; it
         notifies the observer, drives the replacement policy, and performs
-        physical I/O through the disk.
+        physical I/O through the disk. Afterwards :attr:`last_victim`
+        names the page a miss evicted (``None`` otherwise).
         """
         now = self.clock.tick()
+        self.last_victim = None
         if process_id is None:
             process_id = self._context_process
         if txn_id is None:
@@ -180,6 +198,7 @@ class BufferPool:
 
         if pin:
             frame.pin()
+            self._pinned.add(page_id)
         if kind is AccessKind.WRITE:
             frame.dirty = True
         obs = self._obs
@@ -192,14 +211,12 @@ class BufferPool:
     def _allocate_frame(self, incoming: PageId, now: int) -> Frame:
         if self._free:
             return self._frames[self._free.pop()]
-        pinned = frozenset(
-            frame.page_id for frame in self._frames
-            if frame.pin_count > 0 and frame.page_id is not None)
-        if len(pinned) >= self.capacity:
+        if len(self._pinned) >= self.capacity:
             raise NoEvictableFrameError(
                 "every frame is pinned; cannot fault a new page in")
         victim = self.policy.choose_victim(now, incoming=incoming,
-                                           exclude=pinned)
+                                           exclude=frozenset(self._pinned))
+        self.last_victim = victim
         return self._evict(victim, now)
 
     def _evict(self, victim: PageId, now: int) -> Frame:
@@ -226,7 +243,10 @@ class BufferPool:
 
     def unpin(self, page_id: PageId, dirty: bool = False) -> None:
         """Release one pin on a resident page."""
-        self.frame_of(page_id).unpin(dirty)
+        frame = self.frame_of(page_id)
+        frame.unpin(dirty)
+        if frame.pin_count == 0:
+            self._pinned.discard(page_id)
 
     def write_payload(self, page_id: PageId, payload: bytes) -> None:
         """Replace a resident, pinned page's payload and mark it dirty."""

@@ -100,9 +100,11 @@ def render_exposition(registry: MetricsRegistry) -> str:
       (see :meth:`~repro.obs.registry.MetricsRegistry.merge_gauges`).
     - Histograms render the full cumulative ``_bucket{le="..."}``
       ladder over their fixed binning, a terminal ``le="+Inf"`` bucket,
-      and ``_sum`` / ``_count`` samples. Out-of-range observations are
-      clamped into the edge bins by :class:`repro.stats.Histogram`, so
-      the ladder's totals always match ``_count``. *Empty* histograms
+      and ``_sum`` / ``_count`` samples. The ladder, ``+Inf`` and
+      ``_count`` all come from one copy of the bin counts (out-of-range
+      observations are clamped into the edge bins by
+      :class:`repro.stats.Histogram`), so ``+Inf == _count`` holds even
+      when a scrape races an observation. *Empty* histograms
       are omitted entirely — a bucket ladder of zeros advertises a
       distribution that was never observed.
     - Families render in sorted instrument-name order, so successive
@@ -130,11 +132,13 @@ def render_exposition(registry: MetricsRegistry) -> str:
         lines.append(f"{exposed}{label} {_format_value(gauge.read())}")
 
     for name, histogram in sorted(registry.histograms().items()):
-        if histogram.count == 0:
+        # observe() updates the bins and the moments one after the
+        # other, so histogram.count can disagree with the bins.
+        counts = list(histogram.state()["counts"])  # type: ignore[arg-type]
+        total = sum(counts)
+        if total == 0:
             continue
         exposed = exposition_name(name)
-        state = histogram.state()
-        counts = list(state["counts"])  # type: ignore[arg-type]
         low, high = histogram.low, histogram.high
         width = (high - low) / histogram.bins
         lines.append(f"# HELP {exposed} {_escape_help(name)}")
@@ -145,10 +149,10 @@ def render_exposition(registry: MetricsRegistry) -> str:
             edge = low + (index + 1) * width
             lines.append(f'{exposed}_bucket{{le="{_format_value(edge)}"}} '
                          f"{cumulative}")
-        lines.append(f'{exposed}_bucket{{le="+Inf"}} {histogram.count}')
-        total = histogram.mean * histogram.count
-        lines.append(f"{exposed}_sum {_format_value(total)}")
-        lines.append(f"{exposed}_count {histogram.count}")
+        lines.append(f'{exposed}_bucket{{le="+Inf"}} {total}')
+        lines.append(f"{exposed}_sum "
+                     f"{_format_value(histogram.mean * total)}")
+        lines.append(f"{exposed}_count {total}")
 
     return "\n".join(lines) + "\n" if lines else ""
 

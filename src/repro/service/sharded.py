@@ -11,7 +11,10 @@ sessions the way production buffer managers do — by *sharding*:
   :class:`threading.Lock`;
 - every pool/policy interaction for a page happens while holding that
   page's shard lock, which is exactly the thread-confinement contract
-  the policies document (see :mod:`repro.policies.base`).
+  the policies document (see :mod:`repro.policies.base`);
+- a miss learns its victim from the pool
+  (:attr:`~repro.buffer.pool.BufferPool.last_victim`), so the ownership
+  bookkeeping done under the lock does not grow with the shard size.
 
 Cross-shard state is limited to thread-safe accounting: the per-tenant
 :class:`~repro.service.quotas.TenantLedger` and an optional
@@ -195,9 +198,12 @@ class ShardedBufferManager:
         for shard in self._shards:
             prefix = f"service.shard.{shard.index}"
             pool = shard.pool
-            registry.gauge(f"{prefix}.resident",
-                           lambda pool=pool: float(
-                               len(pool.resident_pages)))
+
+            def resident(pool=pool, lock=shard.lock) -> float:
+                with lock:  # scrapes run while the shard mutates
+                    return float(pool.resident_count)
+
+            registry.gauge(f"{prefix}.resident", resident)
             registry.gauge(f"{prefix}.hits",
                            lambda pool=pool: float(pool.stats.hits))
             registry.gauge(f"{prefix}.misses",
@@ -280,11 +286,10 @@ class ShardedBufferManager:
             if not hit:
                 quota_enforced = self._enforce_quota(shard, tenant,
                                                      page_id)
-                resident_before = pool.resident_pages
                 frame = pool.fetch(page_id, pin=pin, kind=kind,
                                    process_id=session_id)
-                for victim in resident_before - pool.resident_pages:
-                    self._note_eviction(shard, victim)
+                if pool.last_victim is not None:
+                    self._note_eviction(shard, pool.last_victim)
                 self._note_admission(shard, tenant, page_id)
             else:
                 frame = pool.fetch(page_id, pin=pin, kind=kind,
@@ -317,7 +322,7 @@ class ShardedBufferManager:
         if not self.ledger.over_quota(tenant):
             return False
         pool = shard.pool
-        if len(pool.resident_pages) < pool.capacity:
+        if pool.resident_count < pool.capacity:
             return False
         owned = shard.tenant_lru.get(tenant)
         if not owned:

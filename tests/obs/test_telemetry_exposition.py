@@ -95,6 +95,20 @@ class TestRenderEdgeCases:
         assert 'h_bucket{le="+Inf"} 2' in text
         assert "h_count 2" in text
 
+    def test_bins_ahead_of_moments_render_one_consistent_ladder(self):
+        # A scrape can land inside observe(): after the bins counted an
+        # observation and before the moments did.
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", 0.0, 1.0, bins=4)
+        histogram.observe(0.1)
+        histogram._histogram.add(0.6)
+        assert histogram.count == 1
+        series = parse_exposition(
+            render_exposition(registry)).histograms["h"]
+        counts = [count for _, count in series.buckets]
+        assert counts == sorted(counts)
+        assert counts[-1] == series.count == 2
+
     def test_worker_label_is_escaped_and_rendered(self):
         registry = MetricsRegistry()
         registry.merge_gauges({"g": 7.0}, worker='we"ird\\pid')

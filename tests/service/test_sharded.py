@@ -177,12 +177,15 @@ class TestMetricsSurface:
     def test_shard_gauges_read_live_state(self):
         manager = manager_of(capacity=8, shards=2)
         with manager.session("a") as session:
-            for page in range(6):
+            for page in range(20):  # more pages than frames: evictions
                 session.access(page)
         snapshot = manager.registry.snapshot()
         resident = sum(snapshot[f"service.shard.{i}.resident"]
                        for i in range(2))
         assert resident == len(manager.resident_pages())
+        evictions = sum(snapshot[f"service.shard.{i}.evictions"]
+                        for i in range(2))
+        assert evictions == manager.stats().evictions > 0
 
     def test_sessions_gauge_tracks_open_sessions(self):
         manager = manager_of()
