@@ -202,7 +202,7 @@ class BufferPool:
         if kind is AccessKind.WRITE:
             frame.dirty = True
         obs = self._obs
-        if obs is not None and obs.has_sinks:
+        if obs is not None and obs.takes_references:
             obs.emit(AccessEvent(time=now, page=page_id,
                                  hit=frame_index is not None,
                                  write=kind is AccessKind.WRITE))
@@ -222,7 +222,7 @@ class BufferPool:
     def _evict(self, victim: PageId, now: int) -> Frame:
         frame = self.frame_of(victim)
         obs = self._obs
-        if obs is not None and obs.has_sinks:
+        if obs is not None and obs.takes_references:
             distance, informed = victim_telemetry(self.policy, victim, now)
             obs.emit(EvictionEvent(time=now, victim=victim,
                                    dirty=frame.dirty,

@@ -347,8 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
         command_parser.add_argument(
             "--trace-out", default=None, metavar="PATH",
             help="write a Chrome trace-event JSON span timeline "
-                 "(sweep -> cell -> simulate -> policy-hook; loadable in "
-                 "Perfetto), including spans from --jobs workers")
+                 "(sweep -> cell -> simulate -> warmup/measure; each "
+                 "simulate span names the tier that ran; loadable in "
+                 "Perfetto), including spans from --jobs workers. "
+                 "Tracing keeps the fused kernels")
         command_parser.add_argument(
             "--checkpoint", default=None, metavar="PATH",
             help="record completed sweep cells to this JSONL ledger as "

@@ -30,6 +30,7 @@ yield no kernel, and the driver falls back to the object path.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NoEvictableFrameError
@@ -239,6 +240,7 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
             if boundary == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
+                warmup_ended = perf_counter_ns()
 
         # -- flush locals back into the policy's bookkeeping --------------
         policy._resident.update(resident)
@@ -253,7 +255,7 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         stats.forced_evictions += forced
         stats.heap_compactions += compactions
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, resident, t)
+                            evictions, resident, t, warmup_ended)
 
     return kernel
 
@@ -559,6 +561,7 @@ def make_lruk_batch_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
             if index == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
+                warmup_ended = perf_counter_ns()
 
         # -- flush: recency array back into the blocks, locals into the
         #    policy — exactly the scalar kernel's final state ------------
@@ -575,7 +578,7 @@ def make_lruk_batch_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         stats.forced_evictions += forced
         stats.heap_compactions += compactions
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, resident, n)
+                            evictions, resident, n, warmup_ended)
 
     return kernel
 

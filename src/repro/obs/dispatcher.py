@@ -6,12 +6,19 @@ events belong to. Emitting with no sinks attached is (nearly) free, and
 the drivers guard the event *construction* too::
 
     obs = simulator._obs
-    if obs is not None and obs.active:
+    if obs is not None and obs.takes_references:
         obs.emit(AccessEvent(...))
 
 so an un-observed simulator pays one attribute load and one truth test
 per reference — the Section 1.2 "little bookkeeping overhead" discipline
 applied to the instrumentation itself.
+
+Per-reference events (accesses, evictions) are built only when some
+attached sink declares it takes them (:attr:`Sink.takes_references`).
+That same flag decides whether a simulation run may use a fused kernel
+(:meth:`repro.sim.CacheSimulator.run_fused`): a dispatcher holding only
+run-level sinks — progress narration, the timeline renderer — leaves
+the execution tier exactly as an unobserved run's.
 
 Sinks are objects with a ``handle(event, context)`` method (see
 :mod:`repro.obs.sinks`); plain callables of the same shape work through
@@ -31,6 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 class Sink:
     """Base sink: receives every event the dispatcher emits."""
+
+    #: Whether this sink consumes per-reference events
+    #: (:class:`~repro.obs.events.AccessEvent`,
+    #: :class:`~repro.obs.events.EvictionEvent`). While any attached
+    #: sink does, simulators construct those events and simulation runs
+    #: take the object path; sinks that read only run-level events
+    #: (progress lines, window samples, snapshots) say False and keep
+    #: the fused kernels.
+    takes_references = True
 
     def handle(self, event: ObsEvent, context: Dict[str, object]) -> None:
         """Consume one event. ``context`` is the dispatcher's current
@@ -58,10 +74,11 @@ class CallbackSink(Sink):
 class EventDispatcher:
     """Fan events out to attached sinks, tagged with the run context."""
 
-    __slots__ = ("_sinks", "context", "metrics")
+    __slots__ = ("_sinks", "_takes_references", "context", "metrics")
 
     def __init__(self) -> None:
         self._sinks: List[Sink] = []
+        self._takes_references = False
         self.context: Dict[str, object] = {}
         #: Optional :class:`~repro.obs.registry.MetricsRegistry` riding
         #: along with the dispatcher. Drivers that accumulate counters
@@ -77,16 +94,28 @@ class EventDispatcher:
     def has_sinks(self) -> bool:
         """True when at least one sink is attached.
 
-        The public form of the hot-path emission guard: drivers ask
-        this before *constructing* an event so an unobserved run pays
-        one attribute load and one truth test per reference. Code
-        outside this module must use this (or :attr:`active`) rather
-        than poking ``_sinks``.
+        The emission guard for run-level events (snapshots, progress,
+        flushes): simulators ask this before *constructing* one. The
+        per-reference guard is :attr:`takes_references`. Code outside
+        this module must use these (or :attr:`active`) rather than
+        poking ``_sinks``.
         """
         return bool(self._sinks)
 
     #: Alias kept for the original spelling of the guard.
     active = has_sinks
+
+    @property
+    def takes_references(self) -> bool:
+        """True when some attached sink takes per-reference events.
+
+        The guard simulators test before constructing an access or
+        eviction event, and the observation half of the rule that
+        demotes a simulation run from its fused kernel to the object
+        path. Refreshed on :meth:`attach`, :meth:`detach` and
+        :meth:`close`.
+        """
+        return self._takes_references
 
     __bool__ = has_sinks.fget
 
@@ -103,6 +132,7 @@ class EventDispatcher:
     def attach(self, sink: Sink) -> Sink:
         """Attach a sink; returns it for fluent use."""
         self._sinks.append(sink)
+        self._refresh()
         return sink
 
     def detach(self, sink: Sink) -> None:
@@ -111,12 +141,18 @@ class EventDispatcher:
             self._sinks.remove(sink)
         except ValueError:
             pass
+        self._refresh()
 
     def close(self) -> None:
         """Close and detach every sink."""
         sinks, self._sinks = self._sinks, []
+        self._refresh()
         for sink in sinks:
             sink.close()
+
+    def _refresh(self) -> None:
+        self._takes_references = any(
+            sink.takes_references for sink in self._sinks)
 
     def flush(self) -> None:
         """Flush every sink that buffers output (file sinks).

@@ -111,6 +111,8 @@ class RingBufferSink(Sink):
 class ConsoleProgressSink(Sink):
     """Print :class:`ProgressEvent` lines to a stream (default stderr)."""
 
+    takes_references = False
+
     def __init__(self, stream: Optional[IO[str]] = None,
                  prefix: str = "  .. ") -> None:
         self._stream = stream
@@ -130,6 +132,8 @@ class TimelineSink(Sink):
     at a single capacity (the largest seen unless given) for the first
     seed, which is the legible slice of a full table sweep.
     """
+
+    takes_references = False
 
     def __init__(self) -> None:
         # (label, capacity, seed) -> [(time, ratio), ...]

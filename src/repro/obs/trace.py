@@ -106,18 +106,22 @@ class Span:
 class Tracer:
     """Record a tree of spans; export them as a Chrome trace.
 
+    Tracing does not change which code computes a run: a traced
+    simulation keeps its fused kernel, and its ``simulate`` span
+    records the tier that ran in its ``tier`` arg.
+
     Parameters
     ----------
     profile_hooks:
-        When True (default), the measurement protocol wraps traced
-        policies in :class:`repro.obs.ProfiledPolicy` and records one
-        aggregate ``policy-hook`` span per protocol hook under each
-        ``simulate`` span. Decision-transparent, but roughly doubles
-        per-reference cost while tracing; pass False for pure pipeline
-        timing.
+        When True, the measurement protocol wraps traced policies in
+        :class:`repro.obs.ProfiledPolicy` and records one aggregate
+        ``policy-hook`` span per protocol hook under each ``simulate``
+        span. Decision-transparent, but hooks only exist on the object
+        path, so every profiled run is demoted to it (tier ``object``)
+        and costs several times a kernel run. Off by default.
     """
 
-    def __init__(self, profile_hooks: bool = True) -> None:
+    def __init__(self, profile_hooks: bool = False) -> None:
         self.spans: List[Span] = []
         self.profile_hooks = profile_hooks
         self._stack: List[Span] = []

@@ -13,7 +13,8 @@ workload can supply; workload generators expose theirs via a
 
 Victim selection keeps resident pages in a min-heap keyed by probability.
 Probabilities are static, so entries never go stale except through
-eviction (lazy deletion).
+eviction (lazy deletion). The same loop runs fused over a whole compact
+trace in :func:`repro.policies.kernel.make_a0_kernel`.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class A0Policy(ReplacementPolicy):
         if victim is None:
             raise NoEvictableFrameError("all resident pages are excluded")
         return victim
+
+    def make_kernel(self, capacity: int):
+        from .kernel import make_a0_kernel
+        return make_a0_kernel(self, capacity)
 
     def reset(self) -> None:
         super().reset()

@@ -27,12 +27,17 @@ The contract every kernel must honour:
   exactly what the object path would have left behind, so introspection
   (``resident_pages``, history blocks, stats) and any further object-path
   driving work unchanged.
-- **Observability-free.** Kernels never emit events and never record
-  provenance. Drivers must bypass them whenever any observation channel
-  is attached — event sinks, an ambient tracer, an eviction-decision
-  provenance recorder, or the simulator's eviction log.
-  :meth:`~repro.sim.cache.CacheSimulator.run_fused` enforces this and
-  falls back to the object path.
+- **Aggregate-observable only.** Kernels never emit events and never
+  record provenance; what they report is the :class:`KernelResult`
+  totals plus the moment the warm-up window ended, from which the
+  measurement protocol records the run's ``warmup``/``measure`` spans
+  and counters. Simulators must bypass them whenever a *per-reference*
+  channel is attached — an event sink that takes access/eviction
+  events, an eviction-decision provenance recorder, the simulator's
+  eviction log, or hook profiling (whose wrapper offers no kernel). An
+  ambient tracer, metrics, and run-level sinks such as progress
+  narration do not. :meth:`~repro.sim.cache.CacheSimulator.run_fused`
+  enforces this and falls back to the object path.
 - **Fresh-state only.** Factories return None when the policy already
   holds resident pages (a kernel cannot reconstruct mid-run driver
   state), or when the configuration has features the fused loop does not
@@ -67,6 +72,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NoEvictableFrameError
@@ -80,6 +86,7 @@ __all__ = [
     "SimulationKernel",
     "batch_trace_view",
     "lru_stack_hits",
+    "make_a0_kernel",
     "make_clock_kernel",
     "make_fifo_kernel",
     "make_lru_batch_kernel",
@@ -138,6 +145,10 @@ class KernelResult:
     resident: Dict[PageId, int]
     #: Final logical time (= number of references processed).
     now: int
+    #: ``time.perf_counter_ns()`` when the warm-up window ended, so the
+    #: simulator can time the warm-up and measurement phases of a run it
+    #: did not drive reference by reference.
+    warmup_ended_ns: int
 
 
 #: A fused trace runner: (compact page ids, warm-up length) -> result.
@@ -285,13 +296,14 @@ def make_lru_batch_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
             if index == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
+                warmup_ended = perf_counter_ns()
 
         order = policy._order
         for page in sorted(admitted, key=lambda p: int(last_used[p])):
             order[page] = None
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, n)
+                            evictions, admitted, n, warmup_ended)
 
     return kernel
 
@@ -331,9 +343,10 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
             if boundary == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
+                warmup_ended = perf_counter_ns()
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t)
+                            evictions, admitted, t, warmup_ended)
 
     return kernel
 
@@ -415,9 +428,60 @@ def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
             if boundary == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
+                warmup_ended = perf_counter_ns()
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t)
+                            evictions, admitted, t, warmup_ended)
+
+    return kernel
+
+
+def make_a0_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
+    """Fused loop for the A0 oracle: static priorities, lazy min-heap.
+
+    A hit touches nothing. A miss on a full buffer drops stale heap tops
+    with the same ``_live`` test ``A0Policy.choose_victim`` uses and
+    evicts the live top in place: the object path pops that entry and
+    pushes it back, so both leave the same ``(beta, page)`` heap
+    multiset behind.
+    """
+    if policy._resident:
+        return None
+
+    def kernel(pages: Sequence[PageId], warmup: int) -> KernelResult:
+        beta_of = policy._beta.get
+        heap = policy._heap
+        live = policy._live
+        admitted: Dict[PageId, int] = {}
+        warmup_hits = warmup_misses = hits = misses = evictions = 0
+        t = 0
+        for boundary, segment in enumerate((pages[:warmup], pages[warmup:])):
+            for page in segment:
+                t += 1
+                if page in live:
+                    hits += 1
+                else:
+                    misses += 1
+                    if len(live) >= capacity:
+                        while True:
+                            beta, victim = heap[0]
+                            if live.get(victim) == beta:
+                                break
+                            heappop(heap)  # stale (evicted) entry
+                        del live[victim]
+                        del admitted[victim]
+                        evictions += 1
+                    beta = beta_of(page, 0.0)
+                    live[page] = beta
+                    admitted[page] = t
+                    heappush(heap, (beta, page))
+            if boundary == 0:
+                warmup_hits, warmup_misses = hits, misses
+                hits = misses = 0
+                warmup_ended = perf_counter_ns()
+        policy._resident.update(admitted)
+        return KernelResult(warmup_hits, warmup_misses, hits, misses,
+                            evictions, admitted, t, warmup_ended)
 
     return kernel
 
@@ -486,10 +550,11 @@ def make_clock_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
             if boundary == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
+                warmup_ended = perf_counter_ns()
         ring.pages = ring_pages
         ring.hand = hand
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t)
+                            evictions, admitted, t, warmup_ended)
 
     return kernel

@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 from ..clock import LogicalClock
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
-from ..obs import trace as obs_trace
 from ..obs.dispatcher import EventDispatcher
 from ..obs.events import AccessEvent, EvictionEvent, victim_telemetry
 from ..policies.base import ReplacementPolicy
@@ -51,7 +50,8 @@ class CacheSimulator:
         An :class:`repro.obs.EventDispatcher` to emit access/eviction
         events through. Defaults to the ambient dispatcher activated via
         :func:`repro.obs.activate`, if any; with none resolved (or no
-        sinks attached) the hot path pays only a guard per reference.
+        sink taking per-reference events) the hot path pays only a
+        guard per reference, and :meth:`run_fused` may use a kernel.
     """
 
     def __init__(self, policy: ReplacementPolicy, capacity: int,
@@ -85,6 +85,13 @@ class CacheSimulator:
         self._admitted_at: Dict[PageId, int] = {}
         self.eviction_log: Optional[List[AccessOutcome]] = (
             [] if record_evictions else None)
+        #: The execution tier that ran: ``"object"`` (per-reference
+        #: hooks), or ``"kernel"``/``"batch"`` once :meth:`run_fused`
+        #: played the trace through a scalar or batch kernel.
+        self.tier = "object"
+        #: ``perf_counter_ns`` at which a kernel run's warm-up window
+        #: ended (None on the object path), for after-the-fact spans.
+        self.warmup_ended_ns: Optional[int] = None
 
     # -- state inspection -------------------------------------------------------
 
@@ -130,7 +137,7 @@ class CacheSimulator:
             self._resident[ref.page] = True
         self.counter.record(outcome.hit)
         obs = self._obs
-        if obs is not None and obs.has_sinks:
+        if obs is not None and obs.takes_references:
             obs.emit(AccessEvent(time=t, page=ref.page, hit=outcome.hit,
                                  write=ref.is_write))
         return outcome
@@ -166,7 +173,7 @@ class CacheSimulator:
             self._admitted_at[page] = t
         self.counter.record(hit)
         obs = self._obs
-        if obs is not None and obs.has_sinks:
+        if obs is not None and obs.takes_references:
             obs.emit(AccessEvent(time=t, page=page, hit=hit, write=False))
         return hit
 
@@ -182,15 +189,22 @@ class CacheSimulator:
         :meth:`start_measurement` at the boundary.
 
         Returns True when a kernel ran (the simulator's counters, clock,
-        and residency then reflect the completed run), or False when the
-        caller must fall back to the object path because:
+        residency and :attr:`tier` then reflect the completed run), or
+        False when the caller must fall back to the object path because:
 
-        - any observation channel is attached — event sinks, an ambient
-          tracer, a provenance recorder, or the eviction log (kernels
-          are observability-free by contract);
+        - a per-reference observation channel is attached — an event
+          sink that takes access/eviction events
+          (:attr:`repro.obs.EventDispatcher.takes_references`), a
+          provenance recorder, or the eviction log (kernels emit no
+          per-reference record by contract);
         - the simulator already processed references (kernels replay
           whole runs from a fresh state only);
-        - the policy offers no kernel for its configuration.
+        - the policy offers no kernel for its configuration (hook
+          profiling's :class:`~repro.obs.ProfiledPolicy` never does).
+
+        Aggregate observation — an ambient tracer, metrics, run-level
+        sinks such as progress narration — does not demote a run: the
+        protocol records spans and counters from the kernel's result.
 
         Traces of at least :data:`BATCH_MIN_REFS` references first try
         the policy's *batch kernel* (``make_batch_kernel``, see
@@ -201,15 +215,13 @@ class CacheSimulator:
         case the scalar kernel runs instead; both are decision-identical
         so the choice is invisible in results.
         """
+        obs = self._obs
         if (self.eviction_log is not None or self._provenance is not None
+                or (obs is not None and obs.takes_references)
                 or self.clock.now != 0 or self.counter.total):
             return False
-        obs = self._obs
-        if obs is not None and obs.has_sinks:
-            return False
-        if obs_trace.current() is not None:
-            return False
         result = None
+        tier = "batch"
         if len(pages) >= BATCH_MIN_REFS:
             batch_factory = getattr(self.policy, "make_batch_kernel", None)
             if batch_factory is not None:
@@ -217,6 +229,7 @@ class CacheSimulator:
                 if batch_kernel is not None:
                     result = batch_kernel(pages, warmup)
         if result is None:
+            tier = "kernel"
             factory = getattr(self.policy, "make_kernel", None)
             if factory is None:
                 return False
@@ -224,6 +237,8 @@ class CacheSimulator:
             if kernel is None:
                 return False
             result = kernel(pages, warmup)
+        self.tier = tier
+        self.warmup_ended_ns = result.warmup_ended_ns
         self.clock.advance(result.now)
         self.warmup_counter = HitRatioCounter(hits=result.warmup_hits,
                                               misses=result.warmup_misses)
@@ -243,7 +258,7 @@ class CacheSimulator:
             # with the outcome only the driver knows.
             self._provenance.annotate_eviction(victim, t, dirty)
         obs = self._obs
-        if obs is not None and obs.has_sinks:
+        if obs is not None and obs.takes_references:
             distance, informed = victim_telemetry(self.policy, victim, t)
             obs.emit(EvictionEvent(time=t, victim=victim, dirty=dirty,
                                    backward_k_distance=distance,

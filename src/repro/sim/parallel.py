@@ -122,6 +122,8 @@ class _SweepJob:
     trace_cache: TraceCache
     #: Record spans in the worker and relay them to the parent tracer.
     trace: bool = False
+    #: The parent tracer's ``profile_hooks`` setting, for the worker's.
+    profile_hooks: bool = False
     #: Accumulate metrics in a worker-local registry and relay the
     #: counter values and histogram states for the parent to merge.
     collect_metrics: bool = False
@@ -177,7 +179,7 @@ def _run_cell(job_id: int, spec_index: int, capacity: int,
             trace_cache=job.trace_cache, metrics=registry)
 
     if job.trace:
-        tracer = obs_trace.Tracer()
+        tracer = obs_trace.Tracer(profile_hooks=job.profile_hooks)
         with obs_trace.activate(tracer):
             result = cell()
         spans = tracer.serialize()
@@ -417,6 +419,8 @@ def _run_grid(workload: Workload, specs: Sequence[PolicySpec],
     job = _SweepJob(workload=workload, specs=specs, warmup=warmup,
                     measured=measured, seed=seed, repetitions=repetitions,
                     trace_cache=cache, trace=tracer is not None,
+                    profile_hooks=(tracer is not None
+                                   and tracer.profile_hooks),
                     collect_metrics=run.registry is not None)
     job_id = _next_job_id
     _next_job_id += 1
@@ -492,6 +496,8 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
     queue: Deque[Tuple[int, int, int]] = deque(
         (capacity, index, 0) for capacity, index in remaining)
     fallback: List[Tuple[int, int]] = []
+    # Each relayed cell's gauges and worker, for the final pass below.
+    relayed: Dict[Tuple[int, int], Tuple[Dict[str, float], str]] = {}
     context = multiprocessing.get_context("fork")
     pool: Optional[ProcessPoolExecutor] = None
     crash_streak = 0
@@ -521,8 +527,10 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
             if output.histograms:
                 run.registry.merge_histograms(output.histograms)
             if output.gauges:
-                run.registry.merge_gauges(output.gauges,
-                                          worker=str(output.worker_pid))
+                worker = str(output.worker_pid)
+                run.registry.merge_gauges(output.gauges, worker=worker)
+                relayed[(flight.capacity, flight.index)] = (output.gauges,
+                                                            worker)
         run.complete(flight.capacity, label, output.result)
 
     def requeue(flight: _Flight, kind: str, error: str,
@@ -650,7 +658,9 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
     # Graceful degradation: cells that exhausted their pool attempts run
     # in-process, serially, under the parent's full observability — a
     # clean traceback for broken cells and relief from the parallel
-    # memory pressure that kills OOM-prone ones.
+    # memory pressure that kills OOM-prone ones. They run in grid order
+    # so the last of them writes the gauges a serial sweep would end on.
+    fallback.sort(key=remaining.index)
     for capacity, index in fallback:
         spec = run.specs[index]
         try:
@@ -674,6 +684,14 @@ def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
         run.counter("sweep.cell.recovered")
         run.complete(capacity, spec.label, result)
 
+    # Gauges merged last-write-wins in completion order, so live scrapes
+    # showed the latest finished cell. A serial sweep ends on the grid's
+    # last cell: re-apply its relayed gauges so the final snapshot does
+    # too. (Had it fallen back, it ran last above and wrote its own.)
+    final = relayed.get(remaining[-1])
+    if final is not None:
+        gauges, worker = final
+        run.registry.merge_gauges(gauges, worker=worker)
     return run.finish()
 
 

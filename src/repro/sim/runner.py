@@ -15,8 +15,9 @@ for a given (capacity, workload, trace) context.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
@@ -177,8 +178,10 @@ def measure_hit_ratio(policy: ReplacementPolicy,
     of the measurement window is ``simulator.hit_ratio``. When an event
     dispatcher is given (or ambient), the run is bracketed by
     ``SnapshotEvent``s: ``start``, ``measurement`` (the warm-up
-    boundary), and ``end`` (with final counters, including the policy's
-    own stats block when it has one).
+    boundary; object path only, since a kernel run has no mid-run state
+    to snapshot), and ``end`` (with final counters, including the
+    policy's own stats block when it has one). Under an ambient tracer
+    the run records ``warmup`` and ``measure`` spans on every tier.
     """
     if warmup < 0 or warmup >= len(references):
         raise ConfigurationError(
@@ -207,10 +210,17 @@ def measure_hit_ratio(policy: ReplacementPolicy,
         # Pre-normalized stream: bare page ids. Offer the whole trace to
         # the policy's fused kernel first (decision-identical, no
         # per-reference dispatch); run_fused declines — returning False —
-        # whenever observability is attached or no kernel exists, and the
-        # per-reference fast path below takes over.
+        # whenever a per-reference channel is attached or no kernel
+        # exists, and the per-reference fast path below takes over.
         pages = references.page_ids()
-        if not simulator.run_fused(pages, warmup):
+        tracer = obs_trace.current()
+        started = _phase_clock() if tracer is not None else None
+        if simulator.run_fused(pages, warmup):
+            if tracer is not None:
+                _record_kernel_phases(tracer, started,
+                                      simulator.warmup_ended_ns,
+                                      warmup, measured)
+        else:
             access_page = simulator.access_page
             with obs_trace.maybe_span("warmup", references=warmup):
                 for page in pages[:warmup]:
@@ -235,6 +245,34 @@ def measure_hit_ratio(policy: ReplacementPolicy,
         obs.emit(SnapshotEvent(time=simulator.now, phase="end",
                                counters=_snapshot_counters(simulator)))
     return simulator
+
+
+def _phase_clock() -> Tuple[int, int, int]:
+    """``(wall µs since the epoch, perf_counter_ns, process_time_ns)``."""
+    return (time.time_ns() // 1_000, time.perf_counter_ns(),
+            time.process_time_ns())
+
+
+def _record_kernel_phases(tracer: "obs_trace.Tracer",
+                          started: Tuple[int, int, int],
+                          warmup_ended_ns: int, warmup: int,
+                          measured: int) -> None:
+    """Record a kernel run's ``warmup`` and ``measure`` spans afterwards.
+
+    The kernel stamps the moment its warm-up window ended; the phases
+    run from ``started`` to that stamp and from there to now. The run's
+    CPU time is split between them in proportion to their wall time.
+    """
+    start_us, start_ns, cpu_ns = started
+    total_us = (time.perf_counter_ns() - start_ns) // 1_000
+    cpu_us = (time.process_time_ns() - cpu_ns) // 1_000
+    warm_us = (warmup_ended_ns - start_ns) // 1_000
+    warm_cpu = cpu_us * warm_us // total_us if total_us else 0
+    tracer.record("warmup", start_us=start_us, duration_us=warm_us,
+                  cpu_us=warm_cpu, references=warmup)
+    tracer.record("measure", start_us=start_us + warm_us,
+                  duration_us=total_us - warm_us,
+                  cpu_us=cpu_us - warm_cpu, references=measured)
 
 
 def _record_hook_spans(tracer: "obs_trace.Tracer",
@@ -341,10 +379,13 @@ def run_paper_protocol(workload: Workload,
     ``policy``/``capacity``/``seed`` context so downstream sinks can
     separate the repetitions of a sweep. With an ambient tracer (see
     :mod:`repro.obs.trace`) each repetition records a ``simulate`` span
-    (plus ``warmup``/``measure`` children and aggregate ``policy-hook``
-    spans from a decision-transparent :class:`ProfiledPolicy` wrapper);
-    with a metrics registry — ``metrics`` or the ambient dispatcher's —
-    the run's totals accumulate into ``protocol.*`` counters.
+    whose ``tier`` arg names the execution tier that ran (``object``,
+    ``kernel`` or ``batch``), with ``warmup``/``measure`` children; a
+    ``Tracer(profile_hooks=True)`` adds aggregate ``policy-hook`` spans
+    from a decision-transparent :class:`ProfiledPolicy` wrapper, which
+    runs the object path. With a metrics registry — ``metrics`` or the
+    ambient dispatcher's — the run's totals accumulate into
+    ``protocol.*`` counters.
     """
     if repetitions <= 0:
         raise ConfigurationError("need at least one repetition")
@@ -381,6 +422,7 @@ def run_paper_protocol(workload: Workload,
             with tracer.span("simulate", policy=spec.label,
                              capacity=capacity, seed=run_seed) as span:
                 simulator = drive()
+                span.args["tier"] = simulator.tier
             if isinstance(driven, ProfiledPolicy):
                 _record_hook_spans(tracer, span, driven)
         else:

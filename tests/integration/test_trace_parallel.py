@@ -40,7 +40,7 @@ def _sweep(jobs, tracer=None, metrics=None):
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestParallelTraceRelay:
     def test_worker_spans_reparent_under_cells(self, tmp_path):
-        tracer = Tracer()
+        tracer = Tracer(profile_hooks=True)
         _sweep(jobs=4, tracer=tracer)
 
         sweep_spans = tracer.find("sweep")

@@ -174,6 +174,6 @@ class TestAmbientTracer:
                 assert span is None
         assert tracer.spans == []
 
-    def test_profile_hooks_flag_defaults_on(self):
-        assert Tracer().profile_hooks is True
-        assert Tracer(profile_hooks=False).profile_hooks is False
+    def test_profile_hooks_flag_defaults_off(self):
+        assert Tracer().profile_hooks is False
+        assert Tracer(profile_hooks=True).profile_hooks is True

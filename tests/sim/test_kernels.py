@@ -3,10 +3,11 @@
 The kernel contract (:mod:`repro.policies.kernel`) promises the same
 hit/miss sequence, the same evictions, and the same final policy state
 as driving :meth:`CacheSimulator.access_page` once per reference — and
-that the driver silently falls back to the object path whenever any
-observability channel is attached. Both halves are enforced here:
-a hypothesis equivalence matrix across policies x capacities x CRP/RIP,
-and bypass regressions for every observation channel.
+that the simulator silently falls back to the object path whenever a
+per-reference observability channel is attached. Both halves are
+enforced here: a hypothesis equivalence matrix across policies x
+capacities x CRP/RIP, and bypass regressions for every observation
+channel.
 """
 
 import pytest
@@ -24,7 +25,7 @@ from repro.obs import (
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
 from repro.policies import kernel as policy_kernel
-from repro.policies import make_policy
+from repro.policies import A0Policy, make_policy
 from repro.sim import CachedTrace, CacheSimulator, measure_hit_ratio
 from repro.sim import cache as sim_cache
 from repro.workloads import ZipfianWorkload
@@ -172,6 +173,30 @@ class TestSimplePolicyKernelEquivalence:
         assert total_a == total_b
 
 
+#: A0 probability vectors over part of the PAGES universe: few distinct
+#: values, so ties are common, and pages left out of the vector get 0.
+BETAS = st.dictionaries(st.integers(min_value=1, max_value=30),
+                        st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.2]),
+                        min_size=1)
+
+
+class TestA0KernelEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(pages=PAGES, betas=BETAS,
+           capacity=st.integers(min_value=1, max_value=8)
+           | st.sampled_from([30, 64]),
+           warmup_fraction=st.sampled_from([0.0, 0.33, 1.0]))
+    def test_matches_object_path(self, pages, betas, capacity,
+                                 warmup_fraction):
+        warmup = int(len(pages) * warmup_fraction)
+        sim_a = object_run(A0Policy(betas), pages, warmup, capacity)
+        sim_b = kernel_run(A0Policy(betas), pages, warmup, capacity)
+        assert_identical(sim_a, sim_b)
+        assert sim_a.policy._live == sim_b.policy._live
+        assert sorted(sim_a.policy._heap) == sorted(sim_b.policy._heap)
+        assert sim_a.policy.resident_pages == sim_b.policy.resident_pages
+
+
 class TestMeasureHitRatioDispatch:
     def trace(self, count=1200, seed=7):
         return CachedTrace.materialize(ZipfianWorkload(n=80), count, seed)
@@ -198,7 +223,8 @@ class TestMeasureHitRatioDispatch:
 
 
 class TestKernelBypass:
-    """Every observation channel must force the object path."""
+    """Every per-reference observation channel must force the object
+    path; aggregate observation (an ambient tracer) must not."""
 
     def pages(self):
         return list(ZipfianWorkload(n=30).page_ids(200, seed=1))
@@ -221,12 +247,15 @@ class TestKernelBypass:
         simulator = CacheSimulator(policy, 8)
         assert not simulator.run_fused(self.pages(), 0)
 
-    def test_ambient_tracer_bypasses(self):
-        simulator = CacheSimulator(LRUKPolicy(k=2), 8)
+    def test_ambient_tracer_keeps_the_kernel(self):
+        traced = CacheSimulator(LRUKPolicy(k=2), 8)
         with obs_trace.activate(Tracer()):
-            assert not simulator.run_fused(self.pages(), 0)
-        # Outside the span the same simulator is eligible again.
-        assert simulator.run_fused(self.pages(), 0)
+            assert traced.run_fused(self.pages(), 0)
+        assert traced.tier == "kernel"
+        plain = CacheSimulator(LRUKPolicy(k=2), 8)
+        assert plain.run_fused(self.pages(), 0)
+        assert_identical(traced, plain)
+        assert_lruk_state_identical(traced.policy, plain.policy)
 
     def test_non_fresh_simulator_bypasses(self):
         simulator = CacheSimulator(LRUKPolicy(k=2), 8)

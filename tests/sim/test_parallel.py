@@ -271,6 +271,35 @@ class TestParallelMetricsParity:
                 # Counters and histogram counts/quantiles merge exactly.
                 assert fanned[key] == value
 
+    def test_final_gauges_follow_grid_order_not_completion_order(
+            self, monkeypatch):
+        """Cells finishing out of grid order still end on a serial
+        sweep's last-run gauges."""
+        real_wait = parallel.wait
+        completed = []
+
+        def latest_cell_first(window, timeout=None, return_when=None):
+            # Let every in-flight cell finish, then hand the engine only
+            # the one latest in grid order: each window completes in
+            # reverse, so the grid's last cell is never merged last.
+            real_wait(window)
+            future = max(window, key=lambda f: (window[f].capacity,
+                                                 window[f].index))
+            completed.append((window[future].capacity,
+                              window[future].index))
+            return {future}, set(window) - {future}
+
+        serial = self._snapshot(jobs=1)
+        monkeypatch.setattr(parallel, "wait", latest_cell_first)
+        fanned = self._snapshot(jobs=2)
+        grid = [(capacity, index) for capacity in (8, 16, 32)
+                for index in range(len(GRID_SPECS))]
+        assert sorted(completed) == grid
+        assert completed[-1] != grid[-1]
+        for key in ("protocol.last_run_hit_ratio",
+                    "protocol.last_run_evictions"):
+            assert fanned[key] == serial[key]
+
     def test_worker_histograms_reach_metrics_snapshot(self):
         fanned = self._snapshot(jobs=2)
         cells = 3 * len(GRID_SPECS) * 2  # capacities x policies x reps
