@@ -21,18 +21,19 @@ logical time after the table). Progress narration is itself an event
 stream: ``--quiet`` just leaves the console sink unattached, so it
 silences tables, ablations, and trace-stats uniformly.
 
-Parallelism: ``--jobs N`` fans the sweep grid over N worker processes
-(:mod:`repro.sim.parallel`); results are identical to a serial run, and
-progress still narrates one line per completed cell. See
-docs/performance.md for the engine's observability trade-offs.
+Parallelism: ``--jobs N`` (table commands) fans the sweep grid over N
+worker processes (:mod:`repro.sim.parallel`); results are identical to
+a serial run, and progress still narrates one line per completed cell.
+See docs/performance.md for the engine's observability trade-offs.
 
-Fault tolerance: failing sweep cells are retried with backoff and
-crashed worker pools are rebuilt automatically. ``--checkpoint PATH``
-records completed cells to a JSONL ledger as they finish; adding
-``--resume`` on a later invocation skips the recorded cells and appends
-the rest — an interrupted sweep (Ctrl-C exits with code 130 after
-salvaging completed cells) picks up where it left off and produces the
-identical table. See the "Fault tolerance" section of
+Checkpoints: on the table commands, ``--checkpoint PATH`` records
+completed cells to a JSONL ledger as they finish; adding ``--resume``
+on a later invocation skips the recorded cells and appends the rest —
+an interrupted sweep (Ctrl-C exits with code 130 after salvaging
+completed cells) picks up where it left off and produces the identical
+table. A cell the worker pool did not return (its worker raised or
+died) re-runs in-process; a cell that still raises exits 1 after every
+other cell finished. See the "Checkpoints and failures" section of
 docs/performance.md.
 
 Live telemetry: ``--serve-metrics PORT`` exposes the run's metrics
@@ -86,8 +87,6 @@ from .sim import (
     CellExecutionError,
     SweepCheckpoint,
     SweepInterrupted,
-    default_checkpoint,
-    default_jobs,
     explain_eviction,
     run_experiment,
 )
@@ -280,9 +279,7 @@ def _run_trace_stats(scale: float, quiet: bool) -> int:
 
 def _run_ablation(name: str, quiet: bool,
                   metrics_out: Optional[str], timeline: bool,
-                  jobs: int = 1, trace_out: Optional[str] = None,
-                  checkpoint_path: Optional[str] = None,
-                  resume: bool = False,
+                  trace_out: Optional[str] = None,
                   serve_metrics: Optional[int] = None,
                   sample_resources: Optional[float] = None) -> int:
     try:
@@ -296,19 +293,7 @@ def _run_ablation(name: str, quiet: bool,
                         sample_resources) as (obs, timeline_sink):
         narrate = _progress_to(obs)
         narrate(f"running ablation {name} ...")
-        # Ablations build their sweeps internally; the ambient defaults
-        # route --jobs and --checkpoint to any sweep_buffer_sizes call
-        # below (each internal grid keyed by its own fingerprint).
-        with ExitStack() as stack:
-            stack.enter_context(default_jobs(jobs))
-            checkpoint = _open_checkpoint(checkpoint_path, resume, narrate)
-            if checkpoint is not None:
-                stack.enter_context(checkpoint)
-                stack.enter_context(default_checkpoint(checkpoint))
-            try:
-                print(ablation().render())
-            except (SweepInterrupted, CellExecutionError) as exc:
-                return _report_sweep_failure(exc)
+        print(ablation().render())
         if timeline_sink is not None:
             print()
             print(timeline_sink.render())
@@ -326,6 +311,15 @@ def _list_targets() -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -341,24 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeline", action="store_true",
             help="render a windowed hit-ratio timeline after the output")
         command_parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for the sweep grid (default 1 = serial; "
-                 "results are identical either way)")
-        command_parser.add_argument(
             "--trace-out", default=None, metavar="PATH",
             help="write a Chrome trace-event JSON span timeline "
                  "(sweep -> cell -> simulate -> warmup/measure; each "
                  "simulate span names the tier that ran; loadable in "
                  "Perfetto), including spans from --jobs workers. "
                  "Tracing keeps the fused kernels")
-        command_parser.add_argument(
-            "--checkpoint", default=None, metavar="PATH",
-            help="record completed sweep cells to this JSONL ledger as "
-                 "they finish (survives crashes and Ctrl-C)")
-        command_parser.add_argument(
-            "--resume", action="store_true",
-            help="skip cells already recorded in --checkpoint and append "
-                 "the rest (requires --checkpoint)")
         command_parser.add_argument(
             "--serve-metrics", type=int, default=None, metavar="PORT",
             help="serve live Prometheus text on localhost:PORT/metrics "
@@ -383,6 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
                            help="render side-by-side with the paper's numbers")
         table.add_argument("--chart", action="store_true",
                            help="append an ASCII hit-ratio chart")
+        table.add_argument(
+            "--jobs", type=_positive_int, default=1, metavar="N",
+            help="worker processes for the sweep grid (default 1 = serial; "
+                 "results are identical either way)")
+        table.add_argument(
+            "--checkpoint", default=None, metavar="PATH",
+            help="record completed sweep cells to this JSONL ledger as "
+                 "they finish; an interrupted run keeps every cell "
+                 "recorded before Ctrl-C")
+        table.add_argument(
+            "--resume", action="store_true",
+            help="skip cells already recorded in --checkpoint and append "
+                 "the rest (requires --checkpoint)")
         add_obs_flags(table)
 
     stats = sub.add_parser("trace-stats",
@@ -653,9 +648,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "ablation":
         return _run_ablation(args.name, args.quiet,
                              args.metrics_out, args.timeline,
-                             jobs=args.jobs, trace_out=args.trace_out,
-                             checkpoint_path=args.checkpoint,
-                             resume=args.resume,
+                             trace_out=args.trace_out,
                              serve_metrics=args.serve_metrics,
                              sample_resources=args.sample_resources)
     if args.command == "serve-bench":

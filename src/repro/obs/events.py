@@ -193,15 +193,16 @@ class ProgressEvent(ObsEvent):
 
 @dataclass(frozen=True)
 class CellFailureEvent(ObsEvent):
-    """One sweep-grid cell attempt failed (see :mod:`repro.sim.recovery`).
+    """One sweep-grid cell attempt failed (see :mod:`repro.sim.parallel`).
 
-    ``failure`` is the classification (``crash`` / ``timeout`` /
-    ``error`` / ``poisoned``), ``attempt`` the 1-based number of attempts
-    consumed so far, and ``action`` what the engine does next:
-    ``retry`` (back into the pool with backoff), ``fallback``
-    (in-process serial re-run after the pool drains) or ``failed``
-    (recorded permanently; the sweep raises
-    :class:`~repro.sim.recovery.CellExecutionError` once it finishes).
+    ``failure`` is ``crash`` (the worker died and broke the pool) or
+    ``error`` (the cell raised), ``attempt`` the 1-based number of
+    attempts consumed so far, and ``action`` what the engine does next:
+    ``fallback`` (the pool did not return the cell; it re-runs
+    in-process after the pool drains) or ``failed`` (it raised
+    in-process; the sweep raises
+    :class:`~repro.sim.recovery.CellExecutionError` once every other
+    cell has finished).
     """
 
     kind = "cell-failure"

@@ -4,9 +4,9 @@ A curses-free counterpart of ``top(1)`` for a running sweep: poll the
 ``--serve-metrics`` endpoint (or read the final ``snapshot`` record of a
 ``--metrics-out`` JSONL file), derive rates from successive scrapes, and
 render one compact frame per interval — windowed hit ratio, references
-per second, cell completion, the fault-tolerance counters from the
-resilient sweep engine, and the :class:`~repro.obs.telemetry
-.ResourceSampler` gauges.
+per second, cell completion, the sweep's failure counters (cells re-run
+in-process and cells that failed), and the
+:class:`~repro.obs.telemetry.ResourceSampler` gauges.
 
 Everything here is plain string assembly over
 :func:`~repro.obs.telemetry.parse_exposition`, so the frame builder is
@@ -275,12 +275,9 @@ def render_frame(current: Exposition,
                          f"{_bar(ratio, 16)} {ratio:.4f} "
                          f"({int(total_requests):,} reqs)")
 
-    # -- fault tolerance
-    fault_names = (("retries", "sweep.cell.retries"),
-                   ("timeouts", "sweep.cell.timeouts"),
-                   ("fallbacks", "sweep.cell.fallbacks"),
-                   ("failures", "sweep.cell.failures"),
-                   ("rebuilds", "sweep.pool.rebuilds"))
+    # -- sweep failures
+    fault_names = (("fallbacks", "sweep.cell.fallbacks"),
+                   ("failures", "sweep.cell.failures"))
     faults = [(label, current.value(name, 0.0))
               for label, name in fault_names]
     if any(current.has(name) for _, name in fault_names) or any(

@@ -10,15 +10,12 @@ from .runner import (
 )
 from .equi_effective import equi_effective_buffer_size, equi_effective_ratio
 from .trace_cache import CachedTrace, TraceCache
-from .parallel import default_jobs, fork_available, run_grid, suggested_jobs
+from .parallel import fork_available, run_grid, suggested_jobs
 from .recovery import (
     CellExecutionError,
     CellFailure,
-    RetryPolicy,
     SweepCheckpoint,
     SweepInterrupted,
-    default_checkpoint,
-    default_retry,
     grid_fingerprint,
 )
 from .sweep import SweepCell, sweep_buffer_sizes
@@ -45,17 +42,13 @@ __all__ = [
     "equi_effective_ratio",
     "CachedTrace",
     "TraceCache",
-    "default_jobs",
     "fork_available",
     "run_grid",
     "suggested_jobs",
     "CellExecutionError",
     "CellFailure",
-    "RetryPolicy",
     "SweepCheckpoint",
     "SweepInterrupted",
-    "default_checkpoint",
-    "default_retry",
     "grid_fingerprint",
     "SweepCell",
     "sweep_buffer_sizes",

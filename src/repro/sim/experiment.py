@@ -101,7 +101,6 @@ def run_experiment(spec: ExperimentSpec,
                    progress: Optional[Callable[[str], None]] = None,
                    observability: Optional[EventDispatcher] = None,
                    jobs: Optional[int] = None,
-                   retry: Optional[recovery.RetryPolicy] = None,
                    checkpoint: Optional[recovery.SweepCheckpoint] = None
                    ) -> ExperimentResult:
     """Execute a spec: sweep all cells, then derive B(1)/B(2) per row.
@@ -111,15 +110,14 @@ def run_experiment(spec: ExperimentSpec,
     The cache is scoped to this call — cleared on the way out, success or
     failure, so a long-lived process running many experiments does not
     pin every workload's traces forever.
-    ``jobs`` (or the ambient :func:`repro.sim.parallel.default_jobs`)
-    fans the sweep grid out over worker processes; ``retry`` and
-    ``checkpoint`` configure fault tolerance and ``--resume`` support
-    (see :mod:`repro.sim.recovery`).
+    ``jobs`` fans the sweep grid out over worker processes;
+    ``checkpoint`` records completed cells for ``--resume`` (see
+    :mod:`repro.sim.recovery`).
     """
     trace_cache = TraceCache()
     try:
         return _run_experiment(spec, progress, observability, jobs,
-                               retry, checkpoint, trace_cache)
+                               checkpoint, trace_cache)
     finally:
         trace_cache.clear()
 
@@ -128,7 +126,6 @@ def _run_experiment(spec: ExperimentSpec,
                     progress: Optional[Callable[[str], None]],
                     observability: Optional[EventDispatcher],
                     jobs: Optional[int],
-                    retry: Optional[recovery.RetryPolicy],
                     checkpoint: Optional[recovery.SweepCheckpoint],
                     trace_cache: TraceCache) -> ExperimentResult:
     cells = sweep_buffer_sizes(
@@ -136,7 +133,7 @@ def _run_experiment(spec: ExperimentSpec,
         warmup=spec.warmup, measured=spec.measured,
         seed=spec.seed, repetitions=spec.repetitions, progress=progress,
         observability=observability, jobs=jobs, trace_cache=trace_cache,
-        retry=retry, checkpoint=checkpoint)
+        checkpoint=checkpoint)
     result = ExperimentResult(spec=spec, cells=cells)
     if spec.equi_effective is not None:
         baseline_label, improved_label = spec.equi_effective

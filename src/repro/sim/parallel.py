@@ -27,31 +27,29 @@ completion order, through the usual ``progress`` callback or as
 ``--timeline``/``--quiet`` behave under ``--jobs N`` exactly as in
 serial mode.
 
-Execution is fault tolerant (see :mod:`repro.sim.recovery`): a crashed
-worker breaks only its cell, not the sweep. Failed cells are classified
-transient-vs-poisoned, retried with exponential backoff (the pool is
-rebuilt after a ``BrokenProcessPool``), bounded by an optional per-cell
-wall-clock timeout (enforced by reaping the pool — the only way to
-cancel a running pool task), and finally re-run in-process serially as
-graceful degradation. Completed cells stream into an optional
+One rule handles every failure. A cell the pool did not return — its
+worker raised, or died and broke the pool — runs again in-process after
+the pool drains, in grid order, through the same routine a serial sweep
+uses. A cell that raises in-process is recorded as a
+:class:`~repro.sim.recovery.CellFailure`; the other cells still finish
+and checkpoint, then :class:`~repro.sim.recovery.CellExecutionError` is
+raised. Cells are deterministic, so nothing is retried in the pool:
+after a worker dies, the rest of that sweep runs in-process. Completed
+cells stream into an optional
 :class:`~repro.sim.recovery.SweepCheckpoint`; a ``KeyboardInterrupt``
-salvages them (flushing the checkpoint and reaping workers) instead of
-orphaning the sweep. Failures surface as
-:class:`~repro.obs.events.CellFailureEvent`s and ``sweep.cell.*``
-counters on the usual observability channels.
+salvages them (flushing the checkpoint) instead of orphaning the sweep.
+Failures surface as :class:`~repro.obs.events.CellFailureEvent`s and the
+``sweep.cell.fallbacks`` / ``sweep.cell.failures`` counters.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
@@ -67,38 +65,22 @@ from .trace_cache import TraceCache
 #: A grid result: {(capacity, policy label): ProtocolResult}.
 GridResults = Dict[Tuple[int, str], ProtocolResult]
 
-# -- job-count resolution ------------------------------------------------------
 
-_default_jobs = 1
+class _Cell(NamedTuple):
+    """A grid cell by position."""
+
+    capacity: int
+    #: Index into the grid's policy specs.
+    index: int
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """An explicit job count if given, else the ambient default (1)."""
+    """An explicit job count if given, else 1 (serial)."""
     if jobs is None:
-        return _default_jobs
+        return 1
     if jobs <= 0:
         raise ConfigurationError("jobs must be a positive integer (or None)")
     return jobs
-
-
-@contextmanager
-def default_jobs(jobs: int) -> Iterator[int]:
-    """Ambiently set the sweep job count for a dynamic extent.
-
-    Mirrors :func:`repro.obs.runtime.activate`: code many layers below
-    the CLI (ablation functions, report generation) runs sweeps without
-    a ``jobs`` parameter; activating a default here parallelizes them
-    without rewriting every call site.
-    """
-    global _default_jobs
-    if jobs <= 0:
-        raise ConfigurationError("jobs must be a positive integer")
-    previous = _default_jobs
-    _default_jobs = jobs
-    try:
-        yield jobs
-    finally:
-        _default_jobs = previous
 
 
 def fork_available() -> bool:
@@ -157,8 +139,7 @@ _SHARED: Dict[int, _SweepJob] = {}
 _next_job_id = 0
 
 
-def _run_cell(job_id: int, spec_index: int, capacity: int,
-              attempt: int = 0) -> _CellOutput:
+def _run_cell(job_id: int, spec_index: int, capacity: int) -> _CellOutput:
     """Worker task: one (policy, capacity) cell of the grid."""
     # Forked workers inherit the parent's ambient dispatcher (and its
     # open file sinks) and the parent's ambient tracer; emitting through
@@ -167,7 +148,6 @@ def _run_cell(job_id: int, spec_index: int, capacity: int,
     # workers clear both and build their own instruments when asked.
     obs_runtime.deactivate()
     obs_trace.deactivate()
-    recovery.chaos_hook(spec_index, capacity, attempt)
     job = _SHARED[job_id]
     registry = MetricsRegistry() if job.collect_metrics else None
 
@@ -215,28 +195,23 @@ def _cell_line(capacity: int, label: str, result: ProtocolResult) -> str:
     return f"B={capacity:<6d} {label:<8s} C={result.hit_ratio:.4f}"
 
 
-@dataclass
-class _Flight:
-    """One in-flight cell attempt submitted to the pool."""
-
-    capacity: int
-    index: int
-    attempt: int
-    deadline: Optional[float]
-
-
 class _GridRun:
-    """State and helpers shared by the serial and resilient executors."""
+    """One grid's inputs, completed cells and failure records."""
 
     def __init__(self, workload: Workload, specs: Sequence[PolicySpec],
-                 retry: recovery.RetryPolicy,
+                 warmup: int, measured: int, seed: int, repetitions: int,
+                 cache: TraceCache,
                  checkpoint: Optional[recovery.SweepCheckpoint],
                  fingerprint: Optional[str],
                  progress: Optional[Callable[[str], None]],
                  observability: Optional[EventDispatcher]) -> None:
         self.workload = workload
         self.specs = specs
-        self.retry = retry
+        self.warmup = warmup
+        self.measured = measured
+        self.seed = seed
+        self.repetitions = repetitions
+        self.cache = cache
         self.checkpoint = checkpoint
         self.fingerprint = fingerprint
         self.progress = progress
@@ -247,6 +222,11 @@ class _GridRun:
             if self.obs is not None else None)
         self.results: GridResults = {}
         self.failures: List[recovery.CellFailure] = []
+
+    def done(self, cell: _Cell) -> bool:
+        """True once the cell's result is in :attr:`results`."""
+        capacity, index = cell
+        return (capacity, self.specs[index].label) in self.results
 
     def track_progress(self, total: int) -> None:
         """Publish the grid's cell-completion gauges for live scrapes.
@@ -263,13 +243,11 @@ class _GridRun:
         # Register the fault counters at zero up front: a live /metrics
         # scrape of a healthy sweep should show them absent-of-faults,
         # not absent-of-instrumentation.
-        for name in ("sweep.cell.retries", "sweep.cell.timeouts",
-                     "sweep.cell.fallbacks", "sweep.cell.failures",
-                     "sweep.pool.rebuilds"):
+        for name in ("sweep.cell.fallbacks", "sweep.cell.failures"):
             self.registry.counter(name)
 
-    def complete(self, capacity: int, label: str, result: ProtocolResult,
-                 narrate: bool = True) -> None:
+    def complete(self, capacity: int, label: str,
+                 result: ProtocolResult) -> None:
         """Record one finished cell: results, checkpoint, narration."""
         self.results[(capacity, label)] = result
         if self.registry is not None:
@@ -277,36 +255,57 @@ class _GridRun:
                                     float(len(self.results)))
         if self.checkpoint is not None and self.fingerprint is not None:
             self.checkpoint.record(self.fingerprint, result)
-        if narrate:
-            _narrate(_cell_line(capacity, label, result),
-                     self.progress, self.observability)
+        _narrate(_cell_line(capacity, label, result),
+                 self.progress, self.observability)
 
-    def counter(self, name: str, amount: int = 1) -> None:
-        if self.registry is not None and amount:
-            self.registry.counter(name).inc(amount)
-
-    def report_failure(self, capacity: int, index: int, attempt: int,
-                       kind: str, error: str, action: str) -> None:
-        """Emit the structured failure event and bump its counters.
+    def fail(self, cell: _Cell, attempt: int, kind: str, error: str,
+             action: str) -> None:
+        """Report one failed attempt as an event and a counter.
 
         ``attempt`` is the 1-based number of attempts consumed so far;
-        ``action`` is what the engine does next: ``"retry"`` (back into
-        the pool), ``"fallback"`` (in-process serial re-run) or
-        ``"failed"`` (recorded as a permanent :class:`CellFailure`).
+        ``action`` is ``"fallback"`` (the pool did not return the cell,
+        which re-runs in-process) or ``"failed"`` (the cell raised
+        in-process and is recorded as a :class:`CellFailure`).
         """
+        capacity, index = cell
         label = self.specs[index].label
         if self.obs is not None and self.obs.active:
             self.obs.emit(CellFailureEvent(
                 capacity=capacity, label=label, attempt=attempt,
                 failure=kind, error=error, action=action))
-        if kind == recovery.TIMEOUT:
-            self.counter("sweep.cell.timeouts")
-        if action == "retry":
-            self.counter("sweep.cell.retries")
-        elif action == "fallback":
-            self.counter("sweep.cell.fallbacks")
-        elif action == "failed":
-            self.counter("sweep.cell.failures")
+        if action == "failed":
+            self.failures.append(recovery.CellFailure(
+                capacity=capacity, label=label, attempts=attempt,
+                kind=kind, error=error))
+        if self.registry is not None:
+            self.registry.counter(
+                "sweep.cell.fallbacks" if action == "fallback"
+                else "sweep.cell.failures").inc()
+
+    def run_in_process(self, cells: Sequence[_Cell], attempt: int) -> None:
+        """Run cells here, in order; a cell that raises is recorded.
+
+        The one in-process cell routine: a serial sweep runs every cell
+        through it as ``attempt`` 1, and a pooled sweep runs the cells
+        its pool did not return as ``attempt`` 2. A raising cell does
+        not stop the others.
+        """
+        for capacity, index in cells:
+            spec = self.specs[index]
+            try:
+                with obs_trace.maybe_span("cell", capacity=capacity,
+                                          policy=spec.label):
+                    result = run_paper_protocol(
+                        self.workload, spec, capacity, self.warmup,
+                        self.measured, seed=self.seed,
+                        repetitions=self.repetitions,
+                        observability=self.observability,
+                        trace_cache=self.cache)
+            except Exception as exc:
+                self.fail(_Cell(capacity, index), attempt, recovery.ERROR,
+                          repr(exc), action="failed")
+                continue
+            self.complete(capacity, spec.label, result)
 
     def salvage(self) -> "recovery.SweepInterrupted":
         """Flush the checkpoint and wrap the completed cells for re-raise."""
@@ -315,7 +314,7 @@ class _GridRun:
         return recovery.SweepInterrupted(self.results)
 
     def finish(self) -> GridResults:
-        """Raise if any cell failed permanently, else hand back the grid."""
+        """Raise if any cell failed, else hand back the grid."""
         if self.failures:
             if self.checkpoint is not None:
                 self.checkpoint.flush()
@@ -334,39 +333,31 @@ def run_grid(workload: Workload,
              trace_cache: Optional[TraceCache] = None,
              progress: Optional[Callable[[str], None]] = None,
              observability: Optional[EventDispatcher] = None,
-             retry: Optional[recovery.RetryPolicy] = None,
              checkpoint: Optional[recovery.SweepCheckpoint] = None
              ) -> GridResults:
     """Run every (policy, capacity) cell of a grid, ``jobs`` at a time.
 
     Returns ``{(capacity, label): ProtocolResult}`` — an order-free shape
     the caller assembles into its own row structure, making the merge
-    deterministic regardless of completion order. ``jobs=None`` resolves
-    through the ambient :func:`default_jobs` (1 — serial — unless a
-    caller activated a default), and the engine falls back to in-process
-    execution (still sharing one trace cache) when process parallelism
-    is unavailable.
+    deterministic regardless of completion order. ``jobs=None`` means 1
+    (serial), and the engine falls back to in-process execution (still
+    sharing one trace cache) when process parallelism is unavailable.
 
-    ``retry`` and ``checkpoint`` default to the ambient
-    :func:`repro.sim.recovery.default_retry` /
-    :func:`~repro.sim.recovery.default_checkpoint` configuration. Cells
-    already present in the checkpoint (matched by grid fingerprint) are
-    returned without re-running; newly completed cells are appended as
-    they finish. A ``KeyboardInterrupt`` raises
+    Cells already present in ``checkpoint`` (matched by grid
+    fingerprint) are returned without re-running; newly completed cells
+    are appended as they finish. A ``KeyboardInterrupt`` raises
     :class:`~repro.sim.recovery.SweepInterrupted` carrying every
-    completed cell; permanently failed cells raise
+    completed cell; cells that raised in-process raise
     :class:`~repro.sim.recovery.CellExecutionError` — in both cases
     after the checkpoint is flushed, so no completed work is lost.
     """
     jobs = resolve_jobs(jobs)
-    retry = recovery.resolve_retry(retry)
-    checkpoint = recovery.resolve_checkpoint(checkpoint)
     owns_cache = trace_cache is None
     cache = trace_cache if trace_cache is not None else TraceCache()
     try:
         return _run_grid(workload, specs, capacities, warmup, measured,
                          seed, repetitions, jobs, cache, progress,
-                         observability, retry, checkpoint)
+                         observability, checkpoint)
     finally:
         if owns_cache:
             # The cache pins workloads and materialized arrays by id();
@@ -379,380 +370,126 @@ def _run_grid(workload: Workload, specs: Sequence[PolicySpec],
               seed: int, repetitions: int, jobs: int, cache: TraceCache,
               progress: Optional[Callable[[str], None]],
               observability: Optional[EventDispatcher],
-              retry: recovery.RetryPolicy,
               checkpoint: Optional[recovery.SweepCheckpoint]) -> GridResults:
-    global _next_job_id
     fingerprint = None
     if checkpoint is not None:
         fingerprint = recovery.grid_fingerprint(
             workload, specs, capacities, warmup, measured, seed, repetitions)
-    run = _GridRun(workload, specs, retry, checkpoint, fingerprint,
-                   progress, observability)
-
-    order = [(capacity, index) for capacity in capacities
-             for index in range(len(specs))]
+    run = _GridRun(workload, specs, warmup, measured, seed, repetitions,
+                   cache, checkpoint, fingerprint, progress, observability)
     if checkpoint is not None:
-        for key, result in checkpoint.completed(fingerprint).items():
-            run.results[key] = result
-        remaining = [(capacity, index) for capacity, index in order
-                     if (capacity, specs[index].label) not in run.results]
-    else:
-        remaining = order
+        run.results.update(checkpoint.completed(fingerprint))
+    order = [_Cell(capacity, index) for capacity in capacities
+             for index in range(len(specs))]
+    remaining = [cell for cell in order if not run.done(cell)]
     run.track_progress(len(order))
     if not remaining:
         return run.results
 
-    total = warmup + measured
-    # Materialize every run seed's trace once, pre-fork: workers inherit
-    # the compact arrays copy-on-write instead of regenerating them.
-    # Traces past the spill threshold (see repro.sim.trace_cache) live
-    # in mmap-backed columnar files at this point, so workers share one
-    # page-cache copy outright — no copy-on-write dirtying at all.
-    for repetition in range(repetitions):
-        cache.get(workload, total, seed + repetition)
+    pooled = jobs > 1 and fork_available() and len(remaining) > 1
+    try:
+        # Materialize every run seed's trace once, pre-fork: workers
+        # inherit the compact arrays copy-on-write instead of
+        # regenerating them. Traces past the spill threshold (see
+        # repro.sim.trace_cache) live in mmap-backed columnar files at
+        # this point, so workers share one page-cache copy outright — no
+        # copy-on-write dirtying at all.
+        for repetition in range(repetitions):
+            cache.get(workload, warmup + measured, seed + repetition)
+        last = _pool_pass(run, remaining, jobs) if pooled else None
+        run.run_in_process([cell for cell in remaining if not run.done(cell)],
+                           attempt=2 if pooled else 1)
+        if last is not None:
+            # Gauges merged last-write-wins in completion order, so live
+            # scrapes showed the latest finished cell. A serial sweep
+            # ends on the grid's last cell: re-apply its relayed gauges
+            # so the final snapshot does too. (Had the pool not returned
+            # it, it ran last in-process and wrote its own.)
+            gauges, worker = last
+            run.registry.merge_gauges(gauges, worker=worker)
+    except KeyboardInterrupt:
+        raise run.salvage() from None
+    return run.finish()
 
-    if jobs <= 1 or not fork_available() or len(remaining) <= 1:
-        return _execute_serial(run, remaining, workload, warmup, measured,
-                               seed, repetitions, cache)
 
+def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
+               ) -> Optional[Tuple[Dict[str, float], str]]:
+    """Run cells on a fork pool and record every cell it returns.
+
+    All cells are submitted up front. A cell whose worker raised, or
+    died and broke the pool (which fails every pending cell with it),
+    is reported as a ``fallback`` and left for the caller to re-run
+    in-process. Returns the relayed gauges and worker pid of the last
+    cell in grid order when the pool returned that cell.
+    """
+    global _next_job_id
     tracer = obs_trace.current()
-    job = _SweepJob(workload=workload, specs=specs, warmup=warmup,
-                    measured=measured, seed=seed, repetitions=repetitions,
-                    trace_cache=cache, trace=tracer is not None,
-                    profile_hooks=(tracer is not None
-                                   and tracer.profile_hooks),
-                    collect_metrics=run.registry is not None)
+    # Flush the parent's sinks before forking: a child inheriting
+    # buffered-but-unwritten file output would duplicate it at exit.
+    if run.obs is not None:
+        run.obs.flush()
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
+                               mp_context=multiprocessing.get_context("fork"))
     job_id = _next_job_id
     _next_job_id += 1
-    _SHARED[job_id] = job
+    _SHARED[job_id] = _SweepJob(
+        workload=run.workload, specs=run.specs, warmup=run.warmup,
+        measured=run.measured, seed=run.seed, repetitions=run.repetitions,
+        trace_cache=run.cache, trace=tracer is not None,
+        profile_hooks=tracer is not None and tracer.profile_hooks,
+        collect_metrics=run.registry is not None)
+    last: Optional[Tuple[Dict[str, float], str]] = None
     try:
-        return _execute_resilient(run, remaining, job_id, jobs, tracer,
-                                  workload, warmup, measured, seed,
-                                  repetitions, cache)
-    finally:
-        _SHARED.pop(job_id, None)
-
-
-def _execute_serial(run: _GridRun, remaining: Sequence[Tuple[int, int]],
-                    workload: Workload, warmup: int, measured: int,
-                    seed: int, repetitions: int,
-                    cache: TraceCache) -> GridResults:
-    """In-process execution with the same retry and salvage semantics."""
-    try:
-        for capacity, index in remaining:
-            spec = run.specs[index]
-            attempt = 0
-            while True:
-                try:
-                    with obs_trace.maybe_span("cell", capacity=capacity,
-                                              policy=spec.label):
-                        result = run_paper_protocol(
-                            workload, spec, capacity, warmup, measured,
-                            seed=seed, repetitions=repetitions,
-                            observability=run.observability,
-                            trace_cache=cache)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    kind, transient = recovery.classify(exc)
-                    attempt += 1
-                    if transient and attempt < run.retry.max_attempts:
-                        run.report_failure(capacity, index, attempt, kind,
-                                           repr(exc), action="retry")
-                        run.retry.backoff(attempt - 1)
-                        continue
-                    run.report_failure(capacity, index, attempt, kind,
-                                       repr(exc), action="failed")
-                    run.failures.append(recovery.CellFailure(
-                        capacity=capacity, label=spec.label,
-                        attempts=attempt, kind=kind, error=repr(exc)))
-                    break
-                run.complete(capacity, spec.label, result)
-                break
-    except KeyboardInterrupt:
-        raise run.salvage() from None
-    return run.finish()
-
-
-def _execute_resilient(run: _GridRun, remaining: Sequence[Tuple[int, int]],
-                       job_id: int, jobs: int,
-                       tracer: Optional["obs_trace.Tracer"],
-                       workload: Workload, warmup: int, measured: int,
-                       seed: int, repetitions: int,
-                       cache: TraceCache) -> GridResults:
-    """Pool execution with per-cell isolation, retries, and timeouts.
-
-    At most ``workers`` cells are submitted at a time (a sliding window)
-    so a per-cell deadline measures *execution* wall clock, not queue
-    time. A ``BrokenProcessPool`` cannot be attributed to one cell, so
-    every in-flight cell's attempt count advances and the pool is
-    rebuilt; an expired deadline reaps the pool (the only way to cancel
-    a running task) but penalizes only the cell that timed out. Cells
-    that exhaust their attempts collect into a fallback list executed
-    in-process after the pool drains, so degraded cells never starve
-    healthy ones.
-    """
-    workers = min(jobs, len(remaining))
-    queue: Deque[Tuple[int, int, int]] = deque(
-        (capacity, index, 0) for capacity, index in remaining)
-    fallback: List[Tuple[int, int]] = []
-    # Each relayed cell's gauges and worker, for the final pass below.
-    relayed: Dict[Tuple[int, int], Tuple[Dict[str, float], str]] = {}
-    context = multiprocessing.get_context("fork")
-    pool: Optional[ProcessPoolExecutor] = None
-    crash_streak = 0
-
-    def build_pool() -> ProcessPoolExecutor:
-        # Flush the parent's sinks before forking: a child inheriting
-        # buffered-but-unwritten file output would duplicate it at exit.
-        if run.obs is not None:
-            run.obs.flush()
-        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    def absorb(flight: _Flight, output: _CellOutput) -> None:
-        # The observability side channels merge as each cell completes —
-        # not at sweep end — so a live /metrics scrape sees worker
-        # counters, histogram buckets, and gauges mid-sweep. Counters
-        # and histogram bin counts are sums (order-independent, exact);
-        # only the histogram mean's Chan merge is completion-order
-        # sensitive, and only in the last ulp.
-        nonlocal crash_streak
-        crash_streak = 0
-        label = run.specs[flight.index].label
-        if tracer is not None:
-            _absorb_cell(tracer, output.spans, flight.capacity, label)
-        if run.registry is not None:
-            if output.counters:
-                run.registry.merge_counters(output.counters)
-            if output.histograms:
-                run.registry.merge_histograms(output.histograms)
-            if output.gauges:
-                worker = str(output.worker_pid)
-                run.registry.merge_gauges(output.gauges, worker=worker)
-                relayed[(flight.capacity, flight.index)] = (output.gauges,
-                                                            worker)
-        run.complete(flight.capacity, label, output.result)
-
-    def requeue(flight: _Flight, kind: str, error: str,
-                penalize: bool = True) -> None:
-        """Route a failed attempt: retry, fallback, or permanent failure."""
-        attempt = flight.attempt + 1 if penalize else flight.attempt
-        if not penalize:
-            queue.append((flight.capacity, flight.index, attempt))
-            return
-        transient = kind in (recovery.CRASH, recovery.TIMEOUT,
-                             recovery.ERROR)
-        if transient and attempt < run.retry.max_attempts:
-            run.report_failure(flight.capacity, flight.index, attempt,
-                               kind, error, action="retry")
-            queue.append((flight.capacity, flight.index, attempt))
-        elif run.retry.fallback_serial and kind != recovery.POISONED:
-            run.report_failure(flight.capacity, flight.index, attempt,
-                               kind, error, action="fallback")
-            fallback.append((flight.capacity, flight.index))
-        else:
-            run.report_failure(flight.capacity, flight.index, attempt,
-                               kind, error, action="failed")
-            run.failures.append(recovery.CellFailure(
-                capacity=flight.capacity,
-                label=run.specs[flight.index].label,
-                attempts=attempt, kind=kind, error=error))
-
-    def drain_after_crash(window: Dict[Future, _Flight],
-                          error: str) -> None:
-        """Settle every in-flight cell once the pool is known broken."""
-        nonlocal crash_streak
-        for future, flight in list(window.items()):
-            del window[future]
-            if future.done() and not future.cancelled():
-                try:
-                    absorb(flight, future.result())
-                    continue
-                except KeyboardInterrupt:
-                    raise
-                except BaseException:
-                    pass
-            else:
-                future.cancel()
-            requeue(flight, recovery.CRASH, error)
-        run.counter("sweep.pool.rebuilds")
-        run.retry.backoff(crash_streak)
-        crash_streak += 1
-
-    try:
-        while queue:
-            pool = build_pool()
-            window: Dict[Future, _Flight] = {}
-            rebuild = False
+        window: Dict[Future, _Cell] = {}
+        for cell in cells:
             try:
-                while (queue or window) and not rebuild:
-                    while queue and len(window) < workers:
-                        capacity, index, attempt = queue.popleft()
-                        try:
-                            future = pool.submit(_run_cell, job_id, index,
-                                                 capacity, attempt)
-                        except (BrokenProcessPool, RuntimeError) as exc:
-                            queue.appendleft((capacity, index, attempt))
-                            drain_after_crash(window, repr(exc))
-                            rebuild = True
-                            break
-                        deadline = (time.monotonic() + run.retry.timeout
-                                    if run.retry.timeout is not None
-                                    else None)
-                        window[future] = _Flight(capacity, index, attempt,
-                                                 deadline)
-                    if rebuild or not window:
-                        continue
-                    timeout = None
-                    if run.retry.timeout is not None:
-                        timeout = max(0.0, min(
-                            flight.deadline for flight in window.values()
-                            if flight.deadline is not None)
-                            - time.monotonic())
-                    done, _ = wait(window, timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-                    if not done:
-                        rebuild = _handle_timeouts(run, window, requeue,
-                                                   absorb)
-                        continue
-                    crashed: Optional[str] = None
-                    for future in done:
-                        flight = window.pop(future)
-                        try:
-                            output = future.result()
-                        except KeyboardInterrupt:
-                            raise
-                        except BaseException as exc:
-                            kind, _ = recovery.classify(exc)
-                            if kind == recovery.CRASH:
-                                crashed = repr(exc)
-                                requeue(flight, kind, repr(exc))
-                            else:
-                                requeue(flight, kind, repr(exc))
-                                if kind == recovery.ERROR:
-                                    run.retry.backoff(flight.attempt)
-                            continue
-                        absorb(flight, output)
-                    if crashed is not None:
-                        drain_after_crash(window, crashed)
-                        rebuild = True
-            except KeyboardInterrupt:
-                # Do NOT fall through to the graceful shutdown below: it
-                # waits for running tasks, and a hung cell would stall
-                # the interrupt until its sleep expires.
-                _reap(pool)
-                pool = None
-                raise
-            finally:
-                if pool is not None:
-                    if rebuild:
-                        _reap(pool)
-                    else:
-                        pool.shutdown(wait=True, cancel_futures=True)
-                    pool = None
-    except KeyboardInterrupt:
-        if pool is not None:
-            _reap(pool)
-        raise run.salvage() from None
-
-    # Graceful degradation: cells that exhausted their pool attempts run
-    # in-process, serially, under the parent's full observability — a
-    # clean traceback for broken cells and relief from the parallel
-    # memory pressure that kills OOM-prone ones. They run in grid order
-    # so the last of them writes the gauges a serial sweep would end on.
-    fallback.sort(key=remaining.index)
-    for capacity, index in fallback:
-        spec = run.specs[index]
-        try:
-            with obs_trace.maybe_span("cell", capacity=capacity,
-                                      policy=spec.label, fallback=True):
-                result = run_paper_protocol(
-                    workload, spec, capacity, warmup, measured, seed=seed,
-                    repetitions=repetitions,
-                    observability=run.observability, trace_cache=cache)
-        except KeyboardInterrupt:
-            raise run.salvage() from None
-        except Exception as exc:
-            kind, _ = recovery.classify(exc)
-            run.report_failure(capacity, index, run.retry.max_attempts + 1,
-                               kind, repr(exc), action="failed")
-            run.failures.append(recovery.CellFailure(
-                capacity=capacity, label=spec.label,
-                attempts=run.retry.max_attempts + 1, kind=kind,
-                error=repr(exc)))
-            continue
-        run.counter("sweep.cell.recovered")
-        run.complete(capacity, spec.label, result)
-
-    # Gauges merged last-write-wins in completion order, so live scrapes
-    # showed the latest finished cell. A serial sweep ends on the grid's
-    # last cell: re-apply its relayed gauges so the final snapshot does
-    # too. (Had it fallen back, it ran last above and wrote its own.)
-    final = relayed.get(remaining[-1])
-    if final is not None:
-        gauges, worker = final
-        run.registry.merge_gauges(gauges, worker=worker)
-    return run.finish()
-
-
-def _handle_timeouts(run: _GridRun, window: Dict[Future, _Flight],
-                     requeue: Callable[..., None],
-                     absorb: Callable[[_Flight, _CellOutput], None]) -> bool:
-    """Settle expired deadlines; True when the pool must be rebuilt.
-
-    A deadline that fires while the task is merely queued is cancelled
-    and resubmitted without penalty; a *running* task can only be
-    cancelled by reaping the whole pool, so innocent in-flight cells are
-    requeued with their attempt count unchanged.
-    """
-    now = time.monotonic()
-    expired = {future for future, flight in window.items()
-               if flight.deadline is not None and flight.deadline <= now}
-    if not expired:
-        return False
-    must_reap = False
-    for future in expired:
-        flight = window.pop(future)
-        if future.cancel():
-            requeue(flight, recovery.TIMEOUT, "", penalize=False)
-            continue
-        must_reap = True
-        requeue(flight, recovery.TIMEOUT,
-                f"cell exceeded {run.retry.timeout:.3f}s wall clock")
-    if not must_reap:
-        return False
-    for future, flight in list(window.items()):
-        del window[future]
-        if future.done() and not future.cancelled():
-            try:
-                absorb(flight, future.result())
+                future = pool.submit(_run_cell, job_id, cell.index,
+                                     cell.capacity)
+            except BrokenProcessPool as exc:
+                run.fail(cell, 1, recovery.CRASH, repr(exc),
+                         action="fallback")
                 continue
-            except KeyboardInterrupt:
-                raise
-            except BaseException:
-                pass
-        else:
-            future.cancel()
-        requeue(flight, recovery.TIMEOUT, "", penalize=False)
-    run.counter("sweep.pool.rebuilds")
-    return True
-
-
-def _reap(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's workers instead of waiting on a hung task.
-
-    ``shutdown`` alone would block until running tasks finish — which a
-    hung or chaos-injected cell never does — so the worker processes are
-    terminated first. Reaches into ``_processes`` (no public API exposes
-    the workers); guarded so a future stdlib change degrades to a plain
-    shutdown.
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    for process in processes:
-        process.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        process.join(timeout=5.0)
+            window[future] = cell
+        while window:
+            done, _ = wait(window, return_when=FIRST_COMPLETED)
+            for future in done:
+                cell = window.pop(future)
+                try:
+                    output = future.result()
+                except Exception as exc:
+                    kind = (recovery.CRASH
+                            if isinstance(exc, BrokenProcessPool)
+                            else recovery.ERROR)
+                    run.fail(cell, 1, kind, repr(exc), action="fallback")
+                    continue
+                # The observability side channels merge as each cell
+                # completes — not at sweep end — so a live /metrics
+                # scrape sees worker counters, histogram buckets, and
+                # gauges mid-sweep. Counters and histogram bin counts
+                # are sums (order-independent, exact); only the
+                # histogram mean's Chan merge is completion-order
+                # sensitive, and only in the last ulp.
+                label = run.specs[cell.index].label
+                if tracer is not None:
+                    _absorb_cell(tracer, output.spans, cell.capacity, label)
+                if run.registry is not None:
+                    if output.counters:
+                        run.registry.merge_counters(output.counters)
+                    if output.histograms:
+                        run.registry.merge_histograms(output.histograms)
+                    if output.gauges:
+                        worker = str(output.worker_pid)
+                        run.registry.merge_gauges(output.gauges,
+                                                  worker=worker)
+                        if cell == cells[-1]:
+                            last = (output.gauges, worker)
+                run.complete(cell.capacity, label, output.result)
+    finally:
+        try:
+            pool.shutdown(wait=True, cancel_futures=True)
+        finally:
+            _SHARED.pop(job_id, None)
+    return last
 
 
 def _absorb_cell(tracer: "obs_trace.Tracer",

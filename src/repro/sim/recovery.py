@@ -1,29 +1,20 @@
-"""Fault-tolerant sweep execution: retries, checkpoints, interrupts.
+"""Sweep checkpoints and the structured exits of a failed sweep.
 
 The paper's evaluation grid (Section 4.1) is a set of independent pure
 cells — exactly the shape that should be restartable. This module gives
-the sweep engine (:mod:`repro.sim.parallel`) the pieces it needs to
-survive the ways long multi-policy sweeps actually die:
+the sweep engine (:mod:`repro.sim.parallel`) the pieces it needs when a
+long multi-policy sweep does not finish:
 
-- :class:`RetryPolicy` — how many attempts a cell gets, the exponential
-  backoff between them, an optional per-cell wall-clock timeout, and
-  whether a cell that exhausts its attempts is re-run in-process
-  serially as graceful degradation;
-- :func:`classify` — transient-vs-poisoned triage of a cell failure
-  (a crashed worker or a flaky factory is worth retrying; a
-  :class:`~repro.errors.ConfigurationError` is deterministic and not);
 - :class:`SweepCheckpoint` — a JSONL record of completed
   ``(capacity, label) → ProtocolResult`` cells, written as cells finish
   and keyed by a grid fingerprint so one file can serve several sweeps
   (``--resume`` skips cells already recorded);
 - :class:`SweepInterrupted` / :class:`CellExecutionError` — structured
   exits that carry the salvaged partial :data:`GridResults` instead of
-  discarding completed work;
-- :func:`chaos_hook` — opt-in, env-driven failure injection
-  (``REPRO_CHAOS=kill|raise|hang:N``) used by the failure-injection
-  tests and the CI chaos-smoke job.
+  discarding completed work, with one :class:`CellFailure` per cell
+  that raised.
 
-Cells are pure functions of their inputs, so a retried or resumed cell
+Cells are pure functions of their inputs, so a re-run or resumed cell
 is bit-identical to a serial run: results round-trip through the
 checkpoint exactly (JSON floats serialize via ``repr``, the shortest
 round-trip form), property-tested in ``tests/sim/test_recovery.py``.
@@ -34,98 +25,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import signal
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
-from ..errors import ConfigurationError, ReproError, SimulationError
+from ..errors import ReproError, SimulationError
 from ..stats import ConfidenceInterval
+from ..storage.columnar import workload_fingerprint
 from ..workloads.base import Workload
 from .runner import PolicySpec, ProtocolResult, RunResult
 
-# -- retry policy --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the sweep engine reacts to a failing grid cell.
-
-    A cell gets ``max_attempts`` tries in the worker pool; transient
-    failures (crashed workers, timeouts, flaky exceptions) sleep
-    ``backoff_base * backoff_factor**attempt`` seconds between tries.
-    A cell that exhausts its attempts is re-run in-process serially when
-    ``fallback_serial`` is set — graceful degradation for cells that
-    only fail under parallel memory pressure (the OOM case) and a clean
-    in-process traceback for cells that are genuinely broken.
-
-    ``timeout`` bounds one attempt's wall-clock seconds; exceeding it
-    cancels the cell by reaping the worker pool (a process-pool task
-    cannot be cancelled any other way) and counts as one attempt.
-
-    ``sleep`` is injectable so tests retry instantly.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    timeout: Optional[float] = None
-    fallback_serial: bool = True
-    sleep: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("a cell needs at least one attempt")
-        if self.backoff_base < 0 or self.backoff_factor < 0:
-            raise ConfigurationError("backoff parameters must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError("cell timeout must be positive seconds")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (0-based), in seconds."""
-        return self.backoff_base * self.backoff_factor ** attempt
-
-    def backoff(self, attempt: int) -> None:
-        """Sleep the exponential-backoff delay for this attempt."""
-        delay = self.delay(attempt)
-        if delay > 0:
-            self.sleep(delay)
-
-
 #: Failure kinds attached to events and :class:`CellFailure` records.
 CRASH = "crash"          # the worker process died (SIGKILL, OOM, ...)
-TIMEOUT = "timeout"      # the cell exceeded the per-cell wall clock
-ERROR = "error"          # the cell raised; possibly transient
-POISONED = "poisoned"    # deterministic misconfiguration; never retried
-
-
-def classify(exc: BaseException) -> Tuple[str, bool]:
-    """Triage a cell failure into ``(kind, transient)``.
-
-    Transient failures are worth retrying: a dead worker may have been
-    OOM-killed by a neighbour, a flaky factory may build on the second
-    try. :class:`~repro.errors.ConfigurationError` is deterministic —
-    the same inputs will raise the same way — so it is poisoned and
-    fails immediately instead of burning retries.
-    """
-    try:  # BrokenProcessPool only exists where process pools do
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover - every supported platform has it
-        BrokenProcessPool = ()  # type: ignore[assignment]
-    if isinstance(exc, BrokenProcessPool):
-        return CRASH, True
-    if isinstance(exc, ConfigurationError):
-        return POISONED, False
-    return ERROR, True
+ERROR = "error"          # the cell raised
 
 
 @dataclass(frozen=True)
@@ -158,7 +69,7 @@ class SweepInterrupted(ReproError):
 
 
 class CellExecutionError(SimulationError):
-    """One or more cells failed every attempt (and the serial fallback).
+    """One or more cells raised when run in-process.
 
     Every *other* cell completed and was checkpointed before this was
     raised, so a ``--resume`` re-run retries only the failed cells.
@@ -190,14 +101,13 @@ def grid_fingerprint(workload: Workload,
     """A stable identity for one grid's inputs.
 
     Checkpoint records carry this fingerprint so one JSONL file can hold
-    several grids (an ablation runs many internal sweeps) and a resume
-    against different protocol parameters matches nothing instead of
-    silently reusing stale cells. The workload contributes its type name
-    only — its parameters are assumed fixed across a resume of the same
-    command line (the protocol fields already cover ``--scale``).
+    several grids and a resume against different inputs matches nothing
+    instead of silently reusing stale cells. The workload contributes
+    its type name and public scalar parameters
+    (:func:`repro.storage.columnar.workload_fingerprint`).
     """
     payload = {
-        "workload": type(workload).__name__,
+        "workload": workload_fingerprint(workload),
         "labels": [spec.label for spec in specs],
         "capacities": [int(capacity) for capacity in capacities],
         "warmup": int(warmup),
@@ -316,93 +226,3 @@ class SweepCheckpoint:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# -- ambient defaults ----------------------------------------------------------
-#
-# Mirrors repro.sim.parallel.default_jobs: ablation functions build their
-# sweeps many layers below the CLI, so the resilience configuration can
-# be activated for a dynamic extent instead of threading parameters.
-
-_default_retry = RetryPolicy()
-_default_checkpoint: Optional[SweepCheckpoint] = None
-
-
-def resolve_retry(retry: Optional[RetryPolicy]) -> RetryPolicy:
-    """An explicit retry policy if given, else the ambient default."""
-    return retry if retry is not None else _default_retry
-
-
-def resolve_checkpoint(checkpoint: Optional[SweepCheckpoint]
-                       ) -> Optional[SweepCheckpoint]:
-    """An explicit checkpoint if given, else the ambient one (may be None)."""
-    return checkpoint if checkpoint is not None else _default_checkpoint
-
-
-@contextmanager
-def default_retry(retry: RetryPolicy) -> Iterator[RetryPolicy]:
-    """Ambiently set the sweep retry policy for a dynamic extent."""
-    global _default_retry
-    previous = _default_retry
-    _default_retry = retry
-    try:
-        yield retry
-    finally:
-        _default_retry = previous
-
-
-@contextmanager
-def default_checkpoint(checkpoint: SweepCheckpoint
-                       ) -> Iterator[SweepCheckpoint]:
-    """Ambiently checkpoint every sweep grid in a dynamic extent.
-
-    Grids are distinguished inside the one file by their fingerprints,
-    so an ablation that runs several internal sweeps resumes each
-    independently.
-    """
-    global _default_checkpoint
-    previous = _default_checkpoint
-    _default_checkpoint = checkpoint
-    try:
-        yield checkpoint
-    finally:
-        _default_checkpoint = previous
-
-
-# -- failure injection ---------------------------------------------------------
-
-#: ``REPRO_CHAOS=kill:N`` SIGKILLs the worker, ``raise:N`` raises, and
-#: ``hang:N`` sleeps past any timeout — each on the *first* attempt of
-#: every cell whose ``(spec index + capacity) % N == 0``. Deterministic,
-#: so a chaos run must still converge to the serial answer; used by the
-#: failure-injection tests and the CI chaos-smoke job. Testing only.
-CHAOS_ENV = "REPRO_CHAOS"
-
-
-class ChaosError(RuntimeError):
-    """The injected failure raised by ``REPRO_CHAOS=raise:N``."""
-
-
-def chaos_hook(spec_index: int, capacity: int, attempt: int) -> None:
-    """Inject a failure into a worker cell when ``REPRO_CHAOS`` selects it.
-
-    Only first attempts are sabotaged, so every retry succeeds and the
-    recovered grid stays comparable to a serial run.
-    """
-    spec = os.environ.get(CHAOS_ENV)
-    if not spec or attempt > 0:
-        return
-    mode, _, every = spec.partition(":")
-    try:
-        modulus = int(every)
-    except ValueError:
-        return  # malformed spec: inject nothing rather than poison cells
-    if modulus <= 0 or (spec_index + capacity) % modulus != 0:
-        return
-    if mode == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    elif mode == "raise":
-        raise ChaosError(
-            f"injected failure for cell (spec={spec_index}, B={capacity})")
-    elif mode == "hang":
-        time.sleep(3600)

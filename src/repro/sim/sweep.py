@@ -42,7 +42,6 @@ def sweep_buffer_sizes(workload: Workload,
                        observability: Optional[EventDispatcher] = None,
                        jobs: Optional[int] = None,
                        trace_cache: Optional[TraceCache] = None,
-                       retry: Optional[recovery.RetryPolicy] = None,
                        checkpoint: Optional[recovery.SweepCheckpoint] = None
                        ) -> List[SweepCell]:
     """Run every (policy, capacity) cell of a table.
@@ -55,15 +54,11 @@ def sweep_buffer_sizes(workload: Workload,
     sweeps in a long-lived process do not pin workloads forever.
 
     ``jobs`` fans the grid out over that many worker processes via
-    :mod:`repro.sim.parallel`; ``None`` uses the ambient default set by
-    :func:`repro.sim.parallel.default_jobs` (1 — serial — unless the CLI
-    was invoked with ``--jobs``). Results are merged deterministically:
-    a parallel sweep returns cells equal to a serial one.
-
-    Execution is fault tolerant: failing cells are retried per ``retry``
-    (default: the ambient :func:`repro.sim.recovery.default_retry`
-    policy) and completed cells stream into ``checkpoint`` when one is
-    given or ambiently active — see :mod:`repro.sim.recovery`.
+    :mod:`repro.sim.parallel`; ``None`` means 1 (serial). Results are
+    merged deterministically: a parallel sweep returns cells equal to a
+    serial one. Cells the pool did not return re-run in-process, and
+    completed cells stream into ``checkpoint`` when one is given — see
+    :mod:`repro.sim.recovery`.
 
     ``progress``, when given, is called with a human-readable string after
     each cell — the CLI uses it for live feedback on long sweeps. Under
@@ -91,8 +86,7 @@ def sweep_buffer_sizes(workload: Workload,
                 workload, specs, capacities, warmup, measured,
                 seed=seed, repetitions=repetitions, jobs=jobs,
                 trace_cache=cache, progress=progress,
-                observability=observability, retry=retry,
-                checkpoint=checkpoint)
+                observability=observability, checkpoint=checkpoint)
     finally:
         if owns_cache:
             cache.clear()

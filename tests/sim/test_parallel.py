@@ -158,17 +158,9 @@ class TestJobResolution:
     def test_default_is_serial(self):
         assert parallel.resolve_jobs(None) == 1
 
-    def test_ambient_default_scopes(self):
-        with parallel.default_jobs(4):
-            assert parallel.resolve_jobs(None) == 4
-        assert parallel.resolve_jobs(None) == 1
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             parallel.resolve_jobs(0)
-        with pytest.raises(ConfigurationError):
-            with parallel.default_jobs(-1):
-                pass
 
 
 GRID_SPECS = [PolicySpec.lru(), PolicySpec.lruk(2), PolicySpec.a0(),

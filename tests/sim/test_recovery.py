@@ -1,4 +1,4 @@
-"""Fault-tolerant sweep execution: retries, chaos, checkpoints, resume."""
+"""Sweep failure handling, checkpoints, interrupts and resume."""
 
 import json
 import os
@@ -15,7 +15,6 @@ from repro.policies import make_policy
 from repro.sim import (
     CellExecutionError,
     PolicySpec,
-    RetryPolicy,
     SweepCheckpoint,
     SweepInterrupted,
     TraceCache,
@@ -26,17 +25,9 @@ from repro.sim import (
     sweep_buffer_sizes,
 )
 from repro.sim import experiment as experiment_module
-from repro.sim import recovery, sweep
-from repro.sim.recovery import (
-    ChaosError,
-    chaos_hook,
-    deserialize_result,
-    serialize_result,
-)
+from repro.sim import sweep
+from repro.sim.recovery import deserialize_result, serialize_result
 from repro.workloads import ZipfianWorkload
-
-#: Instant retries for tests: full attempts, no backoff sleeping.
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
 SPECS = [PolicySpec.lru(), PolicySpec.lruk(2)]
 CAPACITIES = [4, 8]
@@ -46,8 +37,7 @@ def _grid(jobs=1, specs=SPECS, capacities=CAPACITIES, seed=1, **kwargs):
     """A small Table 4.2-shaped grid, fast enough for failure injection."""
     workload = ZipfianWorkload(n=60)
     return run_grid(workload, specs, capacities, warmup=100, measured=300,
-                    seed=seed, repetitions=2, jobs=jobs,
-                    retry=kwargs.pop("retry", FAST_RETRY), **kwargs)
+                    seed=seed, repetitions=2, jobs=jobs, **kwargs)
 
 
 def _observed():
@@ -62,53 +52,6 @@ def _observed():
 
 def _failure_events(events):
     return [e for e in events if isinstance(e, CellFailureEvent)]
-
-
-class TestRetryPolicy:
-    def test_defaults(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 3
-        assert policy.fallback_serial
-        assert policy.timeout is None
-
-    def test_exponential_delay(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.4)
-
-    def test_backoff_uses_injected_sleep(self):
-        slept = []
-        policy = RetryPolicy(backoff_base=0.5, sleep=slept.append)
-        policy.backoff(1)
-        assert slept == [pytest.approx(1.0)]
-
-    def test_zero_base_never_sleeps(self):
-        policy = RetryPolicy(backoff_base=0.0,
-                             sleep=lambda s: pytest.fail("slept"))
-        policy.backoff(5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_base=-1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(timeout=0.0)
-
-
-class TestClassify:
-    def test_broken_pool_is_transient_crash(self):
-        from concurrent.futures.process import BrokenProcessPool
-        assert recovery.classify(BrokenProcessPool()) == ("crash", True)
-
-    def test_configuration_error_is_poisoned(self):
-        assert recovery.classify(ConfigurationError("bad")) == \
-            ("poisoned", False)
-
-    def test_other_exceptions_are_transient(self):
-        assert recovery.classify(RuntimeError("flaky")) == ("error", True)
-        assert recovery.classify(ChaosError("boom")) == ("error", True)
 
 
 class TestCheckpointRoundTrip:
@@ -129,6 +72,8 @@ class TestCheckpointRoundTrip:
             workload, SPECS, [4, 16], 100, 300, 1, 2)  # capacities
         assert base != grid_fingerprint(
             workload, SPECS[:1], CAPACITIES, 100, 300, 1, 2)  # labels
+        assert base != grid_fingerprint(
+            ZipfianWorkload(n=61), SPECS, CAPACITIES, 100, 300, 1, 2)  # n
 
     def test_checkpoint_records_and_reloads(self, tmp_path):
         path = str(tmp_path / "cells.jsonl")
@@ -207,26 +152,6 @@ class TestResume:
 
 
 class TestSerialRetry:
-    def test_flaky_factory_retries_to_serial_answer(self):
-        baseline = _grid()
-        built = []
-
-        def flaky(ctx):
-            built.append(ctx)
-            if len(built) == 1:
-                raise RuntimeError("first build fails")
-            return make_policy("lru")
-
-        specs = [PolicySpec("LRU-1", flaky), PolicySpec.lruk(2)]
-        dispatcher, events = _observed()
-        grid = _grid(specs=specs, observability=dispatcher)
-        assert grid == baseline
-        failures = _failure_events(events)
-        assert [e.action for e in failures] == ["retry"]
-        assert failures[0].failure == "error"
-        assert dispatcher.metrics.counter("sweep.cell.retries").value == 1
-        assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
-
     def test_poisoned_cell_fails_fast_and_keeps_good_cells(self, tmp_path):
         path = str(tmp_path / "cells.jsonl")
 
@@ -241,7 +166,7 @@ class TestSerialRetry:
                       observability=dispatcher)
         failures = info.value.failures
         assert len(failures) == len(CAPACITIES)
-        assert all(f.kind == "poisoned" for f in failures)
+        assert all(f.kind == "error" for f in failures)
         assert all(f.attempts == 1 for f in failures)  # never retried
         assert all(f.label == "BAD" for f in failures)
         # Every healthy cell completed and was checkpointed.
@@ -260,75 +185,60 @@ class TestSerialRetry:
         with pytest.raises(CellExecutionError) as info:
             _grid(specs=specs, capacities=[4])
         (failure,) = info.value.failures
-        assert failure.attempts == FAST_RETRY.max_attempts
+        assert failure.attempts == 1
         assert failure.kind == "error"
         assert "never builds" in str(info.value)
-
-
-class TestChaosHook:
-    def test_noop_without_env(self, monkeypatch):
-        monkeypatch.delenv(recovery.CHAOS_ENV, raising=False)
-        chaos_hook(0, 4, 0)
-
-    def test_raise_mode_selects_by_modulus(self, monkeypatch):
-        monkeypatch.setenv(recovery.CHAOS_ENV, "raise:3")
-        with pytest.raises(ChaosError):
-            chaos_hook(0, 3, 0)  # (0 + 3) % 3 == 0
-        chaos_hook(0, 4, 0)  # (0 + 4) % 3 == 1: spared
-
-    def test_retries_are_never_sabotaged(self, monkeypatch):
-        monkeypatch.setenv(recovery.CHAOS_ENV, "raise:1")
-        chaos_hook(0, 4, attempt=1)
-
-    def test_malformed_spec_injects_nothing(self, monkeypatch):
-        monkeypatch.setenv(recovery.CHAOS_ENV, "raise:lots")
-        chaos_hook(0, 4, 0)
-        monkeypatch.setenv(recovery.CHAOS_ENV, "raise:0")
-        chaos_hook(0, 4, 0)
 
 
 @pytest.mark.skipif(not fork_available(),
                     reason="parallel engine needs the fork start method")
 class TestParallelRecovery:
-    def test_injected_raises_recover_to_serial_answer(self, monkeypatch):
+    def test_injected_raises_recover_to_serial_answer(self):
         baseline = _grid()
-        monkeypatch.setenv(recovery.CHAOS_ENV, "raise:1")  # every cell
-        dispatcher, events = _observed()
-        grid = _grid(jobs=2, observability=dispatcher)
-        assert grid == baseline
-        retried = dispatcher.metrics.counter("sweep.cell.retries").value
-        assert retried == len(SPECS) * len(CAPACITIES)
-        assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
-        assert all(e.action == "retry" for e in _failure_events(events))
+        parent = os.getpid()
 
-    def test_sigkilled_worker_loses_no_cells(self, monkeypatch, tmp_path):
+        def raises_in_workers(spec):
+            def factory(ctx):
+                if os.getpid() != parent:
+                    raise RuntimeError("injected worker failure")
+                return spec.build(ctx)
+            return PolicySpec(spec.label, factory)
+
+        specs = [raises_in_workers(spec) for spec in SPECS]  # every cell
+        dispatcher, events = _observed()
+        grid = _grid(jobs=2, specs=specs, observability=dispatcher)
+        assert grid == baseline
+        cells = len(SPECS) * len(CAPACITIES)
+        metrics = dispatcher.metrics
+        assert metrics.counter("sweep.cell.fallbacks").value == cells
+        assert metrics.counter("sweep.cell.failures").value == 0
+        failures = _failure_events(events)
+        assert len(failures) == cells
+        assert all(e.action == "fallback" for e in failures)
+
+    def test_sigkilled_worker_loses_no_cells(self, tmp_path):
         baseline = _grid()
         path = str(tmp_path / "cells.jsonl")
-        monkeypatch.setenv(recovery.CHAOS_ENV, "kill:2")
+        parent = os.getpid()
+
+        def killed_in_workers(ctx):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return make_policy("lru")
+
+        specs = [PolicySpec("LRU-1", killed_in_workers), PolicySpec.lruk(2)]
         dispatcher, events = _observed()
         with SweepCheckpoint(path) as checkpoint:
-            grid = _grid(jobs=2, observability=dispatcher,
+            grid = _grid(jobs=2, specs=specs, observability=dispatcher,
                          checkpoint=checkpoint)
         assert grid == baseline  # bit-identical to the serial run
-        assert dispatcher.metrics.counter("sweep.pool.rebuilds").value >= 1
-        kinds = {e.failure for e in _failure_events(events)}
-        assert "crash" in kinds
+        assert any(e.failure == "crash" and e.action == "fallback"
+                   for e in _failure_events(events))
+        assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
         # Completed cells survived to the checkpoint despite the kills.
         reopened = SweepCheckpoint(path, resume=True)
         assert reopened.resumed_cells == len(grid)
         reopened.close()
-
-    def test_hung_cell_times_out_and_recovers(self, monkeypatch):
-        baseline = _grid(specs=SPECS[:1], capacities=[4, 5])
-        monkeypatch.setenv(recovery.CHAOS_ENV, "hang:2")  # B=4 only
-        retry = RetryPolicy(max_attempts=3, backoff_base=0.0, timeout=1.0)
-        dispatcher, events = _observed()
-        grid = _grid(jobs=2, specs=SPECS[:1], capacities=[4, 5],
-                     retry=retry, observability=dispatcher)
-        assert grid == baseline
-        assert dispatcher.metrics.counter("sweep.cell.timeouts").value >= 1
-        assert any(e.failure == "timeout" and e.action == "retry"
-                   for e in _failure_events(events))
 
     def test_worker_only_failure_falls_back_to_serial(self):
         baseline = _grid()
@@ -341,71 +251,66 @@ class TestParallelRecovery:
 
         specs = [PolicySpec("LRU-1", parent_only), PolicySpec.lruk(2)]
         dispatcher, events = _observed()
-        retry = RetryPolicy(max_attempts=2, backoff_base=0.0)
-        grid = _grid(jobs=2, specs=specs, retry=retry,
-                     observability=dispatcher)
+        grid = _grid(jobs=2, specs=specs, observability=dispatcher)
         # The degraded cells re-ran in-process and still match serial.
         assert grid == baseline
         assert dispatcher.metrics.counter("sweep.cell.fallbacks").value == \
             len(CAPACITIES)
-        assert dispatcher.metrics.counter("sweep.cell.recovered").value == \
-            len(CAPACITIES)
         assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
         assert any(e.action == "fallback" for e in _failure_events(events))
 
-    def test_interrupt_with_hung_cell_salvages_promptly(self, monkeypatch):
-        # Regression: the pool used to shut down with wait=True when a
-        # KeyboardInterrupt unwound the submission loop, stalling Ctrl-C
-        # until a hung cell's sleep expired instead of reaping it.
-        monkeypatch.setenv(recovery.CHAOS_ENV, "hang:3")  # LRU-2 @ B=5
-        completed = []
-
-        def interrupt_after_three(line):
-            completed.append(line)
-            if len(completed) == 3:  # only the hung cell is left in flight
-                raise KeyboardInterrupt
-
-        def overslept(signum, frame):
-            raise AssertionError(
-                "interrupt salvage blocked on the hung worker")
-
-        previous = signal.signal(signal.SIGALRM, overslept)
-        signal.alarm(90)
-        try:
-            with pytest.raises(SweepInterrupted) as info:
-                _grid(jobs=2, capacities=[4, 5],
-                      progress=interrupt_after_three)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert len(info.value.results) == 3  # completed cells salvaged
-
-    def test_no_fallback_surfaces_permanent_failure(self):
-        def never_in_worker(ctx):
+    def test_failure_everywhere_names_only_that_policy(self):
+        def always_broken(ctx):
             raise RuntimeError("always broken")
 
-        specs = [PolicySpec("BROKEN", never_in_worker), PolicySpec.lru()]
-        retry = RetryPolicy(max_attempts=2, backoff_base=0.0,
-                            fallback_serial=False)
+        specs = [PolicySpec("BROKEN", always_broken), PolicySpec.lru()]
+        dispatcher, events = _observed()
         with pytest.raises(CellExecutionError) as info:
-            _grid(jobs=2, specs=specs, retry=retry)
+            _grid(jobs=2, specs=specs, observability=dispatcher)
         assert {f.label for f in info.value.failures} == {"BROKEN"}
+        # Each failed once in the pool and once in-process.
+        assert all(f.attempts == 2 for f in info.value.failures)
         # The healthy policy's cells all completed and were salvaged.
         assert set(info.value.results) == {(c, "LRU-1") for c in CAPACITIES}
+        metrics = dispatcher.metrics
+        assert metrics.counter("sweep.cell.fallbacks").value == \
+            len(CAPACITIES)
+        assert metrics.counter("sweep.cell.failures").value == \
+            len(CAPACITIES)
+
+    def test_interrupt_under_jobs_salvages_and_resumes(self, tmp_path):
+        path = str(tmp_path / "cells.jsonl")
+        seen = []
+
+        def interrupt_after_two(line):
+            seen.append(line)
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+
+        with SweepCheckpoint(path) as checkpoint:
+            with pytest.raises(SweepInterrupted) as info:
+                _grid(jobs=2, checkpoint=checkpoint,
+                      progress=interrupt_after_two)
+        assert len(info.value.results) == 2  # completed cells salvaged
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            assert checkpoint.resumed_cells == 2
+            resumed = _grid(jobs=2, checkpoint=checkpoint)
+        assert resumed == _grid()  # identical to a serial run
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_property_recovered_grid_equals_serial(self, seed):
         serial = _grid(seed=seed)
-        previous = os.environ.get(recovery.CHAOS_ENV)
-        os.environ[recovery.CHAOS_ENV] = "raise:2"
-        try:
-            recovered = _grid(jobs=2, seed=seed)
-        finally:
-            if previous is None:
-                os.environ.pop(recovery.CHAOS_ENV, None)
-            else:
-                os.environ[recovery.CHAOS_ENV] = previous
+        parent = os.getpid()
+
+        def raises_at_b8_in_workers(ctx):
+            if os.getpid() != parent and ctx.capacity == 8:
+                raise RuntimeError("injected worker failure")
+            return make_policy("lru")
+
+        specs = [PolicySpec("LRU-1", raises_at_b8_in_workers),
+                 PolicySpec.lruk(2)]
+        recovered = _grid(jobs=2, seed=seed, specs=specs)
         assert recovered == serial
 
 
@@ -434,25 +339,9 @@ class TestJobsDefaultIsSerial:
         def forbidden(*args, **kwargs):
             raise AssertionError("jobs=None must not spawn a pool")
 
-        monkeypatch.setattr("repro.sim.parallel._execute_resilient",
-                            forbidden)
+        monkeypatch.setattr("repro.sim.parallel._pool_pass", forbidden)
         grid = _grid(jobs=None)
         assert len(grid) == len(SPECS) * len(CAPACITIES)
-
-    def test_ambient_default_reaches_run_grid(self, monkeypatch):
-        from repro.sim import parallel as parallel_module
-        calls = []
-        original = parallel_module._execute_resilient
-
-        def spy(*args, **kwargs):
-            calls.append(True)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_module, "_execute_resilient", spy)
-        with parallel_module.default_jobs(2):
-            _grid(jobs=None)
-        assert calls if fork_available() else not calls
-
 
 class TestCacheLifetime:
     class _TrackingCache(TraceCache):
@@ -493,7 +382,7 @@ class TestCacheLifetime:
             ConfigurationError("poisoned")))]
         spec.policies = list(spec.policies) + boom
         with pytest.raises(CellExecutionError):
-            run_experiment(spec, jobs=1, retry=FAST_RETRY)
+            run_experiment(spec, jobs=1)
         (cache,) = self._TrackingCache.instances
         assert cache.cleared >= 1
         assert len(cache) == 0
@@ -518,9 +407,9 @@ class TestCellFailureEvent:
     def test_to_dict(self):
         event = CellFailureEvent(capacity=8, label="LRU-2", attempt=2,
                                  failure="crash", error="SIGKILL",
-                                 action="retry")
+                                 action="fallback")
         record = event.to_dict()
         assert record["event"] == "cell-failure"
         assert record["failure"] == "crash"
-        assert record["action"] == "retry"
+        assert record["action"] == "fallback"
         json.dumps(record)  # strictly serializable

@@ -107,11 +107,20 @@ class TestCheckpointFlags:
         assert args.checkpoint == "cells.jsonl"
         assert args.resume
 
-    def test_ablation_accepts_checkpoint_flags(self):
-        args = build_parser().parse_args(
-            ["ablation", "scaling", "--checkpoint", "cells.jsonl"])
-        assert args.checkpoint == "cells.jsonl"
-        assert not args.resume
+    @pytest.mark.parametrize(
+        "flags", ["--jobs 2", "--checkpoint cells.jsonl", "--resume"])
+    def test_ablation_rejects_sweep_flags(self, flags, capsys):
+        # Ablations run no sweep grid, so the sweep flags are not theirs.
+        with pytest.raises(SystemExit) as info:
+            main(["ablation", "scaling", *flags.split()])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_nonpositive_jobs_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["table4.1", "--jobs", "0"])
+        assert info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint(self, capsys):
         with pytest.raises(SystemExit) as info:
