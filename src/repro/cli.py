@@ -520,26 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--quiet", action="store_true",
                         help="suppress progress narration on stderr")
 
-    trace = sub.add_parser(
-        "trace",
-        help="bake and inspect columnar on-disk reference traces "
-             "(zero-copy mmap format; see docs/performance.md)")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    bake = trace_sub.add_parser(
-        "bake",
-        help="materialize a named workload into a columnar trace file")
-    bake.add_argument("output", help="destination trace file path")
-    bake.add_argument("--workload", default="zipfian",
-                      choices=sorted(EXPLAIN_WORKLOADS),
-                      help="named workload to materialize (default zipfian)")
-    bake.add_argument("--refs", type=int, default=1_000_000, metavar="N",
-                      help="trace length in references (default 1000000)")
-    bake.add_argument("--seed", type=int, default=0,
-                      help="workload seed (default 0)")
-    info = trace_sub.add_parser(
-        "info", help="print a trace file's header and a page-id preview")
-    info.add_argument("path", help="trace file to inspect")
-
     sub.add_parser("list", help="list runnable targets")
     return parser
 
@@ -584,52 +564,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_trace_bake(workload_name: str, refs: int, seed: int,
-                    output: str) -> int:
-    import time
-
-    from .sim.explain import make_workload
-    from .storage.columnar import bake_trace
-
-    if refs <= 0:
-        print("error: --refs must be positive", file=sys.stderr)
-        return 2
-    workload = make_workload(workload_name)
-    start = time.perf_counter()
-    try:
-        nbytes = bake_trace(output, workload, refs, seed=seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - start
-    rate = refs / elapsed if elapsed > 0 else float("inf")
-    print(f"baked {refs} references -> {output} ({nbytes} bytes, "
-          f"{elapsed:.2f}s, {rate / 1e6:.2f}M refs/s)")
-    return 0
-
-
-def _run_trace_info(path: str) -> int:
-    from .errors import TraceCorruptionError
-    from .storage.columnar import COLUMNAR_VERSION, TraceFile
-
-    try:
-        with TraceFile(path) as handle:
-            pages = handle.page_ids()
-            preview = ", ".join(str(page) for page in pages[:8])
-            if len(pages) > 8:
-                preview += ", ..."
-            print(f"path:        {path}")
-            print(f"format:      columnar v{COLUMNAR_VERSION}")
-            print(f"fingerprint: {handle.fingerprint or '(none)'}")
-            print(f"seed:        {handle.seed}")
-            print(f"references:  {handle.count}")
-            print(f"pages:       [{preview}]")
-    except (TraceCorruptionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -638,11 +572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--resume requires --checkpoint PATH")
     if args.command == "list":
         return _list_targets()
-    if args.command == "trace":
-        if args.trace_command == "bake":
-            return _run_trace_bake(args.workload, args.refs, args.seed,
-                                   args.output)
-        return _run_trace_info(args.path)
     if args.command == "trace-stats":
         return _run_trace_stats(args.scale, args.quiet)
     if args.command == "ablation":

@@ -428,23 +428,6 @@ class LRUKPolicy(ReplacementPolicy):
         from .kernel import make_lruk_kernel
         return make_lruk_kernel(self, capacity)
 
-    def make_batch_kernel(self, capacity: int):
-        """Run-skipping batch kernel (see :mod:`repro.core.kernel`).
-
-        Offered for the scalar-kernel configurations minus a configured
-        Retained Information purge demon (inherently per-touch), and —
-        as a dispatch heuristic — only with a positive CRP: with
-        ``crp=0`` every hit is uncorrelated and the run decomposition
-        degenerates to the scalar event loop with extra numpy overhead.
-        The kernel function itself handles ``crp=0`` correctly (the
-        equivalence tests exercise it via ``make_lruk_batch_kernel``
-        directly).
-        """
-        if not self.crp:
-            return None
-        from .kernel import make_lruk_batch_kernel
-        return make_lruk_batch_kernel(self, capacity)
-
     # -- internals ------------------------------------------------------------------
 
     def _push(self, page: PageId, block: HistoryBlock) -> None:

@@ -61,15 +61,6 @@ class TraceFormatError(StorageError, ValueError):
     """A trace file could not be parsed."""
 
 
-class TraceCorruptionError(TraceFormatError):
-    """A binary trace file is structurally damaged.
-
-    Raised by :mod:`repro.storage.columnar` when a file's magic, version,
-    or payload length contradicts its header — a truncated or corrupted
-    trace must never be silently read as a shorter one.
-    """
-
-
 class DatabaseError(ReproError):
     """Base class for the miniature database engine."""
 

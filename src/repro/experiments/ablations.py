@@ -23,7 +23,13 @@ from ..analysis import (
 from ..core import LRUKPolicy
 from ..errors import ConfigurationError
 from ..policies import MultiPoolPolicy, make_policy
-from ..sim import CacheSimulator, PolicySpec, Table, run_paper_protocol
+from ..sim import (
+    CacheSimulator,
+    PolicySpec,
+    Table,
+    TraceCache,
+    run_paper_protocol,
+)
 from ..types import HitRatioCounter
 from ..workloads import (
     BurstSpec,
@@ -261,7 +267,8 @@ def ablation_analytic_cross_check(capacities: Sequence[int] = (
 
     LRU simulation vs the characteristic-time approximation, FIFO vs its
     analogue, simulated A0 vs its closed form — the simulator and the
-    Section 3 mathematics must agree.
+    Section 3 mathematics must agree. Every cell replays the same three
+    seeds' traces, so one cache generates each of them once.
     """
     workload = ZipfianWorkload(n=n)
     probabilities = workload.reference_probabilities()
@@ -270,15 +277,14 @@ def ablation_analytic_cross_check(capacities: Sequence[int] = (
         title=f"A7 — analytic cross-check on the Zipfian workload (N={n})",
         columns=["B", "LRU sim", "LRU analytic", "FIFO sim",
                  "FIFO analytic", "A0 sim", "A0 closed form"])
+    traces = TraceCache()
     for capacity in capacities:
-        lru = run_paper_protocol(workload, PolicySpec.lru(), capacity,
-                                 warmup, measured, seed=seed, repetitions=3)
-        fifo = run_paper_protocol(workload,
-                                  PolicySpec.registry("FIFO", "fifo"),
-                                  capacity, warmup, measured,
-                                  seed=seed, repetitions=3)
-        a0 = run_paper_protocol(workload, PolicySpec.a0(), capacity,
-                                warmup, measured, seed=seed, repetitions=3)
+        lru, fifo, a0 = (
+            run_paper_protocol(workload, spec, capacity, warmup, measured,
+                               seed=seed, repetitions=3, trace_cache=traces)
+            for spec in (PolicySpec.lru(),
+                         PolicySpec.registry("FIFO", "fifo"),
+                         PolicySpec.a0()))
         table.add_row(
             capacity,
             lru.hit_ratio,

@@ -139,10 +139,6 @@ class ProfiledPolicy(ReplacementPolicy):
         """
         return None
 
-    def make_batch_kernel(self, capacity: int) -> None:
-        """Same as :meth:`make_kernel`: batch kernels bypass hooks too."""
-        return None
-
     def reset(self) -> None:
         """Reset the wrapped policy; recorded profiles are kept."""
         self.inner.reset()

@@ -143,19 +143,6 @@ class ReplacementPolicy(abc.ABC):
         """
         return None
 
-    def make_batch_kernel(self, capacity: int):
-        """Return a run-skipping batch kernel for this policy, or None.
-
-        A batch kernel has the scalar kernel's contract plus one
-        extension: the returned callable may itself return None after
-        inspecting the trace (numpy missing, page ids unusable as dense
-        array indices, or a hotness probe predicting batching would
-        lose) — nothing is mutated in that case and the driver falls
-        back to :meth:`make_kernel` or the object path. See
-        :mod:`repro.policies.kernel`.
-        """
-        return None
-
     def reset(self) -> None:
         """Forget everything (fresh run). Subclasses extend."""
         self._resident.clear()

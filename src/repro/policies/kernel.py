@@ -45,82 +45,32 @@ The contract every kernel must honour:
 
 ``make_kernel(capacity)`` returns either ``None`` (no kernel for this
 configuration) or a callable ``kernel(pages, warmup) -> KernelResult``.
-
-Batch kernels
--------------
-
-On hot traces even the fused scalar loop spends most of its time
-re-discovering that a reference is a hit. A *batch kernel*
-(``make_batch_kernel(capacity)``) exploits that: it scans **runs of
-references between misses** with a numpy bitmap membership test over the
-page universe, books the whole run's hits (and recency/history effects)
-in bulk, and drops to scalar kernel logic only around misses and
-evictions. Between two misses the resident set cannot change, so the
-run/miss decomposition is exact, and each miss re-anchors the scan with
-the post-eviction bitmap — no speculative window ever needs unwinding.
-
-Batch kernels honour the same contract as scalar kernels, with one
-extension: the *callable itself* may return None after inspecting the
-trace (numpy missing, page ids unusable as array indices, or the
-:data:`BATCH_PROBE_REFS` hotness probe predicting a miss-dominated run
-where batching loses). Nothing is mutated in that case; the driver falls
-back to the scalar kernel or the object path.
+``warmup`` is non-negative (``run_fused`` checks). Kernels split the trace
+at the warm-up boundary with one shared iterator, never a slice, so a
+run allocates nothing proportional to the trace.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from itertools import islice
 from time import perf_counter_ns
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from ..errors import NoEvictableFrameError
 from ..types import PageId
 
 __all__ = [
-    "BATCH_DISTINCT_FACTOR",
-    "BATCH_MAX_PAGE",
-    "BATCH_PROBE_REFS",
     "KernelResult",
     "SimulationKernel",
-    "batch_trace_view",
     "lru_stack_hits",
     "make_a0_kernel",
     "make_clock_kernel",
     "make_fifo_kernel",
-    "make_lru_batch_kernel",
     "make_lru_kernel",
 ]
-
-#: Largest page id batch kernels will index arrays by: the bitmap and
-#: recency arrays are dense over the page universe, so pathological ids
-#: (sparse 64-bit keys) must fall back to the dict-based kernels.
-BATCH_MAX_PAGE = 1 << 24
-
-#: How many leading references the hotness probe inspects, and how many
-#: distinct pages (as a multiple of capacity) it tolerates before
-#: declining. A prefix referencing far more distinct pages than the
-#: buffer holds predicts a miss-dominated run, where per-run numpy
-#: overhead loses to the scalar kernels. Tests monkeypatch these to
-#: force or suppress the batch path.
-BATCH_PROBE_REFS = 8192
-BATCH_DISTINCT_FACTOR = 2
-
-#: LRU-K only: decline when more than this fraction of probed hits are
-#: *uncorrelated* (inter-reference gap above the CRP). Every
-#: uncorrelated hit replays scalar history/heap bookkeeping inside the
-#: batch loop, so a trace dominated by them gains nothing from run
-#: skipping. Setting :data:`BATCH_PROBE_REFS` to 0 disables this probe
-#: too.
-BATCH_MAX_UNCORRELATED_FRACTION = 0.35
-
-#: Bounds for the adaptive run-scan window (references per membership
-#: gather). The scan doubles while runs fill it and shrinks when misses
-#: arrive early, so hot traces amortize numpy call overhead over long
-#: runs while miss-y stretches stop over-gathering.
-_MIN_SCAN = 128
-_MAX_SCAN = 16384
 
 
 @dataclass
@@ -155,159 +105,6 @@ class KernelResult:
 SimulationKernel = Callable[[Sequence[PageId], int], KernelResult]
 
 
-def batch_trace_view(pages: Sequence[PageId]):
-    """``(numpy, int64 ndarray)`` over a compact trace, or None.
-
-    Zero-copy for the two compact forms the simulator hands kernels —
-    ``array('q')`` (in-memory :class:`~repro.sim.trace_cache.CachedTrace`)
-    and the little-endian ``memoryview`` of an mmap-backed columnar
-    trace. Anything else is converted if cheap, declined if not.
-    """
-    from ..workloads.vectorized import numpy_or_none
-
-    np = numpy_or_none()
-    if np is None:
-        return None
-    try:
-        if isinstance(pages, memoryview):
-            trace = np.frombuffer(pages, dtype="<i8")
-        else:
-            trace = np.frombuffer(pages, dtype=np.int64) \
-                if isinstance(pages, bytearray) else np.asarray(pages)
-        if trace.dtype != np.int64:
-            trace = trace.astype(np.int64)
-    except (TypeError, ValueError, BufferError):
-        return None
-    return np, trace
-
-
-def _batch_guard(np, trace, capacity: int):
-    """Shared runtime decline checks: page-id range and hotness probe.
-
-    Returns the page-universe size, or None to decline (ids unusable as
-    dense array indices, or the leading-prefix probe predicts a
-    miss-dominated trace where per-run numpy overhead loses).
-    """
-    if len(trace) == 0:
-        return 1
-    low = int(trace.min())
-    high = int(trace.max())
-    if low < 0 or high > BATCH_MAX_PAGE:
-        return None
-    probe = BATCH_PROBE_REFS
-    if probe and len(trace) > probe:
-        distinct = len(np.unique(trace[:probe]))
-        if distinct > BATCH_DISTINCT_FACTOR * capacity:
-            return None
-    return high + 1
-
-
-def make_lru_batch_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
-    """Run-skipping batch loop for classical LRU (the paper's LRU-1).
-
-    Between two misses the resident set is constant, so membership of a
-    whole window of references is one bitmap gather. A window that comes
-    back all-resident is a pure hit run: the hit counter advances by the
-    run length and the recency effect collapses to "each distinct page's
-    recency becomes its *last* occurrence time in the run" — one
-    vectorized maximum-scatter instead of ``run_length`` dict moves.
-    Scalar logic runs only at misses.
-
-    Recency lives in a dense int64 array during the run; victims come
-    from a lazy min-heap of ``(last_use, page)`` entries validated
-    against that array on pop (stale entries are re-pushed corrected, so
-    every resident page always keeps at least one live entry). The
-    policy's ``OrderedDict`` is rebuilt in recency order at the end,
-    leaving exactly the object-path state.
-    """
-    if policy._resident:
-        return None
-
-    def kernel(pages: Sequence[PageId], warmup: int) -> Optional[KernelResult]:
-        if warmup < 0:
-            return None  # scalar slicing semantics; not worth replicating
-        view = batch_trace_view(pages)
-        if view is None:
-            return None
-        np, trace = view
-        universe = _batch_guard(np, trace, capacity)
-        if universe is None:
-            return None
-        n = len(trace)
-        resident_map = np.zeros(universe, dtype=bool)
-        last_used = np.zeros(universe, dtype=np.int64)
-        heap: List[Tuple[int, int]] = []
-        admitted: Dict[PageId, int] = {}
-        offsets = np.arange(_MAX_SCAN, dtype=np.int64)
-        warmup_hits = warmup_misses = hits = misses = evictions = 0
-        scan = _MIN_SCAN
-
-        boundary = min(warmup, n)
-        for index, (lo, hi) in enumerate(((0, boundary), (boundary, n))):
-            pos = lo
-            while pos < hi:
-                end = min(hi, pos + scan)
-                window = trace[pos:end]
-                member = resident_map[window]
-                first_miss = int(member.argmin())
-                if member[first_miss]:
-                    first_miss = end - pos  # whole window resident
-                if first_miss:
-                    # Hit run [pos, pos + first_miss): recency of each
-                    # distinct page becomes its last occurrence time.
-                    # maximum.at is order-independent, and every time in
-                    # this run exceeds every previously stored recency.
-                    hits += first_miss
-                    run = window[:first_miss]
-                    np.maximum.at(last_used, run,
-                                  offsets[:first_miss] + (pos + 1))
-                if first_miss == end - pos:
-                    pos = end
-                    if scan < _MAX_SCAN:
-                        scan *= 2
-                    continue
-                if first_miss < scan // 4 and scan > _MIN_SCAN:
-                    scan //= 2
-                j = pos + first_miss
-                t = j + 1
-                page = int(trace[j])
-                misses += 1
-                if len(admitted) >= capacity:
-                    while True:
-                        pushed_at, victim = heappop(heap)
-                        if not resident_map[victim]:
-                            continue  # evicted earlier; stale entry
-                        actual = int(last_used[victim])
-                        if actual != pushed_at:
-                            heappush(heap, (actual, victim))
-                            continue
-                        break
-                    resident_map[victim] = False
-                    del admitted[victim]
-                    evictions += 1
-                resident_map[page] = True
-                last_used[page] = t
-                admitted[page] = t
-                heappush(heap, (t, page))
-                if len(heap) > 4 * len(admitted) + 64:
-                    heap = [(int(last_used[p]), p) for p in admitted]
-                    heapify(heap)
-                pos = j + 1
-            if index == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
-
-        order = policy._order
-        for page in sorted(admitted, key=lambda p: int(last_used[p])):
-            order[page] = None
-        policy._resident.update(admitted)
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, n, warmup_ended)
-
-    return kernel
-
-
 def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     """Fused loop for classical LRU (the paper's LRU-1).
 
@@ -325,7 +122,9 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         admitted: Dict[PageId, int] = {}
         warmup_hits = warmup_misses = hits = misses = evictions = 0
         t = 0
-        for boundary, segment in enumerate((pages[:warmup], pages[warmup:])):
+        remaining = iter(pages)
+        for boundary, segment in enumerate((islice(remaining, warmup),
+                                            remaining)):
             for page in segment:
                 t += 1
                 if page in order:
@@ -411,7 +210,9 @@ def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         admitted: Dict[PageId, int] = {}
         warmup_hits = warmup_misses = hits = misses = evictions = 0
         t = 0
-        for boundary, segment in enumerate((pages[:warmup], pages[warmup:])):
+        remaining = iter(pages)
+        for boundary, segment in enumerate((islice(remaining, warmup),
+                                            remaining)):
             for page in segment:
                 t += 1
                 if page in order:
@@ -455,7 +256,9 @@ def make_a0_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         admitted: Dict[PageId, int] = {}
         warmup_hits = warmup_misses = hits = misses = evictions = 0
         t = 0
-        for boundary, segment in enumerate((pages[:warmup], pages[warmup:])):
+        remaining = iter(pages)
+        for boundary, segment in enumerate((islice(remaining, warmup),
+                                            remaining)):
             for page in segment:
                 t += 1
                 if page in live:
@@ -505,7 +308,9 @@ def make_clock_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         admitted: Dict[PageId, int] = {}
         warmup_hits = warmup_misses = hits = misses = evictions = 0
         t = 0
-        for boundary, segment in enumerate((pages[:warmup], pages[warmup:])):
+        remaining = iter(pages)
+        for boundary, segment in enumerate((islice(remaining, warmup),
+                                            remaining)):
             for page in segment:
                 t += 1
                 if page in referenced:

@@ -54,10 +54,6 @@ class LRUPolicy(ReplacementPolicy):
         from .kernel import make_lru_kernel
         return make_lru_kernel(self, capacity)
 
-    def make_batch_kernel(self, capacity: int):
-        from .kernel import make_lru_batch_kernel
-        return make_lru_batch_kernel(self, capacity)
-
     def stack_hits(self, pages, warmup: int):
         """Measured hits at every capacity from one Mattson pass.
 

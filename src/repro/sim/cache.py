@@ -27,12 +27,6 @@ from ..types import (
     as_reference,
 )
 
-#: Minimum trace length before :meth:`CacheSimulator.run_fused` tries a
-#: policy's batch kernel. Short traces cannot amortize the batch path's
-#: setup (dense page-universe arrays plus the hotness probe), and the
-#: scalar kernels already run them in well under a millisecond.
-BATCH_MIN_REFS = 50_000
-
 
 class CacheSimulator:
     """Drive a replacement policy over a reference string.
@@ -86,8 +80,8 @@ class CacheSimulator:
         self.eviction_log: Optional[List[AccessOutcome]] = (
             [] if record_evictions else None)
         #: The execution tier that ran: ``"object"`` (per-reference
-        #: hooks), or ``"kernel"``/``"batch"`` once :meth:`run_fused`
-        #: played the trace through a scalar or batch kernel.
+        #: hooks), or ``"kernel"`` once :meth:`run_fused` played the
+        #: trace through the policy's fused kernel.
         self.tier = "object"
         #: ``perf_counter_ns`` at which a kernel run's warm-up window
         #: ended (None on the object path), for after-the-fact spans.
@@ -206,38 +200,24 @@ class CacheSimulator:
         sinks such as progress narration — does not demote a run: the
         protocol records spans and counters from the kernel's result.
 
-        Traces of at least :data:`BATCH_MIN_REFS` references first try
-        the policy's *batch kernel* (``make_batch_kernel``, see
-        :mod:`repro.policies.kernel`), which skips runs of hits between
-        misses with vectorized bookkeeping. A batch kernel may decline
-        at runtime — numpy absent, page ids unusable as dense indices,
-        or a hotness probe predicting batching would lose — in which
-        case the scalar kernel runs instead; both are decision-identical
-        so the choice is invisible in results.
+        Raises :class:`~repro.errors.ConfigurationError` for a negative
+        ``warmup``, before any kernel is built.
         """
+        if warmup < 0:
+            raise ConfigurationError("warm-up length cannot be negative")
         obs = self._obs
         if (self.eviction_log is not None or self._provenance is not None
                 or (obs is not None and obs.takes_references)
                 or self.clock.now != 0 or self.counter.total):
             return False
-        result = None
-        tier = "batch"
-        if len(pages) >= BATCH_MIN_REFS:
-            batch_factory = getattr(self.policy, "make_batch_kernel", None)
-            if batch_factory is not None:
-                batch_kernel = batch_factory(self.capacity)
-                if batch_kernel is not None:
-                    result = batch_kernel(pages, warmup)
-        if result is None:
-            tier = "kernel"
-            factory = getattr(self.policy, "make_kernel", None)
-            if factory is None:
-                return False
-            kernel = factory(self.capacity)
-            if kernel is None:
-                return False
-            result = kernel(pages, warmup)
-        self.tier = tier
+        factory = getattr(self.policy, "make_kernel", None)
+        if factory is None:
+            return False
+        kernel = factory(self.capacity)
+        if kernel is None:
+            return False
+        result = kernel(pages, warmup)
+        self.tier = "kernel"
         self.warmup_ended_ns = result.warmup_ended_ns
         self.clock.advance(result.now)
         self.warmup_counter = HitRatioCounter(hits=result.warmup_hits,

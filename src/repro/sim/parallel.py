@@ -390,10 +390,8 @@ def _run_grid(workload: Workload, specs: Sequence[PolicySpec],
     try:
         # Materialize every run seed's trace once, pre-fork: workers
         # inherit the compact arrays copy-on-write instead of
-        # regenerating them. Traces past the spill threshold (see
-        # repro.sim.trace_cache) live in mmap-backed columnar files at
-        # this point, so workers share one page-cache copy outright — no
-        # copy-on-write dirtying at all.
+        # regenerating them. Runs only iterate a trace, never slice it,
+        # so no worker makes a private copy of the page ids.
         for repetition in range(repetitions):
             cache.get(workload, warmup + measured, seed + repetition)
         last = _pool_pass(run, remaining, jobs) if pooled else None

@@ -30,7 +30,6 @@ from typing import Dict, Sequence, Tuple
 
 from ..errors import ReproError, SimulationError
 from ..stats import ConfidenceInterval
-from ..storage.columnar import workload_fingerprint
 from ..workloads.base import Workload
 from .runner import PolicySpec, ProtocolResult, RunResult
 
@@ -91,6 +90,17 @@ class CellExecutionError(SimulationError):
 # -- checkpointing -------------------------------------------------------------
 
 
+def workload_fingerprint(workload) -> str:
+    """A short, stable description of a workload's parameterization."""
+    parts = []
+    for name, value in sorted(vars(workload).items()):
+        if name.startswith("_") or callable(value):
+            continue
+        if isinstance(value, (int, float, str, bool)):
+            parts.append(f"{name}={value!r}")
+    return f"{type(workload).__name__}({', '.join(parts)})"
+
+
 def grid_fingerprint(workload: Workload,
                      specs: Sequence[PolicySpec],
                      capacities: Sequence[int],
@@ -104,7 +114,8 @@ def grid_fingerprint(workload: Workload,
     several grids and a resume against different inputs matches nothing
     instead of silently reusing stale cells. The workload contributes
     its type name and public scalar parameters
-    (:func:`repro.storage.columnar.workload_fingerprint`).
+    (:func:`workload_fingerprint`), so a resume against differently
+    parameterized workloads recomputes.
     """
     payload = {
         "workload": workload_fingerprint(workload),

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
@@ -197,15 +198,8 @@ def measure_hit_ratio(policy: ReplacementPolicy,
                                              len(references)),
                                          "warmup": float(warmup)}))
 
-    def at_measurement_boundary() -> None:
-        if observing:
-            # Emitted before the counter reset so this snapshot
-            # carries the warm-up window's totals.
-            obs.emit(SnapshotEvent(time=simulator.now, phase="measurement",
-                                   counters=_snapshot_counters(simulator)))
-        simulator.start_measurement()
-
     measured = len(references) - warmup
+    stream: Optional[Iterator] = None
     if isinstance(references, CachedTrace) and references.plain:
         # Pre-normalized stream: bare page ids. Offer the whole trace to
         # the policy's fused kernel first (decision-identical, no
@@ -221,26 +215,25 @@ def measure_hit_ratio(policy: ReplacementPolicy,
                                       simulator.warmup_ended_ns,
                                       warmup, measured)
         else:
-            access_page = simulator.access_page
-            with obs_trace.maybe_span("warmup", references=warmup):
-                for page in pages[:warmup]:
-                    access_page(page)
-            at_measurement_boundary()
-            with obs_trace.maybe_span("measure", references=measured):
-                for page in pages[warmup:]:
-                    access_page(page)
+            access, stream = simulator.access_page, iter(pages)
     else:
         if isinstance(references, CachedTrace):
             references = references.references()
-        iterator = iter(references)
-        access = simulator.access
+        access, stream = simulator.access, iter(references)
+    if stream is not None:
+        # One iterator split at the boundary: the trace is never copied.
         with obs_trace.maybe_span("warmup", references=warmup):
-            for _ in range(warmup):
-                access(next(iterator))
-        at_measurement_boundary()
+            for item in islice(stream, warmup):
+                access(item)
+        if observing:
+            # Emitted before the counter reset so this snapshot
+            # carries the warm-up window's totals.
+            obs.emit(SnapshotEvent(time=simulator.now, phase="measurement",
+                                   counters=_snapshot_counters(simulator)))
+        simulator.start_measurement()
         with obs_trace.maybe_span("measure", references=measured):
-            for reference in iterator:
-                access(reference)
+            for item in stream:
+                access(item)
     if observing:
         obs.emit(SnapshotEvent(time=simulator.now, phase="end",
                                counters=_snapshot_counters(simulator)))
@@ -379,8 +372,8 @@ def run_paper_protocol(workload: Workload,
     ``policy``/``capacity``/``seed`` context so downstream sinks can
     separate the repetitions of a sweep. With an ambient tracer (see
     :mod:`repro.obs.trace`) each repetition records a ``simulate`` span
-    whose ``tier`` arg names the execution tier that ran (``object``,
-    ``kernel`` or ``batch``), with ``warmup``/``measure`` children; a
+    whose ``tier`` arg names the execution tier that ran (``object`` or
+    ``kernel``), with ``warmup``/``measure`` children; a
     ``Tracer(profile_hooks=True)`` adds aggregate ``policy-hook`` spans
     from a decision-transparent :class:`ProfiledPolicy` wrapper, which
     runs the object path. With a metrics registry — ``metrics`` or the

@@ -26,32 +26,11 @@ per-policy list copy.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..types import PageId, Reference
 from ..workloads.base import Workload, compact_reference_pages
-
-
-def _spill_threshold() -> Optional[int]:
-    """Reference count beyond which materialized traces spill to disk.
-
-    ``REPRO_TRACE_SPILL`` overrides the default (an integer count; 0 or
-    a negative value disables spilling entirely). The default keeps
-    short property-test traces in memory and moves sweep-scale strings
-    (tens of MB across seeds) into mmap-backed files that forked workers
-    share copy-free.
-    """
-    raw = os.environ.get("REPRO_TRACE_SPILL")
-    if raw is None:
-        return 4_000_000
-    try:
-        threshold = int(raw)
-    except ValueError:
-        return 4_000_000
-    return threshold if threshold > 0 else None
 
 
 class CachedTrace:
@@ -65,27 +44,19 @@ class CachedTrace:
     keep the full reference list, with the page-id array derived lazily
     for oracle consumption.
 
-    Past a size threshold (see :func:`_spill_threshold`), materialized
-    plain traces *spill to disk* in the columnar format of
-    :mod:`repro.storage.columnar`: the page ids then live in an
-    ``mmap``-backed zero-copy view instead of a heap array, so a parent
-    process that pre-materializes a sweep's traces shares one page-cache
-    copy with every forked worker rather than copy-on-writing a heap
-    array per seed.
+    A run reads a plain trace front to back with one iterator and never
+    copies it, so forked sweep workers share the parent's page-id
+    buffer instead of each holding a private copy.
     """
 
-    __slots__ = ("_pages", "_references", "_backing")
+    __slots__ = ("_pages", "_references")
 
     def __init__(self, pages: Optional[Sequence[PageId]],
-                 references: Optional[List[Reference]],
-                 backing=None) -> None:
+                 references: Optional[List[Reference]]) -> None:
         if pages is None and references is None:
             raise ValueError("a trace needs pages or references")
         self._pages = pages
         self._references = references
-        # The TraceFile whose mmap backs _pages, if any: pinned here so
-        # the mapping outlives every view handed out.
-        self._backing = backing
 
     @classmethod
     def from_references(cls, references: Sequence[Reference]) -> "CachedTrace":
@@ -97,8 +68,8 @@ class CachedTrace:
         return cls(None, references)
 
     @classmethod
-    def materialize(cls, workload: Workload, total: int, seed: int,
-                    spill_threshold: Optional[int] = None) -> "CachedTrace":
+    def materialize(cls, workload: Workload, total: int,
+                    seed: int) -> "CachedTrace":
         """Expand a workload into a cached trace (no cache involved).
 
         Tries the workload's bulk :meth:`~repro.workloads.base.Workload.
@@ -106,65 +77,16 @@ class CachedTrace:
         ``Reference`` objects — and falls back to draining
         :meth:`~repro.workloads.base.Workload.references` when the
         workload returns None (its stream carries metadata).
-
-        Plain traces at or past the spill threshold (default: the
-        ``REPRO_TRACE_SPILL`` environment knob) move to an mmap-backed
-        columnar file — same ids, same indexing, one shared physical
-        copy across forked workers. Spilling is best-effort: a read-only
-        temp directory just keeps the trace in memory.
         """
         pages = workload.page_ids(total, seed=seed)
         if pages is None:
             return cls.from_references(workload.references(total, seed=seed))
-        if spill_threshold is None:
-            spill_threshold = _spill_threshold()
-        if spill_threshold is not None and total >= spill_threshold:
-            backed = cls._spill(pages, workload, seed)
-            if backed is not None:
-                return backed
         return cls(pages, None)
-
-    @classmethod
-    def from_file(cls, path) -> "CachedTrace":
-        """Open a baked columnar trace file as a plain cached trace."""
-        from ..storage.columnar import TraceFile
-
-        backing = TraceFile(path)
-        return cls(backing.page_ids(), None, backing=backing)
-
-    @classmethod
-    def _spill(cls, pages: array, workload: Workload,
-               seed: int) -> Optional["CachedTrace"]:
-        from ..storage.columnar import (TraceFile, workload_fingerprint,
-                                        write_trace)
-
-        directory = os.environ.get("REPRO_TRACE_DIR") or tempfile.gettempdir()
-        handle = None
-        try:
-            fd, path = tempfile.mkstemp(prefix="repro-trace-",
-                                        suffix=".rtrc", dir=directory)
-            os.close(fd)
-            write_trace(path, pages,
-                        fingerprint=workload_fingerprint(workload), seed=seed)
-            handle = TraceFile(path)
-            # The file stays alive through the open descriptor/mapping
-            # only: unlink now so abandoned spills never accumulate.
-            os.unlink(path)
-            return cls(handle.page_ids(), None, backing=handle)
-        except OSError:
-            if handle is not None:
-                handle.close()
-            return None
 
     @property
     def plain(self) -> bool:
         """True when every reference is a metadata-free read."""
         return self._references is None
-
-    @property
-    def mmap_backed(self) -> bool:
-        """True when the page ids live in a columnar file mapping."""
-        return self._backing is not None
 
     def __len__(self) -> int:
         if self._pages is not None:
@@ -175,10 +97,10 @@ class CachedTrace:
         """The page-id sequence (shared, not a copy) — what oracles need.
 
         ``limit`` asks for only the first ``limit`` ids: plain traces
-        hand back a slice (for mmap-backed traces a zero-copy sub-view),
-        and reference-backed traces materialize just the prefix instead
-        of compacting the whole string — `repro explain` replaying the
-        head of a long trace never touches the tail.
+        hand back a slice, and reference-backed traces materialize just
+        the prefix instead of compacting the whole string — `repro
+        explain` replaying the head of a long trace never touches the
+        tail.
         """
         if self._pages is None:
             if limit is not None and limit < len(self._references):

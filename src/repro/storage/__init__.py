@@ -11,8 +11,6 @@ from .page import PAGE_SIZE, DiskPage
 from .latency import DiskServiceModel, DiskQueue
 from .disk import SimulatedDisk, IoStats
 from .trace_io import write_trace, read_trace, trace_to_pages
-from .columnar import TraceFile, bake_trace
-from .columnar import write_trace as write_columnar_trace
 
 __all__ = [
     "PAGE_SIZE",
@@ -24,7 +22,4 @@ __all__ = [
     "write_trace",
     "read_trace",
     "trace_to_pages",
-    "TraceFile",
-    "bake_trace",
-    "write_columnar_trace",
 ]

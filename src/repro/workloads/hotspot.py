@@ -24,7 +24,6 @@ from typing import Dict, Iterator, Sequence
 from ..errors import ConfigurationError
 from ..stats import SeededRng
 from ..types import PageId, Reference
-from . import vectorized
 from .base import Workload
 
 
@@ -74,13 +73,8 @@ class MovingHotspotWorkload(Workload):
         """Bulk sampling, chunked by epoch (hot-set start is loop-invariant
         within one epoch). Consumes the RNG exactly as :meth:`references`
         does — one ``random()`` then one ``randrange()`` per reference —
-        so the stream is identical for a given seed. Large requests go
-        through the numpy-vectorized generator (:mod:`repro.workloads.
-        vectorized`), property-tested stream-identical to this loop.
+        so the stream is identical for a given seed.
         """
-        batched = vectorized.hotspot_page_ids(self, count, seed)
-        if batched is not None:
-            return batched
         rng = SeededRng(seed)
         random_ = rng.random
         getrandbits = rng.getrandbits

@@ -25,7 +25,6 @@ from typing import Dict, Iterator, Sequence
 from ..errors import ConfigurationError
 from ..stats import SeededRng
 from ..types import PageId, Reference
-from . import vectorized
 from .base import Workload
 
 
@@ -87,13 +86,8 @@ class ZipfianWorkload(Workload):
         order as :meth:`references`, so the stream is bit-identical to
         draining the generator for the same seed — just without a
         generator frame, method dispatch, or ``Reference`` object per
-        sample. Large requests go through the numpy-vectorized
-        generator (:mod:`repro.workloads.vectorized`), which is
-        property-tested stream-identical to this loop.
+        sample.
         """
-        batched = vectorized.zipfian_page_ids(self, count, seed)
-        if batched is not None:
-            return batched
         rng = SeededRng(seed)
         random_ = rng.random
         ceil = math.ceil

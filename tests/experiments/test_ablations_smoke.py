@@ -18,6 +18,7 @@ from repro.experiments.ablations import (
     ablation_scan_swamping,
     ablation_victim_structure,
 )
+from repro.workloads import ZipfianWorkload
 
 
 class TestAblationSmoke:
@@ -63,6 +64,18 @@ class TestAblationSmoke:
         table = ablation_analytic_cross_check(capacities=(50,), n=200)
         row = table.rows[0]
         assert row[1] == pytest.approx(row[2], abs=0.05)
+
+    def test_analytic_generates_each_trace_once(self, monkeypatch):
+        seeds = []
+        page_ids = ZipfianWorkload.page_ids
+
+        def counted(self, count, seed=0):
+            seeds.append(seed)
+            return page_ids(self, count, seed)
+
+        monkeypatch.setattr(ZipfianWorkload, "page_ids", counted)
+        ablation_analytic_cross_check(capacities=(50, 100), n=200, seed=4)
+        assert sorted(seeds) == [4, 5, 6]  # one per repetition's seed
 
     def test_multipool(self):
         table = ablation_multipool(capacity=120, scale=1.0)

@@ -30,7 +30,7 @@ def test_traced_table_matches_plain_and_keeps_the_kernels(table):
     simulates = tracer.find("simulate")
     assert simulates
     for span in simulates:
-        assert span.args["tier"] in {"kernel", "batch"}, span.args
+        assert span.args["tier"] == "kernel", span.args
         children = sorted(child.name
                           for child in tracer.children_of(span.span_id))
         assert children == ["measure", "warmup"], span.args

@@ -10,12 +10,14 @@ capacities x CRP/RIP, and bypass regressions for every observation
 channel.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LRUKPolicy
-from repro.core.kernel import make_lruk_batch_kernel
+from repro.errors import ConfigurationError
 from repro.obs import (
     EventDispatcher,
     ProfiledPolicy,
@@ -24,17 +26,9 @@ from repro.obs import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
-from repro.policies import kernel as policy_kernel
 from repro.policies import A0Policy, make_policy
 from repro.sim import CachedTrace, CacheSimulator, measure_hit_ratio
-from repro.sim import cache as sim_cache
 from repro.workloads import ZipfianWorkload
-from repro.workloads.vectorized import numpy_or_none
-
-needs_numpy = pytest.mark.skipif(
-    numpy_or_none() is None,
-    reason="batch kernels decline without numpy (covered by the "
-           "fallback tests)")
 
 PAGES = st.lists(st.integers(min_value=1, max_value=30),
                  min_size=5, max_size=300)
@@ -269,6 +263,40 @@ class TestKernelBypass:
         assert not simulator.run_fused(self.pages(), 0)
 
 
+class TestTraceIsNotCopied:
+    """Kernels walk a plain trace with one iterator and never slice it,
+    so a run over 2 MB of page ids allocates only the policy's own
+    bookkeeping. Slicing at the warm-up boundary would copy the whole
+    trace on every run."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return CachedTrace.materialize(ZipfianWorkload(n=100), 1 << 18, 3)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_POLICIES))
+    def test_kernel_run_allocates_under_1mb(self, trace, name):
+        policy = KERNEL_POLICIES[name]()
+        tracemalloc.start()
+        try:
+            simulator = measure_hit_ratio(policy, trace, 50, len(trace) // 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert simulator.tier == "kernel"
+        assert peak < 1 << 20
+
+
+class TestWarmupValidation:
+    @pytest.mark.parametrize("name", ["lru", "lruk"])
+    def test_negative_warmup_is_a_configuration_error(self, name):
+        policy = KERNEL_POLICIES[name]()
+        simulator = CacheSimulator(policy, 3)
+        with pytest.raises(ConfigurationError, match="warm-up"):
+            simulator.run_fused([1, 2, 3, 4, 5], -2)
+        assert simulator.now == 0 and simulator.tier == "object"
+        assert not policy.resident_pages
+
+
 class TestUnsupportedConfigurations:
     """Configurations the fused loop does not replicate yield no kernel."""
 
@@ -289,209 +317,3 @@ class TestUnsupportedConfigurations:
     @pytest.mark.parametrize("name", ["mru", "gclock", "lfu"])
     def test_base_policies_default_to_none(self, name):
         assert make_policy(name).make_kernel(8) is None
-
-
-def batch_run(policy, pages, warmup, capacity):
-    """The batch path via run_fused; asserts run skipping engaged.
-
-    The dispatch threshold and the trace probes are forced open so the
-    short property-test traces reach the batch kernel, and the scalar
-    kernel factory is stubbed to raise — a silent runtime decline would
-    otherwise fall back and vacuously pass the equivalence assertions.
-    """
-    old_min = sim_cache.BATCH_MIN_REFS
-    old_probe = policy_kernel.BATCH_PROBE_REFS
-    sim_cache.BATCH_MIN_REFS = 0
-    policy_kernel.BATCH_PROBE_REFS = 0
-
-    def no_scalar(capacity):
-        raise AssertionError("batch kernel declined; scalar fallback ran")
-
-    policy.make_kernel = no_scalar
-    try:
-        simulator = CacheSimulator(policy, capacity)
-        assert simulator.run_fused(pages, warmup)
-        return simulator
-    finally:
-        del policy.make_kernel
-        sim_cache.BATCH_MIN_REFS = old_min
-        policy_kernel.BATCH_PROBE_REFS = old_probe
-
-
-@needs_numpy
-class TestBatchKernelEquivalence:
-    """Run-skipping batch kernels are decision-identical to the object
-    path — same driver observables *and* same policy internals, so a
-    batch run can be continued per-reference afterwards."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(pages=PAGES,
-           capacity=st.integers(min_value=1, max_value=8),
-           warmup_fraction=st.sampled_from([0.0, 0.33, 1.0]))
-    def test_lru_matches_object_path(self, pages, capacity,
-                                     warmup_fraction):
-        warmup = int(len(pages) * warmup_fraction)
-        sim_a = object_run(make_policy("lru"), pages, warmup, capacity)
-        sim_b = batch_run(make_policy("lru"), pages, warmup, capacity)
-        assert_identical(sim_a, sim_b)
-        assert (list(sim_a.policy._order) == list(sim_b.policy._order))
-
-    @settings(max_examples=60, deadline=None)
-    @given(pages=PAGES,
-           capacity=st.integers(min_value=1, max_value=8),
-           crp=st.sampled_from([1, 3, 100]),
-           k=st.sampled_from([2, 3]))
-    def test_lruk_matches_object_path(self, pages, capacity, crp, k):
-        warmup = len(pages) // 3
-
-        def build():
-            return LRUKPolicy(k=k, correlated_reference_period=crp)
-
-        sim_a = object_run(build(), pages, warmup, capacity)
-        sim_b = batch_run(build(), pages, warmup, capacity)
-        assert_identical(sim_a, sim_b)
-        assert_lruk_state_identical(sim_a.policy, sim_b.policy)
-
-    @settings(max_examples=40, deadline=None)
-    @given(pages=PAGES, capacity=st.integers(min_value=1, max_value=8))
-    def test_lruk_crp_zero_kernel_function(self, pages, capacity):
-        """``crp=0`` is below the policy's dispatch heuristic but the
-        kernel function itself must still be exact — drive it directly."""
-        old_probe = policy_kernel.BATCH_PROBE_REFS
-        policy_kernel.BATCH_PROBE_REFS = 0
-        try:
-            policy = LRUKPolicy(k=2, correlated_reference_period=0)
-            kernel = make_lruk_batch_kernel(policy, capacity)
-            assert kernel is not None
-            result = kernel(pages, len(pages) // 3)
-        finally:
-            policy_kernel.BATCH_PROBE_REFS = old_probe
-        assert result is not None
-        reference = object_run(
-            LRUKPolicy(k=2, correlated_reference_period=0),
-            pages, len(pages) // 3, capacity)
-        assert result.warmup_hits == reference.warmup_counter.hits
-        assert result.warmup_misses == reference.warmup_counter.misses
-        assert result.hits == reference.counter.hits
-        assert result.misses == reference.counter.misses
-        assert result.evictions == reference.evictions
-        assert result.resident == reference._admitted_at
-        assert result.now == reference.now
-        assert_lruk_state_identical(reference.policy, policy)
-
-    def test_policy_keeps_working_after_batch_run(self):
-        """The flushed state must support further per-reference driving."""
-        pages = list(ZipfianWorkload(n=50).page_ids(400, seed=3))
-        split = 200
-        for build in (lambda: make_policy("lru"),
-                      lambda: LRUKPolicy(k=2,
-                                         correlated_reference_period=5)):
-            sim_a = CacheSimulator(build(), 8)
-            for page in pages:
-                sim_a.access_page(page)
-            sim_b = batch_run(build(), pages[:split], 0, 8)
-            for page in pages[split:]:
-                sim_b.access_page(page)
-            assert sim_a.evictions == sim_b.evictions
-            assert sim_a.resident_pages == sim_b.resident_pages
-            total_a = sim_a.counter.hits
-            total_b = sim_b.warmup_counter.hits + sim_b.counter.hits
-            assert total_a == total_b
-
-
-class TestBatchDispatch:
-    """run_fused routes big traces to the batch kernel and treats every
-    decline — threshold, configuration, or runtime — as a clean fall
-    through to the scalar kernel."""
-
-    def trace(self, count=400):
-        return list(ZipfianWorkload(n=30).page_ids(count, seed=1))
-
-    def counting_policy(self):
-        policy = LRUKPolicy(k=2, correlated_reference_period=5)
-        calls = []
-        original = policy.make_batch_kernel
-
-        def counted(capacity):
-            calls.append(capacity)
-            return original(capacity)
-
-        policy.make_batch_kernel = counted
-        return policy, calls
-
-    def test_big_traces_offer_the_batch_kernel(self, monkeypatch):
-        monkeypatch.setattr(sim_cache, "BATCH_MIN_REFS", 100)
-        policy, calls = self.counting_policy()
-        assert CacheSimulator(policy, 8).run_fused(self.trace(), 0)
-        assert calls == [8]
-
-    def test_small_traces_skip_the_batch_path(self, monkeypatch):
-        monkeypatch.setattr(sim_cache, "BATCH_MIN_REFS", 100_000)
-        policy, calls = self.counting_policy()
-        assert CacheSimulator(policy, 8).run_fused(self.trace(), 0)
-        assert calls == []
-
-    def test_runtime_decline_falls_back_identically(self, monkeypatch):
-        """Ids past BATCH_MAX_PAGE force a runtime decline; the scalar
-        kernel must then carry the run with identical results."""
-        monkeypatch.setattr(sim_cache, "BATCH_MIN_REFS", 0)
-        pages = self.trace() + [policy_kernel.BATCH_MAX_PAGE + 1]
-        fused = CacheSimulator(
-            LRUKPolicy(k=2, correlated_reference_period=5), 8)
-        assert fused.run_fused(pages, 20)
-        reference = object_run(
-            LRUKPolicy(k=2, correlated_reference_period=5), pages, 20, 8)
-        assert_identical(reference, fused)
-        assert_lruk_state_identical(reference.policy, fused.policy)
-
-    @needs_numpy
-    def test_declined_kernel_mutates_nothing(self):
-        policy = LRUKPolicy(k=2, correlated_reference_period=5)
-        kernel = policy.make_batch_kernel(8)
-        assert kernel is not None
-        assert kernel([1, 2, -3, 4] * 50, 0) is None
-        assert not policy._resident
-        assert not policy._heap
-        assert not policy.history._blocks
-        assert policy.stats == type(policy.stats)()
-
-    @needs_numpy
-    def test_uncorrelated_probe_declines(self, monkeypatch):
-        """A trace whose hits are nearly all uncorrelated (every gap
-        exceeds the CRP) belongs on the scalar kernel."""
-        monkeypatch.setattr(policy_kernel, "BATCH_PROBE_REFS", 64)
-        pages = list(range(50)) * 6  # every revisit gap is 50 > crp=1
-        policy = LRUKPolicy(k=2, correlated_reference_period=1)
-        kernel = policy.make_batch_kernel(60)
-        assert kernel is not None
-        assert kernel(pages, 0) is None
-        assert not policy._resident
-
-    def test_no_numpy_falls_back_identically(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.setattr(sim_cache, "BATCH_MIN_REFS", 0)
-        pages = self.trace()
-        fused = CacheSimulator(
-            LRUKPolicy(k=2, correlated_reference_period=5), 8)
-        assert fused.run_fused(pages, 20)
-        reference = object_run(
-            LRUKPolicy(k=2, correlated_reference_period=5), pages, 20, 8)
-        assert_identical(reference, fused)
-
-    def test_profiled_policy_offers_no_batch_kernel(self):
-        assert ProfiledPolicy(LRUKPolicy(k=2)).make_batch_kernel(8) is None
-
-    @pytest.mark.parametrize("kwargs", [
-        {"selection": "scan"},
-        {"distinguish_processes": True},
-        {"max_history_blocks": 64},
-        {"retained_information_period": 40},
-        {"correlated_reference_period": 0},
-    ])
-    def test_lruk_variants_offer_no_batch_kernel(self, kwargs):
-        kwargs = {"correlated_reference_period": 5, **kwargs}
-        assert LRUKPolicy(k=2, **kwargs).make_batch_kernel(8) is None
-
-    @pytest.mark.parametrize("name", ["fifo", "clock", "mru", "lfu"])
-    def test_other_policies_default_to_none(self, name):
-        assert make_policy(name).make_batch_kernel(8) is None

@@ -312,34 +312,3 @@ class TestForkEngine:
             workload, [PolicySpec.lru(), PolicySpec.lruk(2)], [5, 10],
             warmup=100, measured=300, seed=0, repetitions=2, jobs=2)
         assert workload.materializations == 2
-
-
-class TestMmapSpillEquivalence:
-    """Sweeps whose traces spill to columnar mmap files (see
-    :mod:`repro.sim.trace_cache`) must render bit-identical tables —
-    the storage of the page ids is invisible to every consumer, serial
-    or forked."""
-
-    def spec(self):
-        from repro.experiments import table_4_2_spec
-        return table_4_2_spec(scale=0.02, n=100, capacities=[8, 16],
-                              repetitions=1, include_equi_effective=False)
-
-    def test_spill_knob_engages(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
-        trace = CachedTrace.materialize(ZipfianWorkload(n=20), 50, 0)
-        assert trace.mmap_backed
-
-    def test_spilled_serial_matches_in_memory(self, monkeypatch):
-        baseline = run_experiment(self.spec(), jobs=1)
-        monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
-        spilled = run_experiment(self.spec(), jobs=1)
-        assert baseline.cells == spilled.cells
-
-    @pytest.mark.skipif(not fork_available(),
-                        reason="parallel engine needs the fork start method")
-    def test_spilled_parallel_matches_in_memory_serial(self, monkeypatch):
-        baseline = run_experiment(self.spec(), jobs=1)
-        monkeypatch.setenv("REPRO_TRACE_SPILL", "1")
-        fanned = run_experiment(self.spec(), jobs=2)
-        assert baseline.cells == fanned.cells

@@ -26,7 +26,11 @@ from repro.sim import (
 )
 from repro.sim import experiment as experiment_module
 from repro.sim import sweep
-from repro.sim.recovery import deserialize_result, serialize_result
+from repro.sim.recovery import (
+    deserialize_result,
+    serialize_result,
+    workload_fingerprint,
+)
 from repro.workloads import ZipfianWorkload
 
 SPECS = [PolicySpec.lru(), PolicySpec.lruk(2)]
@@ -104,6 +108,24 @@ class TestCheckpointRoundTrip:
         fresh = SweepCheckpoint(path, resume=False)
         fresh.close()
         assert os.path.getsize(path) == 0
+
+
+class TestWorkloadFingerprint:
+    def test_fingerprint_reflects_parameters(self):
+        a = workload_fingerprint(ZipfianWorkload(n=100))
+        b = workload_fingerprint(ZipfianWorkload(n=200))
+        assert a.startswith("ZipfianWorkload(")
+        assert a != b
+        assert a == workload_fingerprint(ZipfianWorkload(n=100))
+
+    def test_fingerprint_pins_the_ledger_key(self):
+        """Grid fingerprints hash this string, so changing it would make
+        every existing checkpoint ledger match nothing on resume."""
+        assert workload_fingerprint(ZipfianWorkload(n=100)) == (
+            "ZipfianWorkload(alpha=0.8, beta=0.2, n=100, "
+            "theta=0.1386468838532139)")
+        assert grid_fingerprint(ZipfianWorkload(n=60), SPECS, CAPACITIES,
+                                100, 300, 1, 2) == "33c8740d50228262"
 
 
 class TestResume:

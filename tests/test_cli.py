@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -155,28 +153,3 @@ class TestCheckpointFlags:
             handle.writelines(lines[: len(lines) // 2])  # "interrupted"
         assert main(base + ["--resume"]) == 0
         assert capsys.readouterr().out == full
-
-
-class TestTraceCommands:
-    def test_bake_then_info_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "zipf.rtrc"
-        assert main(["trace", "bake", str(path), "--workload", "zipfian",
-                     "--refs", "5000", "--seed", "9"]) == 0
-        baked = capsys.readouterr().out
-        assert "5000" in baked and str(path) in baked
-        assert main(["trace", "info", str(path)]) == 0
-        info = capsys.readouterr().out
-        assert re.search(r"references:\s+5000", info)
-        assert re.search(r"seed:\s+9", info)
-        assert "ZipfianWorkload" in info
-
-    def test_bake_rejects_nonpositive_refs(self, capsys):
-        assert main(["trace", "bake", "/tmp/never-written.rtrc",
-                     "--refs", "0"]) == 2
-        assert "positive" in capsys.readouterr().err
-
-    def test_info_rejects_a_corrupt_file(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.rtrc"
-        bogus.write_bytes(b"this is not a columnar trace, just bytes\n")
-        assert main(["trace", "info", str(bogus)]) == 1
-        assert "bad magic" in capsys.readouterr().err
