@@ -208,7 +208,7 @@ def _kernel_throughput(policy, pages) -> float:
     kernel = policy.make_kernel(CAPACITY)
     assert kernel is not None, "kernel unavailable"
     started = time.perf_counter()
-    kernel(pages, 0)
+    kernel(pages, 0, None)
     return len(pages) / (time.perf_counter() - started)
 
 

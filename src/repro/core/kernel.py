@@ -5,7 +5,9 @@ default policy family: one function that plays an entire compact page-id
 trace through the full Figure 2.1 algorithm — CRP-aware hit handling,
 history shifts, lazy-heap victim selection, the forced-eviction fallback,
 and the Retained Information purge demon — with every data structure
-bound to a local and zero per-reference allocation.
+bound to a local and zero per-reference allocation. Write-backs are
+counted from the trace's write column as every kernel counts them (see
+:mod:`repro.policies.kernel`).
 
 Where :class:`~repro.core.lruk.LRUKPolicy` driven through
 :meth:`~repro.sim.CacheSimulator.access_page` pays, per reference, a
@@ -35,7 +37,8 @@ from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NoEvictableFrameError
-from ..policies.kernel import KernelResult, SimulationKernel
+from ..policies.base import HEAP_COMPACT_SLACK
+from ..policies.kernel import KernelResult, SimulationKernel, dirty_residents
 from ..types import PageId
 from .history import HistoryBlock
 
@@ -53,7 +56,7 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
       selector's, so the kernel (which fuses the heap selector) would not
       leave bit-identical state behind.
     - ``distinguish_processes``: correlation then depends on per-reference
-      process ids, which a bare page-id stream cannot carry.
+      process ids, which the page and write columns do not carry.
     - ``max_history_blocks``: bounded history memory maintains a second
       block-LRU heap the kernel does not fuse.
     - an attached :class:`~repro.obs.provenance.ProvenanceRecorder`:
@@ -61,8 +64,6 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     - pre-existing residency: the kernel cannot reconstruct mid-run
       driver state.
     """
-    from .lruk import HEAP_COMPACT_SLACK  # local: avoids import cycle
-
     if (policy.selection != "heap" or policy.distinguish_processes
             or policy.max_history_blocks is not None
             or policy.provenance is not None or policy._resident):
@@ -73,7 +74,8 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     store = policy.history
     compact_slack = HEAP_COMPACT_SLACK
 
-    def kernel(pages: Sequence[PageId], warmup: int) -> KernelResult:
+    def kernel(pages: Sequence[PageId], warmup: int,
+               next_write: Optional[Sequence[int]]) -> KernelResult:
         # -- locals-bound policy state ------------------------------------
         stats = policy.stats
         blocks = store._blocks
@@ -87,7 +89,7 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         k2 = k == 2
         # -- locals-accumulated counters, flushed once at the end ---------
         warmup_hits = warmup_misses = hits = misses = 0
-        evictions = infinite = forced = admissions = 0
+        evictions = writebacks = infinite = forced = admissions = 0
         uncorrelated = correlated = compactions = purged = 0
         t = 0
 
@@ -186,8 +188,11 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                                 raise NoEvictableFrameError(
                                     "no resident pages to evict")
                             forced += 1
-                        del resident[victim]
                         evictions += 1
+                        if next_write is None:
+                            del resident[victim]
+                        elif next_write[resident.pop(victim) - 1] < t:
+                            writebacks += 1
                         b = get_block(victim)
                         if b is not None and b.hist[-1] == 0:
                             infinite += 1
@@ -258,7 +263,9 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         stats.forced_evictions += forced
         stats.heap_compactions += compactions
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, resident, t, warmup_ended)
+                            evictions, writebacks, resident,
+                            dirty_residents(resident, next_write, t), t,
+                            warmup_ended)
 
     return kernel
 

@@ -59,14 +59,14 @@ from ..obs.provenance import (
     EvictionDecision,
     ProvenanceRecorder,
 )
-from ..policies.base import NO_EXCLUSIONS, ReplacementPolicy, register_policy_factory
+from ..policies.base import (
+    HEAP_COMPACT_SLACK,
+    NO_EXCLUSIONS,
+    ReplacementPolicy,
+    register_policy_factory,
+)
 from ..types import PageId
 from .history import HistoryBlock, HistoryStore, INFINITE_DISTANCE
-
-#: Lazy-heap compaction slack: the heap is rebuilt from live resident
-#: entries once stale entries exceed ~2x the live population plus this
-#: constant (which keeps tiny buffers from compacting constantly).
-HEAP_COMPACT_SLACK = 64
 
 
 @dataclass

@@ -50,6 +50,12 @@ from ..types import PageId
 #: Empty exclusion set reused by default arguments.
 NO_EXCLUSIONS: FrozenSet[PageId] = frozenset()
 
+#: Lazy-heap compaction slack: policies with a lazy victim heap (LRU-K,
+#: LFU) rebuild it from live resident entries once stale entries exceed
+#: ~2x the live population plus this constant (which keeps tiny buffers
+#: from compacting constantly).
+HEAP_COMPACT_SLACK = 64
+
 
 class ReplacementPolicy(abc.ABC):
     """Abstract page replacement policy. See module docstring for protocol."""
@@ -131,12 +137,12 @@ class ReplacementPolicy(abc.ABC):
     def make_kernel(self, capacity: int):
         """Return a fused simulation kernel for this policy, or None.
 
-        A kernel is a closure ``kernel(pages, warmup) ->
+        A kernel is a closure ``kernel(pages, warmup, next_write) ->
         :class:`repro.policies.kernel.KernelResult`` that runs an entire
-        compact page-id trace in one loop, decision-identically to
-        driving :meth:`repro.sim.CacheSimulator.access_page` one
-        reference at a time (see :mod:`repro.policies.kernel` for the
-        full contract). The default — no kernel — keeps every policy on
+        compact trace (page column, write column or None) in one loop,
+        decision-identically to driving
+        :meth:`repro.sim.CacheSimulator.access` one reference at a time
+        (see :mod:`repro.policies.kernel` for the full contract). The default — no kernel — keeps every policy on
         the object path; policies with a fused implementation override
         this and may still return None for configurations (or live
         state) the fused loop does not replicate.

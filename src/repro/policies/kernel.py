@@ -11,18 +11,30 @@ decision procedure is fixed for the whole run.
 A *simulation kernel* removes the dispatch. A policy may override
 :meth:`~repro.policies.base.ReplacementPolicy.make_kernel` to return a
 closure that processes an **entire compact page-id trace** (the
-``array('q')`` form of :class:`repro.sim.trace_cache.CachedTrace`) in one
-fused loop with the policy's data structures bound to locals, stat
+``array('q')`` page column of :class:`repro.sim.trace_cache.CachedTrace`)
+in one fused loop with the policy's data structures bound to locals, stat
 counters accumulated in plain ints, and no per-reference allocation.
+
+A trace with writes also carries a write column, ``next_write``:
+``next_write[i]`` is the time of the first write to ``pages[i]`` at or
+after time ``i + 1`` (times are 1-based, so that is the reference
+itself), or ``len(pages) + 1`` when none follows. A page admitted at
+time ``a`` is dirty at time ``t`` exactly when it was written at some
+time in ``[a, t]``, that is when ``next_write[a - 1] <= t``; a victim
+evicted by the miss at ``t`` (a reference to another page) is written
+back when ``next_write[a - 1] < t``. So a kernel counts write-backs with
+one array read per eviction and nothing per reference, and a plain trace
+passes ``None`` and pays only an ``is None`` test per eviction.
 
 The contract every kernel must honour:
 
-- **Decision-identical.** Driving ``kernel(pages, warmup)`` from a fresh
-  simulator produces the same hit/miss sequence, the same evictions, the
-  same final policy state (residency, history, heap contents as a
-  multiset, stats counters) as calling ``access_page(page)`` once per
-  reference with ``start_measurement()`` at the warm-up boundary. This is
-  property-tested in ``tests/sim/test_kernels.py``.
+- **Decision-identical.** Driving ``kernel(pages, warmup, next_write)``
+  from a fresh simulator produces the same hit/miss sequence, the same
+  evictions and write-backs, the same final policy state (residency,
+  history, heap contents as a multiset, stats counters) as calling
+  ``access(reference)`` once per reference with ``start_measurement()``
+  at the warm-up boundary. This is property-tested in
+  ``tests/sim/test_kernels.py``, on read-only and on write-bit traces.
 - **State-synchronizing.** On return the policy's own bookkeeping is
   exactly what the object path would have left behind, so introspection
   (``resident_pages``, history blocks, stats) and any further object-path
@@ -44,31 +56,35 @@ The contract every kernel must honour:
   replicate — then the driver silently falls back.
 
 ``make_kernel(capacity)`` returns either ``None`` (no kernel for this
-configuration) or a callable ``kernel(pages, warmup) -> KernelResult``.
-``warmup`` is non-negative (``run_fused`` checks). Kernels split the trace
-at the warm-up boundary with one shared iterator, never a slice, so a
-run allocates nothing proportional to the trace.
+configuration) or a callable ``kernel(pages, warmup, next_write) ->
+KernelResult``. ``warmup`` is non-negative (``run_fused`` checks).
+Kernels split the trace at the warm-up boundary with one shared
+iterator, never a slice, so a run allocates nothing proportional to the
+trace.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import islice
 from time import perf_counter_ns
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import NoEvictableFrameError
 from ..types import PageId
+from .base import HEAP_COMPACT_SLACK
 
 __all__ = [
     "KernelResult",
     "SimulationKernel",
+    "dirty_residents",
     "lru_stack_hits",
     "make_a0_kernel",
     "make_clock_kernel",
     "make_fifo_kernel",
+    "make_lfu_kernel",
     "make_lru_kernel",
 ]
 
@@ -90,9 +106,13 @@ class KernelResult:
     misses: int
     #: Total evictions over both windows.
     evictions: int
+    #: Evictions of pages written while resident, over both windows.
+    writebacks: int
     #: Surviving resident pages mapped to their admission times, in
     #: admission order — exactly the simulator's ``_admitted_at`` map.
     resident: Dict[PageId, int]
+    #: The surviving residents written since their admission.
+    dirty: List[PageId]
     #: Final logical time (= number of references processed).
     now: int
     #: ``time.perf_counter_ns()`` when the warm-up window ended, so the
@@ -101,8 +121,20 @@ class KernelResult:
     warmup_ended_ns: int
 
 
-#: A fused trace runner: (compact page ids, warm-up length) -> result.
-SimulationKernel = Callable[[Sequence[PageId], int], KernelResult]
+#: A fused trace runner: (compact page ids, warm-up length, write column
+#: or None) -> result.
+SimulationKernel = Callable[[Sequence[PageId], int, Optional[Sequence[int]]],
+                            KernelResult]
+
+
+def dirty_residents(resident: Dict[PageId, int],
+                    next_write: Optional[Sequence[int]],
+                    now: int) -> List[PageId]:
+    """The residents (page -> admission time) written by time ``now``."""
+    if next_write is None:
+        return []
+    return [page for page, admitted in resident.items()
+            if next_write[admitted - 1] <= now]
 
 
 def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
@@ -116,11 +148,13 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     if policy._resident:
         return None
 
-    def kernel(pages: Sequence[PageId], warmup: int) -> KernelResult:
+    def kernel(pages: Sequence[PageId], warmup: int,
+               next_write: Optional[Sequence[int]]) -> KernelResult:
         order = policy._order
         move_to_end = order.move_to_end
         admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = evictions = 0
+        warmup_hits = warmup_misses = hits = misses = 0
+        evictions = writebacks = 0
         t = 0
         remaining = iter(pages)
         for boundary, segment in enumerate((islice(remaining, warmup),
@@ -135,8 +169,11 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                     if len(order) >= capacity:
                         victim = next(iter(order))
                         del order[victim]
-                        del admitted[victim]
                         evictions += 1
+                        if next_write is None:
+                            del admitted[victim]
+                        elif next_write[admitted.pop(victim) - 1] < t:
+                            writebacks += 1
                     order[page] = None
                     admitted[page] = t
             if boundary == 0:
@@ -145,7 +182,9 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                 warmup_ended = perf_counter_ns()
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t, warmup_ended)
+                            evictions, writebacks, admitted,
+                            dirty_residents(admitted, next_write, t), t,
+                            warmup_ended)
 
     return kernel
 
@@ -205,10 +244,12 @@ def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     if policy._resident:
         return None
 
-    def kernel(pages: Sequence[PageId], warmup: int) -> KernelResult:
+    def kernel(pages: Sequence[PageId], warmup: int,
+               next_write: Optional[Sequence[int]]) -> KernelResult:
         order = policy._order
         admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = evictions = 0
+        warmup_hits = warmup_misses = hits = misses = 0
+        evictions = writebacks = 0
         t = 0
         remaining = iter(pages)
         for boundary, segment in enumerate((islice(remaining, warmup),
@@ -222,8 +263,11 @@ def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                     if len(order) >= capacity:
                         victim = next(iter(order))
                         del order[victim]
-                        del admitted[victim]
                         evictions += 1
+                        if next_write is None:
+                            del admitted[victim]
+                        elif next_write[admitted.pop(victim) - 1] < t:
+                            writebacks += 1
                     order[page] = None
                     admitted[page] = t
             if boundary == 0:
@@ -232,7 +276,9 @@ def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                 warmup_ended = perf_counter_ns()
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t, warmup_ended)
+                            evictions, writebacks, admitted,
+                            dirty_residents(admitted, next_write, t), t,
+                            warmup_ended)
 
     return kernel
 
@@ -249,12 +295,14 @@ def make_a0_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     if policy._resident:
         return None
 
-    def kernel(pages: Sequence[PageId], warmup: int) -> KernelResult:
+    def kernel(pages: Sequence[PageId], warmup: int,
+               next_write: Optional[Sequence[int]]) -> KernelResult:
         beta_of = policy._beta.get
         heap = policy._heap
         live = policy._live
         admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = evictions = 0
+        warmup_hits = warmup_misses = hits = misses = 0
+        evictions = writebacks = 0
         t = 0
         remaining = iter(pages)
         for boundary, segment in enumerate((islice(remaining, warmup),
@@ -272,8 +320,11 @@ def make_a0_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                                 break
                             heappop(heap)  # stale (evicted) entry
                         del live[victim]
-                        del admitted[victim]
                         evictions += 1
+                        if next_write is None:
+                            del admitted[victim]
+                        elif next_write[admitted.pop(victim) - 1] < t:
+                            writebacks += 1
                     beta = beta_of(page, 0.0)
                     live[page] = beta
                     admitted[page] = t
@@ -284,7 +335,9 @@ def make_a0_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                 warmup_ended = perf_counter_ns()
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t, warmup_ended)
+                            evictions, writebacks, admitted,
+                            dirty_residents(admitted, next_write, t), t,
+                            warmup_ended)
 
     return kernel
 
@@ -299,14 +352,16 @@ def make_clock_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     if policy._resident:
         return None
 
-    def kernel(pages: Sequence[PageId], warmup: int) -> KernelResult:
+    def kernel(pages: Sequence[PageId], warmup: int,
+               next_write: Optional[Sequence[int]]) -> KernelResult:
         ring = policy._ring
         ring_pages = ring.pages
         slot_of = ring.slot_of
         hand = ring.hand
         referenced = policy._referenced
         admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = evictions = 0
+        warmup_hits = warmup_misses = hits = misses = 0
+        evictions = writebacks = 0
         t = 0
         remaining = iter(pages)
         for boundary, segment in enumerate((islice(remaining, warmup),
@@ -338,8 +393,11 @@ def make_clock_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                                 "CLOCK sweep found no evictable page")
                         ring_pages[slot_of.pop(victim)] = None
                         del referenced[victim]
-                        del admitted[victim]
                         evictions += 1
+                        if next_write is None:
+                            del admitted[victim]
+                        elif next_write[admitted.pop(victim) - 1] < t:
+                            writebacks += 1
                         # _SweepBuffer.compact_if_needed, inline.
                         if len(slot_of) * 2 < len(ring_pages):
                             ring_pages = [p for p in ring_pages
@@ -360,6 +418,78 @@ def make_clock_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         ring.hand = hand
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, admitted, t, warmup_ended)
+                            evictions, writebacks, admitted,
+                            dirty_residents(admitted, next_write, t), t,
+                            warmup_ended)
+
+    return kernel
+
+
+def make_lfu_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
+    """Fused loop for never-forgetting LFU.
+
+    Mirrors :class:`~repro.policies.lfu.LFUPolicy`: every reference bumps
+    the page's lifetime count and pushes a fresh ``(count, last, page)``
+    entry onto the lazy min-heap. A miss on a full buffer first drops
+    stale heap tops — entries of evicted pages or superseded by a later
+    reference, which the policy's ``_last_access`` test recognizes — and
+    then evicts the live top in place: the object path pops that entry
+    and pushes it back, so both leave the same heap multiset behind. The
+    heap is rebuilt from the residents exactly when the policy rebuilds
+    it.
+    """
+    if policy._resident:
+        return None
+
+    def kernel(pages: Sequence[PageId], warmup: int,
+               next_write: Optional[Sequence[int]]) -> KernelResult:
+        count = policy._count
+        count_of = count.get
+        last_access = policy._last_access
+        heap = policy._heap
+        admitted: Dict[PageId, int] = {}
+        warmup_hits = warmup_misses = hits = misses = 0
+        evictions = writebacks = 0
+        t = 0
+        remaining = iter(pages)
+        for boundary, segment in enumerate((islice(remaining, warmup),
+                                            remaining)):
+            for page in segment:
+                t += 1
+                if page in admitted:
+                    hits += 1
+                else:
+                    misses += 1
+                    if len(admitted) >= capacity:
+                        while True:
+                            _, last, victim = heap[0]
+                            if (last_access[victim] == last
+                                    and victim in admitted):
+                                break
+                            heappop(heap)  # stale entry
+                        evictions += 1
+                        if next_write is None:
+                            del admitted[victim]
+                        elif next_write[admitted.pop(victim) - 1] < t:
+                            writebacks += 1
+                    admitted[page] = t
+                # LFUPolicy._bump, inline.
+                references = count_of(page, 0) + 1
+                count[page] = references
+                last_access[page] = t
+                heappush(heap, (references, t, page))
+                if len(heap) > 2 * len(admitted) + HEAP_COMPACT_SLACK:
+                    heap = [(count[p], last_access[p], p) for p in admitted]
+                    heapify(heap)
+            if boundary == 0:
+                warmup_hits, warmup_misses = hits, misses
+                hits = misses = 0
+                warmup_ended = perf_counter_ns()
+        policy._heap = heap
+        policy._resident.update(admitted)
+        return KernelResult(warmup_hits, warmup_misses, hits, misses,
+                            evictions, writebacks, admitted,
+                            dirty_residents(admitted, next_write, t), t,
+                            warmup_ended)
 
     return kernel

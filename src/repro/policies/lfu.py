@@ -13,8 +13,11 @@ GCLOCK/LRD family, whose ``aging_period`` knob is precisely the kind of
 "workload-dependent parameter" the paper criticizes; ablation A8 sweeps it.
 
 Victim selection uses a lazy min-heap keyed ``(count, last_access)``: each
-access pushes a fresh entry; stale entries are discarded when popped. This
-gives O(log B) amortized victim choice even though counts only grow.
+access pushes a fresh entry; stale entries are discarded when popped, and
+the heap is rebuilt from the live resident entries once stale ones
+dominate, as LRU-K's is. This gives O(log B) amortized victim choice even
+though counts only grow. The same loop runs fused over a whole compact
+trace in :func:`repro.policies.kernel.make_lfu_kernel`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError, NoEvictableFrameError
 from ..types import PageId
-from .base import NO_EXCLUSIONS, ReplacementPolicy, register_policy
+from .base import (
+    HEAP_COMPACT_SLACK,
+    NO_EXCLUSIONS,
+    ReplacementPolicy,
+    register_policy,
+)
 
 
 @register_policy("lfu")
@@ -42,6 +50,12 @@ class LFUPolicy(ReplacementPolicy):
         self._count[page] = self._count.get(page, 0) + 1
         self._last_access[page] = now
         heapq.heappush(self._heap, (self._count[page], now, page))
+        # Every reference supersedes the page's previous entry; rebuild
+        # once stale entries dominate, so the heap stays O(B), not O(T).
+        if len(self._heap) > 2 * len(self._resident) + HEAP_COMPACT_SLACK:
+            self._heap = [(self._count[p], self._last_access[p], p)
+                          for p in self._resident]
+            heapq.heapify(self._heap)
 
     def on_hit(self, page: PageId, now: int) -> None:
         super().on_hit(page, now)
@@ -81,6 +95,10 @@ class LFUPolicy(ReplacementPolicy):
     def reference_count(self, page: PageId) -> int:
         """Lifetime reference count of a page (0 if never seen)."""
         return self._count.get(page, 0)
+
+    def make_kernel(self, capacity: int):
+        from .kernel import make_lfu_kernel
+        return make_lfu_kernel(self, capacity)
 
     def reset(self) -> None:
         super().reset()
@@ -125,6 +143,10 @@ class AgedLFUPolicy(LFUPolicy):
     def on_admit(self, page: PageId, now: int) -> None:
         self._maybe_age(now)
         super().on_admit(page, now)
+
+    def make_kernel(self, capacity: int) -> None:
+        """No kernel: the LFU loop does not replicate periodic halving."""
+        return None
 
     def reset(self) -> None:
         super().reset()

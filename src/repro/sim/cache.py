@@ -55,11 +55,11 @@ class CacheSimulator:
             raise ConfigurationError("buffer capacity must be positive")
         self.policy = policy
         self.capacity = capacity
-        # The fast integer path may skip the observe() hook: the base
-        # implementation is a no-op, and policies whose override only
-        # consumes metadata that bare-page-id streams cannot carry opt
-        # out via ``observe_optional`` (LRU-K does, unless it is
-        # distinguishing processes).
+        # The fast integer path and the fused kernels may skip the
+        # observe() hook: the base implementation is a no-op, and
+        # policies whose override only consumes metadata they do not act
+        # on opt out via ``observe_optional`` (LRU-K does, unless it is
+        # distinguishing processes). Otherwise run_fused declines.
         self._wants_observe = (
             type(policy).observe is not ReplacementPolicy.observe
             and not getattr(policy, "observe_optional", False))
@@ -171,16 +171,20 @@ class CacheSimulator:
             obs.emit(AccessEvent(time=t, page=page, hit=hit, write=False))
         return hit
 
-    def run_fused(self, pages: Sequence[PageId], warmup: int) -> bool:
-        """Play a compact page-id trace through the policy's fused kernel.
+    def run_fused(self, pages: Sequence[PageId], warmup: int,
+                  next_write: Optional[Sequence[int]] = None) -> bool:
+        """Play a compact trace through the policy's fused kernel.
 
-        The fused path (see :mod:`repro.policies.kernel`) runs the whole
-        warm-up + measurement protocol in one loop with the policy's
-        structures bound to locals — no per-reference hook dispatch, no
+        ``pages`` and ``next_write`` are the page and write columns of a
+        :class:`~repro.sim.trace_cache.CachedTrace` (``next_write`` is
+        None for a trace without writes). The fused path (see
+        :mod:`repro.policies.kernel`) runs the whole warm-up +
+        measurement protocol in one loop with the policy's structures
+        bound to locals — no per-reference hook dispatch, no
         :class:`~repro.types.Reference`/:class:`~repro.types.AccessOutcome`
-        allocation — and is decision-identical to calling
-        :meth:`access_page` once per reference with
-        :meth:`start_measurement` at the boundary.
+        allocation — and is decision-identical to calling :meth:`access`
+        once per reference with :meth:`start_measurement` at the
+        boundary, write-backs and dirty residents included.
 
         Returns True when a kernel ran (the simulator's counters, clock,
         residency and :attr:`tier` then reflect the completed run), or
@@ -191,6 +195,9 @@ class CacheSimulator:
           (:attr:`repro.obs.EventDispatcher.takes_references`), a
           provenance recorder, or the eviction log (kernels emit no
           per-reference record by contract);
+        - the policy reads each reference through an ``observe`` hook
+          it does not declare optional (kernels never call it, so such
+          a policy would lose the process ids it reads);
         - the simulator already processed references (kernels replay
           whole runs from a fresh state only);
         - the policy offers no kernel for its configuration (hook
@@ -208,6 +215,7 @@ class CacheSimulator:
         obs = self._obs
         if (self.eviction_log is not None or self._provenance is not None
                 or (obs is not None and obs.takes_references)
+                or self._wants_observe
                 or self.clock.now != 0 or self.counter.total):
             return False
         factory = getattr(self.policy, "make_kernel", None)
@@ -216,7 +224,7 @@ class CacheSimulator:
         kernel = factory(self.capacity)
         if kernel is None:
             return False
-        result = kernel(pages, warmup)
+        result = kernel(pages, warmup, next_write)
         self.tier = "kernel"
         self.warmup_ended_ns = result.warmup_ended_ns
         self.clock.advance(result.now)
@@ -225,7 +233,9 @@ class CacheSimulator:
         self.counter.hits = result.hits
         self.counter.misses = result.misses
         self.evictions += result.evictions
+        self.writebacks += result.writebacks
         self._resident = dict.fromkeys(result.resident, False)
+        self._resident.update(dict.fromkeys(result.dirty, True))
         self._admitted_at = dict(result.resident)
         return True
 

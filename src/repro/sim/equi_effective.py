@@ -109,9 +109,7 @@ def _stack_curves(workload: Workload, baseline: PolicySpec, capacity: int,
                               repetitions=repetitions, references=total):
         for repetition in range(repetitions):
             trace = trace_cache.get(workload, total, seed + repetition)
-            pages = (trace.page_ids() if trace.plain
-                     else [reference.page for reference in trace.references()])
-            curves.append(stack_hits(pages, warmup))
+            curves.append(stack_hits(trace.page_ids(), warmup))
     return curves
 
 

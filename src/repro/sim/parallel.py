@@ -20,7 +20,11 @@ in-process execution with the same shared cache.
 
 Workers run unobserved: the parent's ambient event dispatcher (and its
 file sinks) must not be written from forked children, so the first thing
-a worker task does is clear the inherited ambient dispatcher. Progress
+a worker task does is clear the inherited ambient dispatcher. A worker
+still runs each cell on the tier a serial sweep would: while the
+parent's dispatcher takes per-reference events, worker runs take the
+object path too and drop those events, so the relayed ``sim.tier.*``
+counters match a serial sweep's. Progress
 is instead narrated from the parent — one line per *completed* cell, in
 completion order, through the usual ``progress`` callback or as
 :class:`~repro.obs.events.ProgressEvent`s on the dispatcher — so
@@ -54,7 +58,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
 from ..obs import trace as obs_trace
-from ..obs.dispatcher import EventDispatcher
+from ..obs.dispatcher import CallbackSink, EventDispatcher
 from ..obs.events import CellFailureEvent, ProgressEvent
 from ..obs.registry import MetricsRegistry
 from ..workloads.base import Workload
@@ -109,6 +113,10 @@ class _SweepJob:
     #: Accumulate metrics in a worker-local registry and relay the
     #: counter values and histogram states for the parent to merge.
     collect_metrics: bool = False
+    #: The parent dispatcher's ``takes_references``: a sink that takes
+    #: per-reference events demotes serial runs to the object path, so
+    #: worker runs take it too (their events are dropped).
+    takes_references: bool = False
 
 
 @dataclass
@@ -150,12 +158,16 @@ def _run_cell(job_id: int, spec_index: int, capacity: int) -> _CellOutput:
     obs_trace.deactivate()
     job = _SHARED[job_id]
     registry = MetricsRegistry() if job.collect_metrics else None
+    observability = None
+    if job.takes_references:
+        observability = EventDispatcher()
+        observability.attach(CallbackSink(lambda event, context: None))
 
     def cell() -> ProtocolResult:
         return run_paper_protocol(
             job.workload, job.specs[spec_index], capacity,
             job.warmup, job.measured, seed=job.seed,
-            repetitions=job.repetitions, observability=None,
+            repetitions=job.repetitions, observability=observability,
             trace_cache=job.trace_cache, metrics=registry)
 
     if job.trace:
@@ -435,7 +447,8 @@ def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
         measured=run.measured, seed=run.seed, repetitions=run.repetitions,
         trace_cache=run.cache, trace=tracer is not None,
         profile_hooks=tracer is not None and tracer.profile_hooks,
-        collect_metrics=run.registry is not None)
+        collect_metrics=run.registry is not None,
+        takes_references=run.obs is not None and run.obs.takes_references)
     last: Optional[Tuple[Dict[str, float], str]] = None
     try:
         window: Dict[Future, _Cell] = {}

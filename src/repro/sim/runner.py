@@ -171,9 +171,12 @@ def measure_hit_ratio(policy: ReplacementPolicy,
     """Drive one policy over a reference string with a warm-up boundary.
 
     ``references`` is either a sequence of :class:`~repro.types.Reference`
-    objects or a :class:`~repro.sim.trace_cache.CachedTrace`; plain cached
-    traces are driven through the simulator's fast integer path
-    (:meth:`CacheSimulator.access_page`), which is decision-identical.
+    objects or a :class:`~repro.sim.trace_cache.CachedTrace`. A cached
+    trace is offered whole to the policy's fused kernel
+    (:meth:`CacheSimulator.run_fused`, which decides); when it declines,
+    plain traces are driven through the simulator's fast integer path
+    (:meth:`CacheSimulator.access_page`) and others through
+    :meth:`CacheSimulator.access`, all decision-identical.
 
     Returns the simulator so callers can pull any statistic; the hit ratio
     of the measurement window is ``simulator.hit_ratio``. When an event
@@ -200,25 +203,25 @@ def measure_hit_ratio(policy: ReplacementPolicy,
 
     measured = len(references) - warmup
     stream: Optional[Iterator] = None
-    if isinstance(references, CachedTrace) and references.plain:
-        # Pre-normalized stream: bare page ids. Offer the whole trace to
-        # the policy's fused kernel first (decision-identical, no
-        # per-reference dispatch); run_fused declines — returning False —
-        # whenever a per-reference channel is attached or no kernel
-        # exists, and the per-reference fast path below takes over.
+    if isinstance(references, CachedTrace):
+        # Offer the whole trace to the policy's fused kernel first
+        # (decision-identical, no per-reference dispatch); run_fused
+        # declines — returning False — whenever a per-reference channel
+        # is attached, the policy reads references through observe(), or
+        # no kernel exists, and a per-reference path below takes over.
         pages = references.page_ids()
         tracer = obs_trace.current()
         started = _phase_clock() if tracer is not None else None
-        if simulator.run_fused(pages, warmup):
+        if simulator.run_fused(pages, warmup, references.next_write):
             if tracer is not None:
                 _record_kernel_phases(tracer, started,
                                       simulator.warmup_ended_ns,
                                       warmup, measured)
-        else:
+        elif references.plain:
             access, stream = simulator.access_page, iter(pages)
+        else:
+            access, stream = simulator.access, iter(references.references())
     else:
-        if isinstance(references, CachedTrace):
-            references = references.references()
         access, stream = simulator.access, iter(references)
     if stream is not None:
         # One iterator split at the boundary: the trace is never copied.
@@ -301,6 +304,8 @@ def _record_protocol_counters(registry: MetricsRegistry,
     """Fold one finished run's totals into protocol.* counters."""
     counter = registry.counter
     counter("protocol.runs").inc()
+    # The registry has no labels: one flat counter per execution tier.
+    counter(f"sim.tier.{simulator.tier}").inc()
     measured = simulator.counter
     warm = simulator.warmup_counter
     references = measured.hits + measured.misses

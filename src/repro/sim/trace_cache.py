@@ -10,14 +10,13 @@ P policies and B buffer sizes therefore sampled the same stream
 ``P × B`` times.
 
 :class:`TraceCache` materializes each ``(workload, seed, total)`` string
-exactly once and hands out a :class:`CachedTrace` — a compact
-array-of-page-ids form when the stream carries no metadata (all reads,
-no process/transaction ids), with lazy :class:`~repro.types.Reference`
-reconstruction for consumers that need full reference objects. The
-compact form is also what the parallel engine
+exactly once and hands out a :class:`CachedTrace`: an ``array('q')``
+column of page ids, a write column when the stream writes, and the full
+:class:`~repro.types.Reference` list only when references carry process
+or transaction ids. Those columns are what the parallel engine
 (:mod:`repro.sim.parallel`) shares with forked workers copy-on-write:
-one ``array('q')`` per seed instead of one Python object per reference
-per process.
+one ``array('q')`` per column per seed instead of one Python object per
+reference per process.
 
 Oracles get :meth:`CachedTrace.page_ids` — the *same* array every
 policy's victim-selection future is read from — instead of a fresh
@@ -29,43 +28,51 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..types import PageId, Reference
-from ..workloads.base import Workload, compact_reference_pages
+from ..types import AccessKind, PageId, Reference
+from ..workloads.base import Workload
 
 
 class CachedTrace:
-    """One materialized reference string, stored as compactly as possible.
+    """One materialized reference string, stored as columns.
 
-    ``plain`` traces (every reference a metadata-free read) keep only an
-    ``array('q')`` of page ids — 8 bytes per reference instead of a
-    ~100-byte ``Reference`` object — and rebuild ``Reference`` objects
-    lazily, only if a consumer insists on them. Traces that carry writes
-    or process/transaction ids (e.g. the Section 4.3 OLTP generator)
-    keep the full reference list, with the page-id array derived lazily
-    for oracle consumption.
+    Every trace holds an ``array('q')`` of page ids — 8 bytes per
+    reference instead of a ~100-byte ``Reference`` object. A trace with
+    writes also holds :attr:`next_write`, the write column the fused
+    kernels count write-backs from (see :mod:`repro.policies.kernel`).
+    Only a trace whose references carry process or transaction ids keeps
+    its ``Reference`` list, for the policies that read them; any other
+    trace rebuilds ``Reference`` objects lazily, only if a consumer
+    insists on them.
 
-    A run reads a plain trace front to back with one iterator and never
-    copies it, so forked sweep workers share the parent's page-id
-    buffer instead of each holding a private copy.
+    A run reads the columns front to back with one iterator and never
+    copies them, so forked sweep workers share the parent's buffers
+    instead of each holding a private copy.
     """
 
-    __slots__ = ("_pages", "_references")
+    __slots__ = ("_pages", "_next_write", "_references")
 
-    def __init__(self, pages: Optional[Sequence[PageId]],
-                 references: Optional[List[Reference]]) -> None:
-        if pages is None and references is None:
-            raise ValueError("a trace needs pages or references")
+    def __init__(self, pages: Sequence[PageId],
+                 next_write: Optional[Sequence[int]] = None,
+                 references: Optional[List[Reference]] = None) -> None:
         self._pages = pages
+        self._next_write = next_write
         self._references = references
 
     @classmethod
     def from_references(cls, references: Sequence[Reference]) -> "CachedTrace":
-        """Compact a materialized reference list (drops it when plain)."""
+        """Columns of a materialized reference list.
+
+        The list itself is kept only when some reference carries a
+        process or transaction id; the page and write columns represent
+        every other stream exactly.
+        """
         references = list(references)
-        pages = compact_reference_pages(references)
-        if pages is not None:
-            return cls(pages, None)  # plain: keep only the page ids
-        return cls(None, references)
+        pages = array("q", [ref.page for ref in references])
+        writes = any(ref.kind is AccessKind.WRITE for ref in references)
+        annotated = any(ref.process_id is not None or ref.txn_id is not None
+                        for ref in references)
+        return cls(pages, _next_writes(references) if writes else None,
+                   references if annotated else None)
 
     @classmethod
     def materialize(cls, workload: Workload, total: int,
@@ -81,48 +88,72 @@ class CachedTrace:
         pages = workload.page_ids(total, seed=seed)
         if pages is None:
             return cls.from_references(workload.references(total, seed=seed))
-        return cls(pages, None)
+        return cls(pages)
 
     @property
     def plain(self) -> bool:
         """True when every reference is a metadata-free read."""
-        return self._references is None
+        return self._next_write is None and self._references is None
+
+    @property
+    def next_write(self) -> Optional[Sequence[int]]:
+        """The write column, or None when the trace never writes.
+
+        ``next_write[i]`` is the time of the first write to
+        ``page_ids()[i]`` at or after time ``i + 1`` (the reference's own
+        1-based time), or ``len(self) + 1`` when the page is not written
+        again.
+        """
+        return self._next_write
 
     def __len__(self) -> int:
-        if self._pages is not None:
-            return len(self._pages)
-        return len(self._references)
+        return len(self._pages)
 
     def page_ids(self, limit: Optional[int] = None) -> Sequence[PageId]:
-        """The page-id sequence (shared, not a copy) — what oracles need.
+        """The page-id column (shared, not a copy) — what oracles need.
 
-        ``limit`` asks for only the first ``limit`` ids: plain traces
-        hand back a slice, and reference-backed traces materialize just
-        the prefix instead of compacting the whole string — `repro
-        explain` replaying the head of a long trace never touches the
-        tail.
+        ``limit`` asks for only the first ``limit`` ids, as a slice —
+        `repro explain` replaying the head of a long trace never scans
+        the tail.
         """
-        if self._pages is None:
-            if limit is not None and limit < len(self._references):
-                return array(
-                    "q", (ref.page for ref in self._references[:limit]))
-            self._pages = array("q", (ref.page for ref in self._references))
         if limit is not None and limit < len(self._pages):
             return self._pages[:limit]
         return self._pages
 
     def references(self) -> List[Reference]:
-        """Full ``Reference`` objects, reconstructed lazily for plain traces.
+        """Full ``Reference`` objects, reconstructed lazily from the columns.
 
-        For a plain trace the rebuilt list is *not* retained: caching it
-        would pin ~100 bytes per reference for the rest of the sweep and
-        flip :attr:`plain` off, losing the compact-array fast path for
-        every later consumer. Callers that need the list repeatedly
+        A trace without process or transaction ids does *not* retain the
+        rebuilt list: caching it would pin ~100 bytes per reference for
+        the rest of the sweep. Callers that need the list repeatedly
         should keep their own reference to it.
         """
         if self._references is not None:
             return self._references
-        return [Reference(page=page) for page in self._pages]
+        next_write = self._next_write
+        if next_write is None:
+            return [Reference(page=page) for page in self._pages]
+        return [Reference(page=page, kind=AccessKind.WRITE)
+                if next_write[i] == i + 1 else Reference(page=page)
+                for i, page in enumerate(self._pages)]
+
+
+def _next_writes(references: Sequence[Reference]) -> array:
+    """The write column of a reference list (see :attr:`CachedTrace.
+    next_write`), built in one backward pass."""
+    total = len(references)
+    column = array("q", bytes(8 * total))
+    upcoming: Dict[PageId, int] = {}
+    upcoming_write = upcoming.get
+    never = total + 1
+    write = AccessKind.WRITE
+    for i in range(total - 1, -1, -1):
+        ref = references[i]
+        page = ref.page
+        if ref.kind is write:
+            upcoming[page] = i + 1
+        column[i] = upcoming_write(page, never)
+    return column
 
 
 #: Cache key: (workload identity, reference count, seed).

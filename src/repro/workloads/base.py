@@ -130,8 +130,10 @@ def compact_reference_pages(
     Returns the array only when every reference is *plain* — a read with
     no process/transaction annotation — so that the page id alone
     reconstructs the reference exactly. Streams carrying writes or
-    process ids (the OLTP trace) return None and must stay as full
-    :class:`~repro.types.Reference` sequences.
+    process ids (the OLTP trace) return None;
+    :meth:`repro.sim.CachedTrace.from_references` stores those as a
+    page column plus a write column and, when ids are present, the
+    :class:`~repro.types.Reference` list.
     """
     pages = array("q")
     append = pages.append

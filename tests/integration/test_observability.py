@@ -6,13 +6,14 @@ import pytest
 
 from repro import CacheSimulator, LRUKPolicy
 from repro.cli import main
+from repro.experiments import table_4_3_spec
 from repro.obs import (
     EventDispatcher,
     MetricsRegistry,
     RingBufferSink,
     runtime,
 )
-from repro.sim import measure_hit_ratio
+from repro.sim import measure_hit_ratio, run_experiment
 from repro.workloads import ZipfianWorkload
 
 
@@ -120,3 +121,32 @@ class TestCliObservability:
 
     def test_ambient_dispatcher_cleared_after_cli_run(self, jsonl):
         assert runtime.current() is None
+
+
+class TestTierCounters:
+    """Every run counts the tier that executed it, once."""
+
+    def test_registry_only_dispatcher_keeps_table_4_3_on_kernels(self):
+        dispatcher = EventDispatcher()
+        dispatcher.metrics = MetricsRegistry()
+        run_experiment(table_4_3_spec(scale=0.02, repetitions=1),
+                       observability=dispatcher)
+        counters = dispatcher.metrics.counter_values()
+        assert counters["sim.tier.kernel"] == 42
+        assert counters.get("sim.tier.object", 0) == 0
+        assert counters["protocol.runs"] == 42
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_metrics_out_counts_every_run_as_object(self, tmp_path,
+                                                     capsys, jobs):
+        # --metrics-out attaches a sink that takes every access, which
+        # demotes each run to the object path, in forked workers too.
+        path = tmp_path / "metrics.jsonl"
+        assert main(["table4.3", "--scale", "0.02", "--repetitions", "1",
+                     "--quiet", "--jobs", jobs,
+                     "--metrics-out", str(path)]) == 0
+        capsys.readouterr()
+        final = json.loads(path.read_text().splitlines()[-1])
+        counters = final["counters"]
+        assert counters["sim.tier.object"] == 42
+        assert counters.get("sim.tier.kernel", 0) == 0

@@ -1,15 +1,15 @@
 """Observed table runs compute on the same tier as plain ones.
 
-A traced or narrated Table 4.1/4.2 run must render the untraced table,
-run every cell on a fused kernel, and record the same span tree the
-object path records: each ``simulate`` span names its tier and holds
+A traced or narrated Table 4.1/4.2/4.3 run must render the untraced
+table, run every cell on a fused kernel, and record the same span tree
+the object path records: each ``simulate`` span names its tier and holds
 one ``warmup`` and one ``measure`` child.
 """
 
 import pytest
 
 from repro.cli import main
-from repro.experiments import table_4_1_spec, table_4_2_spec
+from repro.experiments import table_4_1_spec, table_4_2_spec, table_4_3_spec
 from repro.obs import Tracer
 from repro.obs import trace as obs_trace
 from repro.sim import run_experiment
@@ -17,6 +17,7 @@ from repro.sim import run_experiment
 SPECS = {
     "4.1": lambda: table_4_1_spec(scale=0.05, repetitions=1),
     "4.2": lambda: table_4_2_spec(scale=0.05, repetitions=1),
+    "4.3": lambda: table_4_3_spec(scale=0.02, repetitions=1),
 }
 
 

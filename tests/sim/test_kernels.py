@@ -1,16 +1,18 @@
 """Fused simulation kernels are decision-identical to the object path.
 
 The kernel contract (:mod:`repro.policies.kernel`) promises the same
-hit/miss sequence, the same evictions, and the same final policy state
-as driving :meth:`CacheSimulator.access_page` once per reference — and
-that the simulator silently falls back to the object path whenever a
-per-reference observability channel is attached. Both halves are
-enforced here: a hypothesis equivalence matrix across policies x
-capacities x CRP/RIP, and bypass regressions for every observation
-channel.
+hit/miss sequence, the same evictions and write-backs, and the same
+final policy state as driving :meth:`CacheSimulator.access` once per
+reference — and that the simulator silently falls back to the object
+path whenever a per-reference observability channel is attached. Both
+halves are enforced here: a hypothesis equivalence matrix across
+policies x capacities x warm-ups x CRP/RIP over references with random
+write bits and process ids, and bypass regressions for every
+observation channel.
 """
 
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import LRUKPolicy
 from repro.errors import ConfigurationError
+from repro.experiments import table_4_3_spec
 from repro.obs import (
     EventDispatcher,
     ProfiledPolicy,
@@ -26,38 +29,65 @@ from repro.obs import (
 )
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
-from repro.policies import A0Policy, make_policy
-from repro.sim import CachedTrace, CacheSimulator, measure_hit_ratio
-from repro.workloads import ZipfianWorkload
+from repro.policies import A0Policy, LRUPolicy, make_policy
+from repro.sim import (
+    CachedTrace,
+    CacheSimulator,
+    measure_hit_ratio,
+    run_experiment,
+)
+from repro.types import AccessKind, Reference
+from repro.workloads import BankOLTPWorkload, ZipfianWorkload
 
-PAGES = st.lists(st.integers(min_value=1, max_value=30),
-                 min_size=5, max_size=300)
+#: (page, write?, process id) triples; with ``reads_only`` every write
+#: bit is dropped, so plain and process-only traces are drawn as well.
+REFERENCES = st.builds(
+    lambda triples, reads_only: CachedTrace.from_references([
+        Reference(page=page, process_id=process,
+                  kind=(AccessKind.WRITE if write and not reads_only
+                        else AccessKind.READ))
+        for page, write, process in triples]),
+    st.lists(st.tuples(st.integers(min_value=1, max_value=30),
+                       st.booleans(),
+                       st.sampled_from([None, None, 1, 2])),
+             min_size=5, max_size=300),
+    st.booleans())
+
+#: Warm-up lengths as fractions of the trace, both ends included.
+WARMUPS = st.sampled_from([0.0, 0.33, 1.0])
 
 #: label -> factory, every policy family that ships a fused kernel.
 KERNEL_POLICIES = {
     "lru": lambda: make_policy("lru"),
     "fifo": lambda: make_policy("fifo"),
     "clock": lambda: make_policy("clock"),
+    "lfu": lambda: make_policy("lfu"),
     "lruk": lambda: LRUKPolicy(k=2),
 }
 
 
-def object_run(policy, pages, warmup, capacity):
-    """The reference semantics: per-reference fast path + boundary."""
+def object_run(policy, trace, warmup, capacity):
+    """The reference semantics: access() per reference + boundary."""
     simulator = CacheSimulator(policy, capacity)
-    for page in pages[:warmup]:
-        simulator.access_page(page)
+    references = trace.references()
+    for reference in references[:warmup]:
+        simulator.access(reference)
     simulator.start_measurement()
-    for page in pages[warmup:]:
-        simulator.access_page(page)
+    for reference in references[warmup:]:
+        simulator.access(reference)
     return simulator
 
 
-def kernel_run(policy, pages, warmup, capacity):
-    """The fused path; asserts the kernel actually engaged."""
+def kernel_run(policy, trace, warmup, capacity):
+    """The fused path over the trace's columns; asserts it engaged."""
     simulator = CacheSimulator(policy, capacity)
-    assert simulator.run_fused(pages, warmup)
+    assert simulator.run_fused(trace.page_ids(), warmup, trace.next_write)
     return simulator
+
+
+def plain(pages):
+    """A read-only trace of bare page ids."""
+    return CachedTrace(array("q", pages))
 
 
 def assert_identical(sim_a, sim_b):
@@ -67,7 +97,10 @@ def assert_identical(sim_a, sim_b):
     assert sim_a.warmup_counter.hits == sim_b.warmup_counter.hits
     assert sim_a.warmup_counter.misses == sim_b.warmup_counter.misses
     assert sim_a.evictions == sim_b.evictions
+    assert sim_a.writebacks == sim_b.writebacks
     assert sim_a.resident_pages == sim_b.resident_pages
+    assert ({page: sim_a.is_dirty(page) for page in sim_a.resident_pages}
+            == {page: sim_b.is_dirty(page) for page in sim_b.resident_pages})
     assert sim_a._admitted_at == sim_b._admitted_at
     assert sim_a.now == sim_b.now
 
@@ -88,22 +121,32 @@ def assert_lruk_state_identical(pol_a, pol_b):
     assert sorted(pol_a.history._expiry) == sorted(pol_b.history._expiry)
 
 
+def assert_lfu_state_identical(pol_a, pol_b):
+    """LFU internals: lifetime counts, recency, heap multiset."""
+    assert pol_a._count == pol_b._count
+    assert pol_a._last_access == pol_b._last_access
+    assert sorted(pol_a._heap) == sorted(pol_b._heap)
+    assert pol_a._resident == pol_b._resident
+
+
 class TestLRUKKernelEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(pages=PAGES,
+    @given(trace=REFERENCES,
            capacity=st.integers(min_value=1, max_value=8),
+           warmup_fraction=WARMUPS,
            crp=st.sampled_from([0, 3]),
            rip=st.sampled_from([None, 40]),
            k=st.sampled_from([2, 3]))
-    def test_matches_object_path(self, pages, capacity, crp, rip, k):
-        warmup = len(pages) // 3
+    def test_matches_object_path(self, trace, capacity, warmup_fraction,
+                                 crp, rip, k):
+        warmup = int(len(trace) * warmup_fraction)
 
         def build():
             return LRUKPolicy(k=k, correlated_reference_period=crp,
                               retained_information_period=rip)
 
-        sim_a = object_run(build(), pages, warmup, capacity)
-        sim_b = kernel_run(build(), pages, warmup, capacity)
+        sim_a = object_run(build(), trace, warmup, capacity)
+        sim_b = kernel_run(build(), trace, warmup, capacity)
         assert_identical(sim_a, sim_b)
         assert_lruk_state_identical(sim_a.policy, sim_b.policy)
 
@@ -132,20 +175,34 @@ class TestLRUKKernelEquivalence:
             sim = kernel_run(
                 LRUKPolicy(k=2, correlated_reference_period=4,
                            retained_information_period=60),
-                pages[:prefix], 0, 6)
+                plain(pages[:prefix]), 0, 6)
             assert sim.counter.hits == object_prefix_hits[prefix - 1], prefix
 
 
 class TestSimplePolicyKernelEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(pages=PAGES,
-           capacity=st.integers(min_value=1, max_value=8),
-           name=st.sampled_from(["lru", "fifo", "clock"]))
-    def test_matches_object_path(self, pages, capacity, name):
-        warmup = len(pages) // 3
-        sim_a = object_run(make_policy(name), pages, warmup, capacity)
-        sim_b = kernel_run(make_policy(name), pages, warmup, capacity)
+    @settings(max_examples=60, deadline=None)
+    @given(trace=REFERENCES,
+           capacity=st.integers(min_value=1, max_value=8)
+           | st.sampled_from([30, 64]),
+           warmup_fraction=WARMUPS,
+           name=st.sampled_from(["lru", "fifo", "clock", "lfu"]))
+    def test_matches_object_path(self, trace, capacity, warmup_fraction,
+                                 name):
+        warmup = int(len(trace) * warmup_fraction)
+        sim_a = object_run(make_policy(name), trace, warmup, capacity)
+        sim_b = kernel_run(make_policy(name), trace, warmup, capacity)
         assert_identical(sim_a, sim_b)
+        if name == "lfu":
+            assert_lfu_state_identical(sim_a.policy, sim_b.policy)
+
+    def test_lfu_heap_compacts_as_the_policy_does(self):
+        """A long run compacts the lazy heap; both paths compact alike."""
+        trace = CachedTrace.materialize(ZipfianWorkload(n=60), 3000, 5)
+        sim_a = object_run(make_policy("lfu"), trace, 1000, 10)
+        sim_b = kernel_run(make_policy("lfu"), trace, 1000, 10)
+        assert_identical(sim_a, sim_b)
+        assert_lfu_state_identical(sim_a.policy, sim_b.policy)
+        assert len(sim_b.policy._heap) <= 2 * 10 + 64
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POLICIES))
     def test_policy_keeps_working_after_kernel_run(self, name):
@@ -176,15 +233,15 @@ BETAS = st.dictionaries(st.integers(min_value=1, max_value=30),
 
 class TestA0KernelEquivalence:
     @settings(max_examples=80, deadline=None)
-    @given(pages=PAGES, betas=BETAS,
+    @given(trace=REFERENCES, betas=BETAS,
            capacity=st.integers(min_value=1, max_value=8)
            | st.sampled_from([30, 64]),
-           warmup_fraction=st.sampled_from([0.0, 0.33, 1.0]))
-    def test_matches_object_path(self, pages, betas, capacity,
+           warmup_fraction=WARMUPS)
+    def test_matches_object_path(self, trace, betas, capacity,
                                  warmup_fraction):
-        warmup = int(len(pages) * warmup_fraction)
-        sim_a = object_run(A0Policy(betas), pages, warmup, capacity)
-        sim_b = kernel_run(A0Policy(betas), pages, warmup, capacity)
+        warmup = int(len(trace) * warmup_fraction)
+        sim_a = object_run(A0Policy(betas), trace, warmup, capacity)
+        sim_b = kernel_run(A0Policy(betas), trace, warmup, capacity)
         assert_identical(sim_a, sim_b)
         assert sim_a.policy._live == sim_b.policy._live
         assert sorted(sim_a.policy._heap) == sorted(sim_b.policy._heap)
@@ -214,6 +271,44 @@ class TestMeasureHitRatioDispatch:
                                      observability=dispatcher)
         assert_identical(plain, observed)
         assert_lruk_state_identical(plain.policy, observed.policy)
+
+    def test_metadata_trace_reaches_the_kernel(self):
+        """Write bits and process ids no policy reads keep the kernel."""
+        trace = CachedTrace.materialize(BankOLTPWorkload(), 3000, 4)
+        assert not trace.plain and trace.next_write is not None
+        kernel_sim = measure_hit_ratio(LRUKPolicy(k=2), trace, 100, 500)
+        object_sim = measure_hit_ratio(LRUKPolicy(k=2), trace.references(),
+                                       100, 500)
+        assert kernel_sim.tier == "kernel" and object_sim.tier == "object"
+        assert kernel_sim.writebacks > 0
+        assert_identical(kernel_sim, object_sim)
+
+    def test_process_aware_lruk_keeps_the_object_path(self):
+        trace = CachedTrace.materialize(BankOLTPWorkload(), 3000, 4)
+        simulator = measure_hit_ratio(
+            LRUKPolicy(k=2, correlated_reference_period=20,
+                       distinguish_processes=True), trace, 100, 500)
+        assert simulator.tier == "object"
+
+    def test_table_4_3_run_results_match_the_object_path(self):
+        """Every cell's RunResult, write-backs included, is unchanged by
+        the kernels; a sink that takes references forces the object path
+        for the comparison run."""
+        spec = table_4_3_spec(scale=0.02, repetitions=1)
+        fused = run_experiment(spec)
+        dispatcher = EventDispatcher()
+        dispatcher.attach(RingBufferSink(maxlen=1))
+        demoted = run_experiment(spec, observability=dispatcher)
+
+        def runs(result):
+            return {(cell.capacity, label): protocol.runs
+                    for cell in result.cells
+                    for label, protocol in cell.results.items()}
+
+        assert len(runs(fused)) == 42
+        assert runs(fused) == runs(demoted)
+        assert any(run.writebacks for cell_runs in runs(fused).values()
+                   for run in cell_runs)
 
 
 class TestKernelBypass:
@@ -250,6 +345,24 @@ class TestKernelBypass:
         assert plain.run_fused(self.pages(), 0)
         assert_identical(traced, plain)
         assert_lruk_state_identical(traced.policy, plain.policy)
+
+    def test_observing_policy_bypasses(self):
+        """A policy that reads every reference through observe() keeps
+        the object path, where the hook is called once per reference."""
+
+        class Recorder(LRUPolicy):
+            def __init__(self):
+                super().__init__()
+                self.observed = []
+
+            def observe(self, reference, now):
+                self.observed.append((reference, now))
+
+        policy = Recorder()
+        simulator = measure_hit_ratio(policy, plain([1, 2, 1, 3, 2, 1]),
+                                      2, 2)
+        assert simulator.tier == "object"
+        assert [now for _, now in policy.observed] == [1, 2, 3, 4, 5, 6]
 
     def test_non_fresh_simulator_bypasses(self):
         simulator = CacheSimulator(LRUKPolicy(k=2), 8)
@@ -314,6 +427,6 @@ class TestUnsupportedConfigurations:
         simulator.access_page(1)
         assert policy.make_kernel(8) is None
 
-    @pytest.mark.parametrize("name", ["mru", "gclock", "lfu"])
+    @pytest.mark.parametrize("name", ["mru", "gclock", "lfu-aged"])
     def test_base_policies_default_to_none(self, name):
         assert make_policy(name).make_kernel(8) is None
