@@ -3,7 +3,7 @@
 This is the hot path behind every sweep cell the harness runs with the
 default policy family: one function that plays an entire compact page-id
 trace through the full Figure 2.1 algorithm — CRP-aware hit handling,
-history shifts, lazy-heap victim selection, the forced-eviction fallback,
+history shifts, heap victim selection, the forced-eviction fallback,
 and the Retained Information purge demon — with every data structure
 bound to a local and zero per-reference allocation. Write-backs are
 counted from the trace's write column as every kernel counts them (see
@@ -12,26 +12,31 @@ counted from the trace's write column as every kernel counts them (see
 Where :class:`~repro.core.lruk.LRUKPolicy` driven through
 :meth:`~repro.sim.CacheSimulator.access_page` pays, per reference, a
 clock tick, an ``observe``-skippability check, two or three policy-hook
-dispatches, and two method-chained pushes (``LRUKPolicy._push`` +
-``HistoryStore.touch``), the kernel pays one dict hit plus at most one
-``heappush``. The K=2 history shifts are specialized to branchless
-two-slot updates (see :meth:`~repro.core.history.HistoryBlock.
-record_uncorrelated`); general K falls back to the block methods but
-keeps the fused loop.
+dispatches, and a method-chained ``HistoryStore.touch``, the kernel pays
+one dict hit and, on a hit, the history update alone. Heap work happens
+only on a miss: the admitted page's entry is pushed, and victim
+selection re-keys out-of-date tops in place (see :mod:`repro.core.lruk`).
+The K=2 history shifts are specialized to branchless two-slot updates
+(see :meth:`~repro.core.history.HistoryBlock.record_uncorrelated`);
+general K falls back to the block methods but keeps the fused loop.
 
 The kernel is *decision-identical* to the object path — same hit/miss
 sequence, same evictions, same final :class:`~repro.core.lruk.LRUKStats`,
 same retained-history population, same heap multiset — which is
 property-tested against the object path in ``tests/sim/test_kernels.py``.
-Configurations the fused loop does not replicate (the literal Figure 2.1
-scan selector, process-aware correlation, bounded history memory, an
-attached provenance recorder, or a policy that already holds residents)
-yield no kernel, and the driver falls back to the object path.
+Where the policy keeps a map from each resident page to its live heap
+entry, the kernel tells a live entry by the page's admission time (an
+orphan left by an earlier residency is older) and rebuilds the map on
+return. Configurations the fused loop does not replicate (the literal
+Figure 2.1 scan selector, process-aware correlation, bounded history
+memory, an attached provenance recorder, or a policy that already holds
+residents or heap entries) yield no kernel, and the driver falls back to
+the object path.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,12 +66,13 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
       block-LRU heap the kernel does not fuse.
     - an attached :class:`~repro.obs.provenance.ProvenanceRecorder`:
       kernels are observability-free by contract.
-    - pre-existing residency: the kernel cannot reconstruct mid-run
-      driver state.
+    - pre-existing residency or heap entries: the kernel cannot
+      reconstruct mid-run driver state.
     """
     if (policy.selection != "heap" or policy.distinguish_processes
             or policy.max_history_blocks is not None
-            or policy.provenance is not None or policy._resident):
+            or policy.provenance is not None or policy._resident
+            or policy._heap):
         return None
 
     k = policy.k
@@ -101,34 +107,21 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                 block = get_block(page)
                 if page in resident:
                     # -- Figure 2.1, "p is already in the buffer" ---------
+                    # Resident pages always have blocks, and the key grows
+                    # in place: selection re-keys the heap entry later.
                     hits += 1
-                    if block is None:
-                        # Defensive parity with LRUKPolicy.on_hit: resident
-                        # pages always have blocks through this entry point,
-                        # but recover identically if not.
-                        block = HistoryBlock(k)
-                        blocks[page] = block
-                        block.record_uncorrelated(t)
-                        heappush(heap, (block.hist[-1], t, page))
-                        if len(heap) > 2 * len(resident) + compact_slack:
-                            heap = _compact(resident, get_block)
-                            compactions += 1
-                    elif t - block.last > crp:
+                    if t - block.last > crp:
                         # A new, uncorrelated reference.
                         if k2:
+                            # HIST(p,1) is set while resident, so
+                            # `hist[0] and block.last` is LAST(p).
                             hist = block.hist
-                            hist[1] = hist[0] and block.last
+                            hist[1] = block.last
                             hist[0] = t
                             block.last = t
-                            key = hist[1]
                         else:
                             block.record_uncorrelated(t)
-                            key = block.hist[-1]
                         uncorrelated += 1
-                        heappush(heap, (key, t, page))
-                        if len(heap) > 2 * len(resident) + compact_slack:
-                            heap = _compact(resident, get_block)
-                            compactions += 1
                     else:
                         # A correlated reference: only LAST moves.
                         block.last = t
@@ -137,64 +130,70 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                     # -- Figure 2.1, the fetch path -----------------------
                     misses += 1
                     if len(resident) >= capacity:
-                        # Victim selection over the lazy heap.
-                        victim = None
+                        # Victim selection: an entry is up to date while
+                        # its HIST(q,1) is, since any history change
+                        # records a new HIST(q,1).
                         if crp:
+                            victim = None
                             set_aside: Optional[List[Tuple[int, int,
                                                            PageId]]] = None
                             while heap:
-                                entry = heappop(heap)
-                                kth, first, q = entry
+                                entry = heap[0]
+                                _, first, q = entry
+                                admitted_at = resident.get(q)
+                                if admitted_at is None or first < admitted_at:
+                                    heappop(heap)  # orphan
+                                    continue
                                 b = get_block(q)
-                                if (q not in resident or b is None
-                                        or b.hist[-1] != kth
-                                        or b.hist[0] != first):
-                                    continue  # stale entry
-                                if set_aside is None:
-                                    set_aside = []
-                                set_aside.append(entry)
+                                if b.hist[0] != first:
+                                    heapreplace(heap,
+                                                (b.hist[-1], b.hist[0], q))
+                                    continue
                                 if t - b.last <= crp:
-                                    continue  # CRP-protected
+                                    # CRP-protected.
+                                    if set_aside is None:
+                                        set_aside = []
+                                    set_aside.append(heappop(heap))
+                                    continue
                                 victim = q
                                 break
                             if set_aside:
                                 for entry in set_aside:
                                     heappush(heap, entry)
-                        else:
-                            # CRP disabled: nothing is protected, so the
-                            # first live entry wins and can stay in place
-                            # (the object path pops it and pushes it back;
-                            # the heap multiset is identical either way).
-                            while heap:
-                                kth, first, q = heap[0]
-                                b = get_block(q)
-                                if (q not in resident or b is None
-                                        or b.hist[-1] != kth
-                                        or b.hist[0] != first):
-                                    heappop(heap)
-                                    continue
-                                victim = q
-                                break
-                        if victim is None:
-                            # Forced choice: evict the stalest burst.
-                            best_last = None
-                            for q in resident:
-                                b = get_block(q)
-                                q_last = b.last if b is not None else 0
-                                if best_last is None or q_last < best_last:
-                                    best_last = q_last
-                                    victim = q
                             if victim is None:
-                                raise NoEvictableFrameError(
-                                    "no resident pages to evict")
-                            forced += 1
+                                # Forced choice: evict the stalest burst.
+                                best_last = None
+                                for q in resident:
+                                    q_last = get_block(q).last
+                                    if best_last is None or q_last < best_last:
+                                        best_last = q_last
+                                        victim = q
+                                if victim is None:
+                                    raise NoEvictableFrameError(
+                                        "no resident pages to evict")
+                                forced += 1
+                            # The top is a live entry; it goes with its
+                            # page (LRUKPolicy.on_evict).
+                            if heap and heap[0][2] == victim:
+                                heappop(heap)
+                        else:
+                            # CRP disabled: nothing is protected and no
+                            # orphan ever forms, so the heap holds exactly
+                            # the residents and the first up-to-date top
+                            # is the victim.
+                            while True:
+                                _, first, victim = heap[0]
+                                hist = get_block(victim).hist
+                                if hist[0] == first:
+                                    break
+                                heapreplace(heap, (hist[-1], hist[0], victim))
+                            heappop(heap)
                         evictions += 1
                         if next_write is None:
                             del resident[victim]
                         elif next_write[resident.pop(victim) - 1] < t:
                             writebacks += 1
-                        b = get_block(victim)
-                        if b is not None and b.hist[-1] == 0:
+                        if get_block(victim).hist[-1] == 0:
                             infinite += 1
                         # The HIST block survives: Retained Information.
                     # Admission (LRUKPolicy.on_admit).
@@ -253,6 +252,10 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         # -- flush locals back into the policy's bookkeeping --------------
         policy._resident.update(resident)
         policy._heap = heap
+        # Live entries are no older than their page's admission.
+        policy._live = {entry[2]: entry for entry in heap
+                        if entry[2] in resident
+                        and entry[1] >= resident[entry[2]]}
         store._touches_since_purge = touches
         store.purged_blocks += purged
         stats.uncorrelated_references += uncorrelated
@@ -271,7 +274,7 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
 
 
 def _compact(resident: Dict[PageId, int], get_block) -> list:
-    """Rebuild the lazy victim heap from the live resident population.
+    """Rebuild the victim heap with one fresh entry per resident page.
 
     Mirrors ``LRUKPolicy._compact_heap``; iteration order differs from
     the policy's set but heapify over the same entry multiset yields the
@@ -280,8 +283,7 @@ def _compact(resident: Dict[PageId, int], get_block) -> list:
     heap = []
     append = heap.append
     for page in resident:
-        block = get_block(page)
-        if block is not None:
-            append((block.hist[-1], block.hist[0], page))
+        hist = get_block(page).hist
+        append((hist[-1], hist[0], page))
     heapify(heap)
     return heap

@@ -27,11 +27,15 @@ pages, choosing the minimum HIST(q, K) among eligible pages.
 
 ``selection="heap"`` (default) is the production path the paper alludes to
 ("finding the page with the maximum Backward K-distance would actually be
-based on a search tree"): a lazy min-heap keyed by
-``(HIST(q,K), HIST(q,1), q)``. HIST(q,K) only changes when a page receives
-an uncorrelated reference, so entries stay valid between accesses and
-victim choice is O(log B) amortized. The two selectors are decision-
-equivalent (property-tested) because they share the same total order:
+based on a search tree"): a min-heap keyed by ``(HIST(q,K), HIST(q,1), q)``
+that holds one entry per resident page, pushed when the page is admitted.
+A hit only updates the page's history block, so the entry's key may fall
+behind; selection re-keys an out-of-date top in place (``heapreplace``)
+and drops entries whose page has left the buffer. That is exact because
+a resident page's key only grows — an uncorrelated reference raises both
+HIST(q,K) and HIST(q,1), a correlated one changes neither — so the first
+up-to-date top is the minimum. The two selectors are decision-equivalent
+(property-tested) because they share the same total order:
 
 - primary key HIST(q, K): 0 (= infinite backward distance) sorts first,
   exactly Definition 2.2's "maximum Backward K-distance";
@@ -154,8 +158,11 @@ class LRUKPolicy(ReplacementPolicy):
         #: page -> residency began from a retained HIST block (Section
         #: 2.1.2); maintained only while provenance is attached.
         self._retained_admissions: Dict[PageId, bool] = {}
-        # Lazy victim heap: (HIST(q,K), HIST(q,1), page).
+        # Victim heap of (HIST(q,K), HIST(q,1), page) entries, and each
+        # resident page's live entry in it; an entry that is no page's
+        # live entry is an orphan, dropped when it surfaces.
         self._heap: List[Tuple[int, int, PageId]] = []
+        self._live: Dict[PageId, Tuple[int, int, PageId]] = {}
         # Bounded-memory mode: LRU order of history blocks (by LAST).
         self._block_lru: List[Tuple[int, PageId]] = []
 
@@ -187,10 +194,10 @@ class LRUKPolicy(ReplacementPolicy):
             block.record_uncorrelated(now)
             self._push(page, block)
         elif not self._is_correlated(page, block, now):
-            # "a new, uncorrelated reference"
+            # "a new, uncorrelated reference": the key grows, and victim
+            # selection re-keys the page's heap entry when it surfaces.
             block.record_uncorrelated(now)
             self.stats.uncorrelated_references += 1
-            self._push(page, block)
         else:
             # "a correlated reference"
             block.record_correlated(now)
@@ -222,6 +229,12 @@ class LRUKPolicy(ReplacementPolicy):
     def on_evict(self, page: PageId, now: int) -> None:
         super().on_evict(page, now)
         self.stats.evictions += 1
+        # The victim's entry leaves the heap only when it is the top, as
+        # after an unobstructed heap selection; otherwise it is an orphan.
+        entry = self._live.pop(page, None)
+        heap = self._heap
+        if heap and heap[0] is entry:
+            heapq.heappop(heap)
         block = self.history.get(page)
         if block is not None and block.kth_time() == 0:
             self.stats.infinite_distance_evictions += 1
@@ -264,27 +277,42 @@ class LRUKPolicy(ReplacementPolicy):
 
     def _choose_by_heap(self, now: int,
                         exclude: FrozenSet[PageId]) -> Optional[PageId]:
-        """Search-tree selection: lazy min-heap over (HIST(q,K), HIST(q,1))."""
+        """Search-tree selection: min-heap over (HIST(q,K), HIST(q,1)).
+
+        Leaves the victim's entry on the heap; :meth:`on_evict` drops it.
+        """
+        heap = self._heap
+        live = self._live
+        get = self.history.get
         set_aside: List[Tuple[int, int, PageId]] = []
         victim: Optional[PageId] = None
-        while self._heap:
-            kth, first, page = heapq.heappop(self._heap)
-            block = self.history.get(page)
-            stale = (page not in self._resident
-                     or block is None
-                     or block.kth_time() != kth
-                     or block.hist[0] != first)
-            if stale:
+        while heap:
+            entry = heap[0]
+            _, first, page = entry
+            if live.get(page) is not entry:
+                heapq.heappop(heap)  # orphan: its page left the buffer
                 continue
-            set_aside.append((kth, first, page))
-            if page in exclude:
+            block = get(page)
+            if block is None:
+                # The history went from under a resident page, which the
+                # protocol never does; on_hit pushes a fresh entry.
+                heapq.heappop(heap)
+                del live[page]
                 continue
-            if now - block.last <= self.crp:
-                continue  # protected by the Correlated Reference Period
+            if block.hist[0] != first:
+                # Out of date: any history change records a new HIST(q,1).
+                fresh = (block.hist[-1], block.hist[0], page)
+                heapq.heapreplace(heap, fresh)
+                live[page] = fresh
+                continue
+            if page in exclude or now - block.last <= self.crp:
+                # Excluded, or protected by the Correlated Reference Period.
+                set_aside.append(heapq.heappop(heap))
+                continue
             victim = page
             break
         for entry in set_aside:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(heap, entry)
         return victim
 
     def _choose_with_provenance(self, now: int,
@@ -432,24 +460,27 @@ class LRUKPolicy(ReplacementPolicy):
 
     def _push(self, page: PageId, block: HistoryBlock) -> None:
         heap = self._heap
-        heapq.heappush(heap, (block.kth_time(), block.hist[0], page))
-        # Every uncorrelated re-reference supersedes a page's previous
-        # heap entry, so stale entries accumulate one per reference and
-        # the heap would grow without bound on long runs. Rebuild from
-        # the live resident set once stale entries dominate.
+        entry = (block.kth_time(), block.hist[0], page)
+        heapq.heappush(heap, entry)
+        self._live[page] = entry
+        # Orphans come only from evictions whose entry was not the heap
+        # top (CRP set-asides, exclusions, forced or driver-chosen
+        # victims); rebuild from the residents should they pile up.
         if len(heap) > 2 * len(self._resident) + HEAP_COMPACT_SLACK:
             self._compact_heap()
 
     def _compact_heap(self) -> None:
-        """Rebuild the lazy victim heap with one fresh entry per resident page."""
+        """Rebuild the victim heap with one fresh entry per resident page."""
         get = self.history.get
-        heap: List[Tuple[int, int, PageId]] = []
+        live: Dict[PageId, Tuple[int, int, PageId]] = {}
         for page in self._resident:
             block = get(page)
             if block is not None:
-                heap.append((block.kth_time(), block.hist[0], page))
+                live[page] = (block.kth_time(), block.hist[0], page)
+        heap = list(live.values())
         heapq.heapify(heap)
         self._heap = heap
+        self._live = live
         self.stats.heap_compactions += 1
 
     def _after_touch(self, page: PageId, block: HistoryBlock) -> None:
@@ -484,6 +515,7 @@ class LRUKPolicy(ReplacementPolicy):
         self.history.clear()
         self.stats = LRUKStats()
         self._heap.clear()
+        self._live.clear()
         self._block_lru.clear()
         self._last_process.clear()
         self._current_process = None

@@ -50,10 +50,10 @@ from ..types import PageId
 #: Empty exclusion set reused by default arguments.
 NO_EXCLUSIONS: FrozenSet[PageId] = frozenset()
 
-#: Lazy-heap compaction slack: policies with a lazy victim heap (LRU-K,
-#: LFU) rebuild it from live resident entries once stale entries exceed
-#: ~2x the live population plus this constant (which keeps tiny buffers
-#: from compacting constantly).
+#: Heap rebuild slack: policies whose victim heap can hold orphans, the
+#: entries of evicted pages (LRU-K, LFU), rebuild it from the residents
+#: when an admission pushes it past 2x the live population plus this
+#: constant (which keeps tiny buffers from rebuilding constantly).
 HEAP_COMPACT_SLACK = 64
 
 

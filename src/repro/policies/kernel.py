@@ -66,15 +66,15 @@ trace.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import islice
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import NoEvictableFrameError
 from ..types import PageId
-from .base import HEAP_COMPACT_SLACK
 
 __all__ = [
     "KernelResult",
@@ -196,44 +196,35 @@ def lru_stack_hits(pages: Sequence[PageId], warmup: int) -> array:
     storage hierarchies", IBM Syst. J. 1970): a c-frame buffer always
     holds the c most recently used pages, so a reference hits exactly
     when its *stack distance* — one plus the number of distinct pages
-    referenced since the page's previous reference — is at most c. A
-    Fenwick tree over reference times holds a 1 at each page's most
-    recent use, so counting those pages costs O(log T) per reference.
+    referenced since the page's previous reference — is at most c. The
+    pass keeps every page's last-use time in one ascending list, so a
+    re-reference whose previous use was at ``previous`` has stack
+    distance ``len(lasts) - bisect_left(lasts, previous)``. Moving the
+    page to the top deletes its slot, which shifts one slot per page used
+    since (the stack distance less one, a memmove in C), and appends the
+    new time.
 
     Returns ``hits`` where ``hits[c]`` is the number of references after
     the first ``warmup`` that hit in a fresh c-frame LRU buffer, for c
     from 0 to the number of distinct pages; any larger buffer hits as
     often as ``hits[-1]``.
     """
-    n = len(pages)
-    tree = array("q", [0]) * (n + 1)
     # hits[d] first counts measured references at stack distance d, then
     # becomes the running total over distances up to d.
     hits = array("q", [0])
+    lasts: List[int] = []
     last: Dict[PageId, int] = {}
     for t, page in enumerate(pages, 1):
         previous = last.get(page)
         if previous is None:
             hits.append(0)
         else:
-            # Pages used since `previous`: every distinct page so far, less
-            # the marks at or before it (its own mark included).
-            i = previous
-            recent = len(hits) - 1
-            while i:
-                recent -= tree[i]
-                i &= i - 1
+            i = bisect_left(lasts, previous)
             if t > warmup:
-                hits[recent + 1] += 1
-            i = previous
-            while i <= n:
-                tree[i] -= 1
-                i += i & -i
+                hits[len(lasts) - i] += 1
+            del lasts[i]
+        lasts.append(t)
         last[page] = t
-        i = t
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
     for capacity in range(1, len(hits)):
         hits[capacity] += hits[capacity - 1]
     return hits
@@ -429,16 +420,15 @@ def make_lfu_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     """Fused loop for never-forgetting LFU.
 
     Mirrors :class:`~repro.policies.lfu.LFUPolicy`: every reference bumps
-    the page's lifetime count and pushes a fresh ``(count, last, page)``
-    entry onto the lazy min-heap. A miss on a full buffer first drops
-    stale heap tops — entries of evicted pages or superseded by a later
-    reference, which the policy's ``_last_access`` test recognizes — and
-    then evicts the live top in place: the object path pops that entry
-    and pushes it back, so both leave the same heap multiset behind. The
-    heap is rebuilt from the residents exactly when the policy rebuilds
-    it.
+    the page's lifetime count and last access, and only an admission
+    pushes a ``(count, last, page)`` entry onto the min-heap. A miss on a
+    full buffer re-keys out-of-date tops in place until the top is up to
+    date, and evicts that page with its entry, so the heap holds exactly
+    one entry per resident page. The policy's map from each resident page
+    to its live entry is rebuilt on return. A policy that already holds
+    residents or heap entries gets no kernel.
     """
-    if policy._resident:
+    if policy._resident or policy._heap:
         return None
 
     def kernel(pages: Sequence[PageId], warmup: int,
@@ -456,36 +446,37 @@ def make_lfu_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                                             remaining)):
             for page in segment:
                 t += 1
-                if page in admitted:
-                    hits += 1
-                else:
-                    misses += 1
-                    if len(admitted) >= capacity:
-                        while True:
-                            _, last, victim = heap[0]
-                            if (last_access[victim] == last
-                                    and victim in admitted):
-                                break
-                            heappop(heap)  # stale entry
-                        evictions += 1
-                        if next_write is None:
-                            del admitted[victim]
-                        elif next_write[admitted.pop(victim) - 1] < t:
-                            writebacks += 1
-                    admitted[page] = t
                 # LFUPolicy._bump, inline.
                 references = count_of(page, 0) + 1
                 count[page] = references
                 last_access[page] = t
+                if page in admitted:
+                    hits += 1
+                    continue
+                misses += 1
+                if len(admitted) >= capacity:
+                    # Nothing is excluded and no orphan ever forms, so the
+                    # first up-to-date top is the victim.
+                    while True:
+                        _, last, victim = heap[0]
+                        latest = last_access[victim]
+                        if latest == last:
+                            break
+                        heapreplace(heap, (count[victim], latest, victim))
+                    heappop(heap)
+                    evictions += 1
+                    if next_write is None:
+                        del admitted[victim]
+                    elif next_write[admitted.pop(victim) - 1] < t:
+                        writebacks += 1
+                admitted[page] = t
                 heappush(heap, (references, t, page))
-                if len(heap) > 2 * len(admitted) + HEAP_COMPACT_SLACK:
-                    heap = [(count[p], last_access[p], p) for p in admitted]
-                    heapify(heap)
             if boundary == 0:
                 warmup_hits, warmup_misses = hits, misses
                 hits = misses = 0
                 warmup_ended = perf_counter_ns()
         policy._heap = heap
+        policy._live = {entry[2]: entry for entry in heap}
         policy._resident.update(admitted)
         return KernelResult(warmup_hits, warmup_misses, hits, misses,
                             evictions, writebacks, admitted,

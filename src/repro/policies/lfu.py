@@ -12,12 +12,14 @@ standard convention.
 GCLOCK/LRD family, whose ``aging_period`` knob is precisely the kind of
 "workload-dependent parameter" the paper criticizes; ablation A8 sweeps it.
 
-Victim selection uses a lazy min-heap keyed ``(count, last_access)``: each
-access pushes a fresh entry; stale entries are discarded when popped, and
-the heap is rebuilt from the live resident entries once stale ones
-dominate, as LRU-K's is. This gives O(log B) amortized victim choice even
-though counts only grow. The same loop runs fused over a whole compact
-trace in :func:`repro.policies.kernel.make_lfu_kernel`.
+Victim selection uses a min-heap keyed ``(count, last_access)`` with one
+entry per resident page, pushed on admission, as LRU-K's is. A hit only
+bumps the count and the last access, so the entry's key may fall behind;
+selection re-keys an out-of-date top in place and drops entries whose page
+has left the buffer. A resident page's key rises on every reference, so
+the first up-to-date top is the minimum, and victim choice is O(log B)
+amortized. The same loop runs fused over a whole compact trace in
+:func:`repro.policies.kernel.make_lfu_kernel`.
 """
 
 from __future__ import annotations
@@ -44,18 +46,15 @@ class LFUPolicy(ReplacementPolicy):
         # Counts survive eviction: the policy "never forgets".
         self._count: Dict[PageId, int] = {}
         self._last_access: Dict[PageId, int] = {}
+        # Victim heap of (count, last access, page) entries, and each
+        # resident page's live entry in it; an entry that is no page's
+        # live entry is an orphan, dropped when it surfaces.
         self._heap: List[Tuple[int, int, PageId]] = []
+        self._live: Dict[PageId, Tuple[int, int, PageId]] = {}
 
     def _bump(self, page: PageId, now: int) -> None:
         self._count[page] = self._count.get(page, 0) + 1
         self._last_access[page] = now
-        heapq.heappush(self._heap, (self._count[page], now, page))
-        # Every reference supersedes the page's previous entry; rebuild
-        # once stale entries dominate, so the heap stays O(B), not O(T).
-        if len(self._heap) > 2 * len(self._resident) + HEAP_COMPACT_SLACK:
-            self._heap = [(self._count[p], self._last_access[p], p)
-                          for p in self._resident]
-            heapq.heapify(self._heap)
 
     def on_hit(self, page: PageId, now: int) -> None:
         super().on_hit(page, now)
@@ -64,30 +63,60 @@ class LFUPolicy(ReplacementPolicy):
     def on_admit(self, page: PageId, now: int) -> None:
         super().on_admit(page, now)
         self._bump(page, now)
+        entry = (self._count[page], now, page)
+        heapq.heappush(self._heap, entry)
+        self._live[page] = entry
+        # Orphans come only from evictions whose entry was not the heap
+        # top (exclusions, driver-chosen victims); rebuild from the
+        # residents should they pile up.
+        if len(self._heap) > 2 * len(self._resident) + HEAP_COMPACT_SLACK:
+            self._rebuild_heap()
+
+    def on_evict(self, page: PageId, now: int) -> None:
+        super().on_evict(page, now)
+        # The victim's entry leaves the heap only when it is the top, as
+        # after an unobstructed selection; otherwise it is an orphan.
+        entry = self._live.pop(page, None)
+        if self._heap and self._heap[0] is entry:
+            heapq.heappop(self._heap)
+
+    def _rebuild_heap(self) -> None:
+        """One fresh entry per resident page, and the live map to match."""
+        count = self._count
+        last_access = self._last_access
+        self._live = {p: (count[p], last_access[p], p)
+                      for p in self._resident}
+        self._heap = list(self._live.values())
+        heapq.heapify(self._heap)
 
     def choose_victim(self, now: int,
                       incoming: Optional[PageId] = None,
                       exclude: FrozenSet[PageId] = NO_EXCLUSIONS) -> PageId:
+        """Leaves the victim's entry on the heap; :meth:`on_evict` drops it."""
         self._check_candidates(exclude)
+        heap = self._heap
+        live = self._live
         skipped: List[Tuple[int, int, PageId]] = []
         victim: Optional[PageId] = None
-        while self._heap:
-            count, last, page = heapq.heappop(self._heap)
-            stale = (page not in self._resident
-                     or count != self._count.get(page)
-                     or last != self._last_access.get(page))
-            if stale:
+        while heap:
+            entry = heap[0]
+            _, last, page = entry
+            if live.get(page) is not entry:
+                heapq.heappop(heap)  # orphan: its page left the buffer
+                continue
+            if last != self._last_access[page]:
+                # Out of date: every reference moves the last access.
+                fresh = (self._count[page], self._last_access[page], page)
+                heapq.heapreplace(heap, fresh)
+                live[page] = fresh
                 continue
             if page in exclude:
-                skipped.append((count, last, page))
+                skipped.append(heapq.heappop(heap))
                 continue
             victim = page
-            # The popped entry was this page's only live entry; re-add so a
-            # subsequent (unconfirmed) choose_victim still sees it.
-            skipped.append((count, last, page))
             break
         for entry in skipped:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(heap, entry)
         if victim is None:
             raise NoEvictableFrameError("all resident pages are excluded")
         return victim
@@ -105,6 +134,7 @@ class LFUPolicy(ReplacementPolicy):
         self._count.clear()
         self._last_access.clear()
         self._heap.clear()
+        self._live.clear()
 
 
 @register_policy("lfu-aged")
@@ -129,12 +159,11 @@ class AgedLFUPolicy(LFUPolicy):
             return
         self._last_aged = now
         self._count = {p: c // 2 for p, c in self._count.items() if c // 2 > 0}
-        self._heap = [(self._count.get(p, 0), self._last_access[p], p)
-                      for p in self._resident]
-        heapq.heapify(self._heap)
-        # Resident pages must keep a live count entry for staleness checks.
+        # Resident pages keep a count entry, which re-keying reads.
         for page in self._resident:
             self._count.setdefault(page, 0)
+        # Halving lowers keys, which re-keying cannot follow: rebuild.
+        self._rebuild_heap()
 
     def on_hit(self, page: PageId, now: int) -> None:
         self._maybe_age(now)

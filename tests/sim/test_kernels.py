@@ -132,7 +132,8 @@ def assert_lfu_state_identical(pol_a, pol_b):
 class TestLRUKKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(trace=REFERENCES,
-           capacity=st.integers(min_value=1, max_value=8),
+           capacity=st.integers(min_value=1, max_value=8)
+           | st.sampled_from([30, 64]),
            warmup_fraction=WARMUPS,
            crp=st.sampled_from([0, 3]),
            rip=st.sampled_from([None, 40]),
@@ -178,6 +179,34 @@ class TestLRUKKernelEquivalence:
                 plain(pages[:prefix]), 0, 6)
             assert sim.counter.hits == object_prefix_hits[prefix - 1], prefix
 
+    def test_crp_orphans_rebuild_the_heap_alike(self):
+        """CRP set-asides orphan victims' entries until the heap rebuilds.
+
+        Page 0 is re-referenced within the CRP forever, so it tops the
+        heap protected at every miss, as does the page admitted just
+        before; the victim's entry is therefore never the top when it is
+        evicted. Pages 1..200 are first seen in reverse order, so each
+        victim's (HIST(q,2), HIST(q,1)) is below every orphan before it
+        and no orphan ever surfaces: only the rebuild removes them. A
+        third pass readmits pages whose orphans are still queued, which
+        the kernel tells from live entries by admission time.
+        """
+        count = 200
+        pages = [0]
+        for page in [*range(count, 0, -1), *range(1, count + 1),
+                     *range(count, 0, -1)]:
+            pages += [page, 0]
+
+        def build():
+            return LRUKPolicy(k=2, correlated_reference_period=2)
+
+        sim_a = object_run(build(), plain(pages), 0, 3)
+        sim_b = kernel_run(build(), plain(pages), 0, 3)
+        assert sim_b.policy.stats.heap_compactions > 0
+        assert_identical(sim_a, sim_b)
+        assert_lruk_state_identical(sim_a.policy, sim_b.policy)
+        assert sim_a.policy._live == sim_b.policy._live
+
 
 class TestSimplePolicyKernelEquivalence:
     @settings(max_examples=60, deadline=None)
@@ -195,14 +224,17 @@ class TestSimplePolicyKernelEquivalence:
         if name == "lfu":
             assert_lfu_state_identical(sim_a.policy, sim_b.policy)
 
-    def test_lfu_heap_compacts_as_the_policy_does(self):
-        """A long run compacts the lazy heap; both paths compact alike."""
+    def test_lfu_heap_holds_one_entry_per_resident(self):
+        """A long run re-keys the heap in place; it never outgrows B."""
         trace = CachedTrace.materialize(ZipfianWorkload(n=60), 3000, 5)
         sim_a = object_run(make_policy("lfu"), trace, 1000, 10)
         sim_b = kernel_run(make_policy("lfu"), trace, 1000, 10)
         assert_identical(sim_a, sim_b)
         assert_lfu_state_identical(sim_a.policy, sim_b.policy)
-        assert len(sim_b.policy._heap) <= 2 * 10 + 64
+        for policy in (sim_a.policy, sim_b.policy):
+            assert len(policy._heap) == len(policy._resident) == 10
+            assert policy._live == {entry[2]: entry
+                                    for entry in policy._heap}
 
     @pytest.mark.parametrize("name", sorted(KERNEL_POLICIES))
     def test_policy_keeps_working_after_kernel_run(self, name):
