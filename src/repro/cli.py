@@ -172,7 +172,7 @@ def _observability(quiet: bool,
             else:
                 yield dispatcher, timeline_sink
         if dispatcher.active:
-            counters = (dispatcher.metrics.snapshot()
+            counters = (dict(dispatcher.metrics.snapshot())
                         if dispatcher.metrics is not None else {})
             dispatcher.emit(SnapshotEvent(time=None, phase="final",
                                           counters=counters))

@@ -24,10 +24,12 @@ from ..core import LRUKPolicy
 from ..errors import ConfigurationError
 from ..policies import MultiPoolPolicy, make_policy
 from ..sim import (
+    CachedTrace,
     CacheSimulator,
     PolicySpec,
     Table,
     TraceCache,
+    measure_hit_ratio,
     run_paper_protocol,
 )
 from ..types import HitRatioCounter
@@ -58,13 +60,15 @@ def ablation_k_sweep(ks: Sequence[int] = (1, 2, 3, 4, 5),
     table = Table(
         title=f"A1 — LRU-K sweep on the stable two-pool workload (B={capacity})",
         columns=["K", "hit ratio"])
+    traces = TraceCache()
     for k in ks:
         result = run_paper_protocol(
             workload, PolicySpec.lruk(k), capacity, warmup, measured,
-            seed=seed, repetitions=3)
+            seed=seed, repetitions=3, trace_cache=traces)
         table.add_row(k, result.hit_ratio)
     a0 = run_paper_protocol(workload, PolicySpec.a0(), capacity,
-                            warmup, measured, seed=seed, repetitions=3)
+                            warmup, measured, seed=seed, repetitions=3,
+                            trace_cache=traces)
     table.add_row("A0", a0.hit_ratio)
     return table
 
@@ -94,14 +98,10 @@ def ablation_crp_sweep(crps: Sequence[int] = (0, 1, 2, 4, 8, 16, 32, 64),
               f"(B={capacity}, burst fraction {burst_fraction:.0%})",
         columns=["CRP", "LRU-2 hit ratio", "uncorrelated refs",
                  "correlated refs"])
+    trace = CachedTrace.materialize(workload, warmup + measured, seed)
     for crp in crps:
         policy = LRUKPolicy(k=2, correlated_reference_period=crp)
-        simulator = CacheSimulator(policy, capacity)
-        refs = list(workload.references(warmup + measured, seed=seed))
-        for index, ref in enumerate(refs):
-            if index == warmup:
-                simulator.start_measurement()
-            simulator.access(ref)
+        simulator = measure_hit_ratio(policy, trace, capacity, warmup)
         table.add_row(crp, simulator.hit_ratio,
                       policy.stats.uncorrelated_references,
                       policy.stats.correlated_references)
@@ -140,14 +140,10 @@ def ablation_rip_sweep(rips: Sequence[Optional[int]] = (
     table = Table(
         title=f"A3 — Retained Information Period sweep (B={capacity})",
         columns=["RIP", "LRU-2 hit ratio", "history blocks", "purged"])
+    trace = CachedTrace.materialize(workload, warmup + measured, seed)
     for rip in rips:
         policy = LRUKPolicy(k=2, retained_information_period=rip)
-        simulator = CacheSimulator(policy, capacity)
-        refs = workload.references(warmup + measured, seed=seed)
-        for index, ref in enumerate(refs):
-            if index == warmup:
-                simulator.start_measurement()
-            simulator.access(ref)
+        simulator = measure_hit_ratio(policy, trace, capacity, warmup)
         table.add_row("inf" if rip is None else rip,
                       simulator.hit_ratio,
                       policy.retained_blocks,
@@ -249,11 +245,12 @@ def ablation_scaling(size_factors: Sequence[int] = (1, 2, 5, 10),
         capacity = 100 * factor
         warmup = workload.warmup_references
         measured = workload.measured_references
+        traces = TraceCache()
         row: List = [factor]
         for spec in (PolicySpec.lru(), PolicySpec.lruk(2), PolicySpec.a0()):
             result = run_paper_protocol(workload, spec, capacity,
                                         warmup, measured, seed=seed,
-                                        repetitions=2)
+                                        repetitions=2, trace_cache=traces)
             row.append(result.hit_ratio)
         table.add_row(*row)
     return table
@@ -323,9 +320,11 @@ def ablation_lineage(capacity: int = 1000,
         PolicySpec.registry("GCLOCK", "gclock"),
         PolicySpec.registry("LRD-V2", "lrd-v2"),
     ]
+    traces = TraceCache()
     for spec in specs:
         result = run_paper_protocol(workload, spec, capacity, warmup,
-                                    measured, seed=seed, repetitions=1)
+                                    measured, seed=seed, repetitions=1,
+                                    trace_cache=traces)
         table.add_row(spec.label, result.hit_ratio)
     return table
 
@@ -367,9 +366,11 @@ def ablation_multipool(capacity: int = 150,
     table = Table(
         title=f"A9 — manual pool tuning vs self-reliant LRU-2 (B={capacity})",
         columns=["policy", "hit ratio"])
+    traces = TraceCache()
     for spec in specs:
         result = run_paper_protocol(workload, spec, capacity, warmup,
-                                    measured, seed=seed, repetitions=3)
+                                    measured, seed=seed, repetitions=3,
+                                    trace_cache=traces)
         table.add_row(spec.label, result.hit_ratio)
     return table
 

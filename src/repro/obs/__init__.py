@@ -11,7 +11,9 @@ Four layers, all strictly pay-for-what-you-use:
   With no sinks attached the instrumented hot paths cost one attribute
   load and one truth test per reference.
 - **metrics** (:mod:`repro.obs.registry`, :mod:`repro.obs.window`):
-  named counters/gauges/histograms plus the sliding-window hit-ratio
+  named counters/gauges/histograms, read as one immutable
+  :class:`RegistrySnapshot` and relayed across processes with
+  :meth:`MetricsRegistry.merge`, plus the sliding-window hit-ratio
   recorder that makes adaptivity quantitative.
 - **sinks & profiling** (:mod:`repro.obs.sinks`,
   :mod:`repro.obs.profiler`): JSONL files, bounded ring buffers, the
@@ -25,7 +27,7 @@ Four layers, all strictly pay-for-what-you-use:
   perf-trajectory ledger behind ``repro perf``.
 - **tracing & provenance** (:mod:`repro.obs.trace`,
   :mod:`repro.obs.provenance`): hierarchical wall/CPU-time spans
-  (``sweep → cell → simulate → policy-hook``) with cross-process relay
+  (``sweep → cell → simulate → warmup/measure``) with cross-process relay
   from forked sweep workers and Chrome trace-event export, plus
   per-eviction decision provenance — the candidate set, CRP exclusions,
   retained-history influence, and optional Belady-regret annotation
@@ -50,7 +52,13 @@ from .events import (
 )
 from .dispatcher import CallbackSink, EventDispatcher, Sink
 from .runtime import activate, current, resolve
-from .registry import Counter, Gauge, HistogramMetric, MetricsRegistry
+from .registry import (
+    Counter,
+    Gauge,
+    HistogramMetric,
+    MetricsRegistry,
+    RegistrySnapshot,
+)
 from .window import HitRatioWindowRecorder, SlidingHitRatioWindow
 from .profiler import PROFILED_HOOKS, HookProfile, ProfiledPolicy
 from .provenance import (
@@ -103,6 +111,7 @@ __all__ = [
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",
+    "RegistrySnapshot",
     "SlidingHitRatioWindow",
     "HitRatioWindowRecorder",
     "ProfiledPolicy",

@@ -8,13 +8,29 @@ new ones. Histogram instruments reuse the statistics layer
 (:class:`repro.stats.Histogram` bins + :class:`repro.stats.StreamingMoments`
 for exact moments), so quantiles and means stay O(1)-per-observation.
 
-A registry renders to a flat ``{name: value}`` snapshot suitable for a
-:class:`~repro.obs.events.SnapshotEvent` payload or a JSON report.
+:meth:`MetricsRegistry.snapshot` is the one way to read a registry: an
+immutable :class:`RegistrySnapshot`, both a flat ``{name: value}``
+mapping and each instrument's raw reading. :meth:`MetricsRegistry.merge`
+folds one into another registry; forked sweep workers relay that way.
+
+The lock rule: :meth:`~MetricsRegistry.snapshot`,
+:meth:`~MetricsRegistry.merge` and instrument creation take the one
+re-entrant :attr:`MetricsRegistry.lock`. Instruments take no lock, so a
+writer that can run beside a snapshot holds ``lock`` around its whole
+batch of updates, and a snapshot sees the batch entirely or not at all.
+Quantiles and exposition text are computed from the copy after the lock
+is released. The registry lock comes first in lock order: a snapshot
+reads callable gauges while holding it, and a callable may take another
+lock (a service shard's), so no code takes the registry lock while
+holding such a lock.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import threading
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..stats import Histogram, StreamingMoments
@@ -52,6 +68,11 @@ class Gauge:
         self._value: float = 0.0
         self._fn = fn
 
+    @property
+    def live(self) -> bool:
+        """True when the gauge reads a callable (a live view)."""
+        return self._fn is not None
+
     def set(self, value: float) -> None:
         """Pin the gauge to a value (only for non-callable gauges)."""
         if self._fn is not None:
@@ -64,6 +85,56 @@ class Gauge:
         if self._fn is not None:
             return float(self._fn())
         return self._value
+
+
+class GaugeReading(NamedTuple):
+    """One gauge in a :class:`RegistrySnapshot`."""
+
+    value: float
+    #: The relayed worker that last wrote the gauge (see
+    #: :meth:`MetricsRegistry.merge`), or None when written locally.
+    worker: Optional[str] = None
+    #: True when the value was read from a callable; such live views of
+    #: process-local objects are never relayed.
+    live: bool = False
+
+
+class HistogramReading(NamedTuple):
+    """One histogram in a :class:`RegistrySnapshot`: binning, bins, moments."""
+
+    low: float
+    high: float
+    bins: int
+    counts: Tuple[int, ...]
+    #: Raw ``(count, mean, m2)`` of :class:`repro.stats.StreamingMoments`.
+    moments: Tuple[int, float, float]
+
+    @property
+    def count(self) -> int:
+        """Observations recorded."""
+        return self.moments[0]
+
+    @property
+    def mean(self) -> float:
+        """Exact mean of the observations."""
+        return self.moments[1]
+
+    def _binned(self) -> Histogram:
+        histogram = Histogram(self.low, self.high, self.bins)
+        histogram.merge_counts(list(self.counts))
+        return histogram
+
+    def quantile(self, q: float) -> Optional[float]:
+        """Approximate q-quantile (bin-interpolated).
+
+        Total: an empty histogram has no quantiles, so this returns
+        ``None`` rather than the binning range's lower bound (which is a
+        configuration artifact, not an observation, and silently skewed
+        dashboards that averaged percentiles across runs).
+        """
+        if self.count == 0:
+            return None
+        return self._binned().quantile(q)
 
 
 class HistogramMetric:
@@ -97,32 +168,6 @@ class HistogramMetric:
         """Number of uniform bins."""
         return self._histogram.bins
 
-    def state(self) -> Dict[str, object]:
-        """A picklable snapshot: binning, per-bin counts, raw moments.
-
-        The process-boundary relay form (see
-        :meth:`MetricsRegistry.histogram_values`): bin counts and
-        observation counts merge exactly; the Welford mean merges via
-        the Chan parallel formula, which can differ from a sequential
-        fold in the last ulp.
-        """
-        return {"low": self._histogram.low, "high": self._histogram.high,
-                "bins": self._histogram.bins,
-                "counts": self._histogram.counts,
-                "moments": list(self._moments.state())}
-
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold a relayed :meth:`state` snapshot into this instrument."""
-        if (state["low"], state["high"], state["bins"]) != (
-                self.low, self.high, self.bins):
-            raise ConfigurationError(
-                f"histogram {self.name!r} binning mismatch: cannot merge "
-                f"[{state['low']}, {state['high']})/{state['bins']} into "
-                f"[{self.low}, {self.high})/{self.bins}")
-        self._histogram.merge_counts(list(state["counts"]))
-        self._moments = self._moments.merge(
-            StreamingMoments.restore(tuple(state["moments"])))
-
     @property
     def count(self) -> int:
         """Observations recorded so far."""
@@ -134,43 +179,107 @@ class HistogramMetric:
         return self._moments.mean
 
     def quantile(self, q: float) -> Optional[float]:
-        """Approximate q-quantile (bin-interpolated).
+        """Approximate q-quantile; ``None`` while empty."""
+        return self._reading().quantile(q)
 
-        Total: an empty histogram has no quantiles, so this returns
-        ``None`` rather than the binning range's lower bound (which is a
-        configuration artifact, not an observation, and silently skewed
-        dashboards that averaged percentiles across runs).
-        """
-        if self._moments.count == 0:
-            return None
-        return self._histogram.quantile(q)
+    def _reading(self) -> HistogramReading:
+        return HistogramReading(self.low, self.high, self.bins,
+                                tuple(self._histogram.counts),
+                                self._moments.state())
 
-    def summary(self) -> Dict[str, float]:
-        """count / mean / p50 / p95 / p99 as a flat dict.
+    def _merge(self, reading: HistogramReading) -> None:
+        if (reading.low, reading.high, reading.bins) != (
+                self.low, self.high, self.bins):
+            raise ConfigurationError(
+                f"histogram {self.name!r} binning mismatch: cannot merge "
+                f"[{reading.low}, {reading.high})/{reading.bins} into "
+                f"[{self.low}, {self.high})/{self.bins}")
+        self._histogram.merge_counts(list(reading.counts))
+        self._moments = self._moments.merge(
+            StreamingMoments.restore(reading.moments))
 
-        Percentile keys are omitted while the histogram is empty (they
-        have no defined value), so a snapshot never fabricates numbers.
-        """
-        out = {"count": float(self.count), "mean": self.mean}
-        if self.count:
-            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-                quantile = self.quantile(q)
-                assert quantile is not None
-                out[key] = quantile
-        return out
+
+class RegistrySnapshot(Mapping[str, float]):
+    """An immutable reading of a whole registry, taken under its lock.
+
+    As a read-only mapping it is the flat ``{name: value}`` view, sorted
+    by name: counters and gauges by name, histograms expanded to
+    ``name.count/.mean/.p50/.p95/.p99``. Percentiles are omitted while a
+    histogram is empty, so a snapshot never fabricates numbers.
+    :attr:`counters`, :attr:`gauges` and :attr:`histograms` carry the
+    raw parts that :meth:`MetricsRegistry.merge` and the exposition
+    renderer read. The flat view (and its quantiles) is built on first
+    use, from the copy.
+    """
+
+    __slots__ = ("_counters", "_gauges", "_histograms", "_flat")
+
+    def __init__(self,
+                 counters: Optional[Dict[str, int]] = None,
+                 gauges: Optional[Dict[str, GaugeReading]] = None,
+                 histograms: Optional[Dict[str, HistogramReading]] = None
+                 ) -> None:
+        self._counters = dict(counters or {})
+        self._gauges = dict(gauges or {})
+        self._histograms = dict(histograms or {})
+        self._flat: Optional[Dict[str, float]] = None
+
+    @property
+    def counters(self) -> Mapping[str, int]:
+        """``{name: value}`` of every counter."""
+        return MappingProxyType(self._counters)
+
+    @property
+    def gauges(self) -> Mapping[str, GaugeReading]:
+        """``{name: GaugeReading}`` of every gauge."""
+        return MappingProxyType(self._gauges)
+
+    @property
+    def histograms(self) -> Mapping[str, HistogramReading]:
+        """``{name: HistogramReading}`` of every histogram."""
+        return MappingProxyType(self._histograms)
+
+    def _flattened(self) -> Dict[str, float]:
+        if self._flat is None:
+            flat: Dict[str, float] = {}
+            for name, value in self._counters.items():
+                flat[name] = float(value)
+            for name, gauge in self._gauges.items():
+                flat[name] = gauge.value
+            for name, histogram in self._histograms.items():
+                flat[f"{name}.count"] = float(histogram.count)
+                flat[f"{name}.mean"] = histogram.mean
+                if histogram.count:
+                    binned = histogram._binned()
+                    for key, q in (("p50", 0.50), ("p95", 0.95),
+                                   ("p99", 0.99)):
+                        flat[f"{name}.{key}"] = binned.quantile(q)
+            self._flat = dict(sorted(flat.items()))
+        return self._flat
+
+    def __getitem__(self, name: str) -> float:
+        return self._flattened()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._flattened())
+
+    def __len__(self) -> int:
+        return len(self._flattened())
 
 
 class MetricsRegistry:
-    """A namespace of uniquely named instruments."""
+    """A namespace of uniquely named instruments (see the lock rule above)."""
 
     def __init__(self) -> None:
+        #: The registry lock (see the lock rule in the module docstring).
+        self.lock = threading.RLock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, HistogramMetric] = {}
         #: Which relayed worker last wrote each merged gauge (see
-        #: :meth:`merge_gauges`); the exposition renderer surfaces it as
-        #: a ``worker`` label.
-        self._gauge_sources: Dict[str, str] = {}
+        #: :meth:`merge`); the exposition renderer surfaces it as a
+        #: ``worker`` label.
+        self._gauge_workers: Dict[str, str] = {}
 
     def _claim(self, name: str) -> None:
         if (name in self._counters or name in self._gauges
@@ -179,19 +288,20 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         """Create (or fetch) the counter with this name."""
-        existing = self._counters.get(name)
-        if existing is not None:
+        with self.lock:
+            existing = self._counters.get(name)
+            if existing is None:
+                self._claim(name)
+                existing = self._counters[name] = Counter(name)
             return existing
-        self._claim(name)
-        counter = self._counters[name] = Counter(name)
-        return counter
 
     def gauge(self, name: str,
               fn: Optional[Callable[[], float]] = None) -> Gauge:
         """Create a gauge; re-registering a name raises."""
-        self._claim(name)
-        gauge = self._gauges[name] = Gauge(name, fn)
-        return gauge
+        with self.lock:
+            self._claim(name)
+            gauge = self._gauges[name] = Gauge(name, fn)
+            return gauge
 
     def set_gauge(self, name: str, value: float) -> Gauge:
         """Get-or-create the non-callable gauge ``name`` and set it.
@@ -203,12 +313,13 @@ class MetricsRegistry:
         Callable-backed gauges (live views) keep their reject-on-set
         semantics: publishing over one raises.
         """
-        existing = self._gauges.get(name)
-        if existing is None:
-            self._claim(name)
-            existing = self._gauges[name] = Gauge(name)
-        existing.set(float(value))
-        return existing
+        with self.lock:
+            existing = self._gauges.get(name)
+            if existing is None:
+                self._claim(name)
+                existing = self._gauges[name] = Gauge(name)
+            existing.set(float(value))
+            return existing
 
     def histogram(self, name: str, low: float, high: float,
                   bins: int = 64) -> HistogramMetric:
@@ -218,141 +329,75 @@ class MetricsRegistry:
         existing instrument (so per-run drivers and worker-relay merges
         can both use get-or-create); a different binning raises.
         """
-        existing = self._histograms.get(name)
-        if existing is not None:
-            if (existing.low, existing.high, existing.bins) != (
-                    low, high, bins):
-                raise ConfigurationError(
-                    f"histogram {name!r} already registered with binning "
-                    f"[{existing.low}, {existing.high})/{existing.bins}")
-            return existing
-        self._claim(name)
-        histogram = self._histograms[name] = HistogramMetric(
-            name, low, high, bins)
-        return histogram
+        with self.lock:
+            existing = self._histograms.get(name)
+            if existing is not None:
+                if (existing.low, existing.high, existing.bins) != (
+                        low, high, bins):
+                    raise ConfigurationError(
+                        f"histogram {name!r} already registered with "
+                        f"binning [{existing.low}, {existing.high})/"
+                        f"{existing.bins}")
+                return existing
+            self._claim(name)
+            histogram = self._histograms[name] = HistogramMetric(
+                name, low, high, bins)
+            return histogram
 
     def percentile(self, name: str, q: float) -> Optional[float]:
         """The q-quantile of the named histogram, if it has one.
 
         Total over both failure modes: an unregistered name and an empty
-        histogram both yield ``None`` (previously the former raised and
-        the latter reported the binning range's lower bound).
+        histogram both yield ``None``.
         """
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            return None
-        return histogram.quantile(q)
-
-    def counter_values(self) -> Dict[str, int]:
-        """Every counter's current value (the worker-relay payload)."""
-        return {name: counter.value
-                for name, counter in self._counters.items()}
-
-    def merge_counters(self, values: Dict[str, int]) -> None:
-        """Fold another registry's counter values into this one.
-
-        How forked sweep workers' deltas reach the parent: each worker
-        accumulates into a private registry, relays
-        :meth:`counter_values` over the result channel, and the parent
-        merges — counters are sums, so merging is exact and
-        order-independent.
-        """
-        for name, value in values.items():
-            self.counter(name).inc(value)
-
-    def gauge_values(self) -> Dict[str, float]:
-        """Every *non-callable* gauge's current value (worker relay form).
-
-        Callable-backed gauges are live views of worker-local objects
-        that die with the worker, so they are excluded — relaying their
-        final reading would freeze a "live" instrument at a stale value
-        without marking it as such.
-        """
-        return {name: gauge.read() for name, gauge in self._gauges.items()
-                if gauge._fn is None}
-
-    def merge_gauges(self, values: Dict[str, float],
-                     worker: Optional[str] = None) -> None:
-        """Fold relayed gauge snapshots in, last-write-wins.
-
-        The counterpart of :meth:`merge_counters` for point-in-time
-        instruments: forked sweep workers snapshot their non-callable
-        gauges at cell exit (:meth:`gauge_values`) and the parent merges
-        them as cells complete, so ``--serve-metrics`` exposes
-        worker-side gauges mid-sweep. Gauges are *not* additive; the
-        most recently merged cell wins, and ``worker`` records which
-        worker wrote the surviving value (exposed as a ``worker`` label
-        in the Prometheus exposition). Names already claimed by a
-        callable-backed gauge in this registry are skipped — a live
-        parent-side view must not be overwritten by a dead snapshot.
-        """
-        for name, value in values.items():
-            existing = self._gauges.get(name)
-            if existing is not None and existing._fn is not None:
-                continue
-            self.set_gauge(name, value)
-            if worker is not None:
-                self._gauge_sources[name] = worker
-
-    def gauge_source(self, name: str) -> Optional[str]:
-        """The worker that last wrote a merged gauge, if relayed."""
-        return self._gauge_sources.get(name)
-
-    def counters(self) -> Dict[str, Counter]:
-        """A shallow copy of the counter instruments by name."""
-        return dict(self._counters)
-
-    def gauges(self) -> Dict[str, Gauge]:
-        """A shallow copy of the gauge instruments by name."""
-        return dict(self._gauges)
-
-    def histograms(self) -> Dict[str, HistogramMetric]:
-        """A shallow copy of the histogram instruments by name."""
-        return dict(self._histograms)
-
-    def histogram_values(self) -> Dict[str, Dict[str, object]]:
-        """Every histogram's :meth:`~HistogramMetric.state` (worker relay).
-
-        The counterpart of :meth:`counter_values` for distribution
-        instruments, so ``--metrics-out`` histograms agree between
-        ``--jobs N`` and serial runs instead of silently dropping worker
-        observations. Callable-backed gauges are not relayed (they are
-        live views of worker-local objects that die with the worker);
-        non-callable gauges travel separately via :meth:`gauge_values`.
-        """
-        return {name: histogram.state()
-                for name, histogram in self._histograms.items()}
-
-    def merge_histograms(self, states: Dict[str, Dict[str, object]]) -> None:
-        """Fold relayed histogram states into this registry.
-
-        Bin counts and observation counts merge exactly (sums) and are
-        therefore order-independent; means merge via Chan's parallel
-        formula, which is order-sensitive only in the last ulp. The
-        sweep engine merges each cell's state as it completes so a live
-        ``/metrics`` scrape sees histogram buckets mid-sweep.
-        """
-        for name, state in states.items():
-            histogram = self.histogram(
-                name, float(state["low"]), float(state["high"]),
-                int(state["bins"]))
-            histogram.merge_state(state)
+        with self.lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                return None
+            reading = histogram._reading()
+        return reading.quantile(q)
 
     def names(self) -> List[str]:
         """All registered instrument names, sorted."""
         return sorted([*self._counters, *self._gauges, *self._histograms])
 
-    def snapshot(self) -> Dict[str, float]:
-        """Flatten every instrument into ``{name: value}``.
+    def snapshot(self) -> RegistrySnapshot:
+        """Copy every instrument under the registry lock."""
+        with self.lock:
+            counters = {name: counter.value
+                        for name, counter in self._counters.items()}
+            gauges = {name: GaugeReading(gauge.read(),
+                                         self._gauge_workers.get(name),
+                                         gauge.live)
+                      for name, gauge in self._gauges.items()}
+            histograms = {name: histogram._reading()
+                          for name, histogram in self._histograms.items()}
+        return RegistrySnapshot(counters, gauges, histograms)
 
-        Histograms expand to ``name.count/.mean/.p50/.p95/.p99``.
+    def merge(self, snapshot: RegistrySnapshot,
+              worker: Optional[str] = None) -> None:
+        """Fold another registry's snapshot into this one.
+
+        - Counters and histogram bins add, exactly and in any order;
+          histogram means merge by Chan's formula (last-ulp order
+          sensitivity); a binning mismatch raises
+          :class:`~repro.errors.ConfigurationError`.
+        - Set gauges are last-write-wins, and ``worker`` records who
+          wrote the surviving value (the exposition's ``worker`` label).
+        - Callable gauges are live views of process-local objects: the
+          snapshot's are not relayed, and this registry's are never
+          overwritten.
         """
-        out: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = float(counter.value)
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.read()
-        for name, histogram in self._histograms.items():
-            for key, value in histogram.summary().items():
-                out[f"{name}.{key}"] = value
-        return dict(sorted(out.items()))
+        with self.lock:
+            for name, value in snapshot.counters.items():
+                self.counter(name).inc(value)
+            for name, reading in snapshot.histograms.items():
+                self.histogram(name, reading.low, reading.high,
+                               reading.bins)._merge(reading)
+            for name, gauge in snapshot.gauges.items():
+                existing = self._gauges.get(name)
+                if gauge.live or (existing is not None and existing.live):
+                    continue
+                self.set_gauge(name, gauge.value)
+                if worker is not None:
+                    self._gauge_workers[name] = worker

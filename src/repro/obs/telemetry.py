@@ -95,47 +95,42 @@ def _format_value(value: float) -> str:
 def render_exposition(registry: MetricsRegistry) -> str:
     """Serialize every instrument as Prometheus text format 0.0.4.
 
+    The text comes from one
+    :meth:`~repro.obs.registry.MetricsRegistry.snapshot` of the registry.
+
     - Counters and gauges render one sample each; gauges whose value was
       merged from a forked sweep worker carry a ``worker="<pid>"`` label
-      (see :meth:`~repro.obs.registry.MetricsRegistry.merge_gauges`).
+      (see :meth:`~repro.obs.registry.MetricsRegistry.merge`).
     - Histograms render the full cumulative ``_bucket{le="..."}``
       ladder over their fixed binning, a terminal ``le="+Inf"`` bucket,
-      and ``_sum`` / ``_count`` samples. The ladder, ``+Inf`` and
-      ``_count`` all come from one copy of the bin counts (out-of-range
-      observations are clamped into the edge bins by
-      :class:`repro.stats.Histogram`), so ``+Inf == _count`` holds even
-      when a scrape races an observation. *Empty* histograms
-      are omitted entirely — a bucket ladder of zeros advertises a
-      distribution that was never observed.
+      and ``_sum`` / ``_count`` samples, all from one reading. The
+      ladder, ``+Inf`` and ``_count`` come from the bin counts
+      (out-of-range observations are clamped into the edge bins by
+      :class:`repro.stats.Histogram`), so ``+Inf == _count`` always
+      holds. *Empty* histograms are omitted entirely — a bucket ladder
+      of zeros advertises a distribution that was never observed.
     - Families render in sorted instrument-name order, so successive
       scrapes of a quiescent registry are byte-identical.
-
-    The renderer snapshots the instrument maps up front, so scraping
-    from the server thread while the sweep registers new instruments is
-    safe (values themselves are read live).
     """
+    snapshot = registry.snapshot()
     lines: List[str] = []
 
-    for name, counter in sorted(registry.counters().items()):
+    for name, value in sorted(snapshot.counters.items()):
         exposed = exposition_name(name)
         lines.append(f"# HELP {exposed} {_escape_help(name)}")
         lines.append(f"# TYPE {exposed} counter")
-        lines.append(f"{exposed} {_format_value(float(counter.value))}")
+        lines.append(f"{exposed} {_format_value(float(value))}")
 
-    for name, gauge in sorted(registry.gauges().items()):
+    for name, gauge in sorted(snapshot.gauges.items()):
         exposed = exposition_name(name)
         lines.append(f"# HELP {exposed} {_escape_help(name)}")
         lines.append(f"# TYPE {exposed} gauge")
-        worker = registry.gauge_source(name)
-        label = (f'{{worker="{_escape_label(worker)}"}}'
-                 if worker is not None else "")
-        lines.append(f"{exposed}{label} {_format_value(gauge.read())}")
+        label = (f'{{worker="{_escape_label(gauge.worker)}"}}'
+                 if gauge.worker is not None else "")
+        lines.append(f"{exposed}{label} {_format_value(gauge.value)}")
 
-    for name, histogram in sorted(registry.histograms().items()):
-        # observe() updates the bins and the moments one after the
-        # other, so histogram.count can disagree with the bins.
-        counts = list(histogram.state()["counts"])  # type: ignore[arg-type]
-        total = sum(counts)
+    for name, histogram in sorted(snapshot.histograms.items()):
+        total = sum(histogram.counts)
         if total == 0:
             continue
         exposed = exposition_name(name)
@@ -144,7 +139,7 @@ def render_exposition(registry: MetricsRegistry) -> str:
         lines.append(f"# HELP {exposed} {_escape_help(name)}")
         lines.append(f"# TYPE {exposed} histogram")
         cumulative = 0
-        for index, count in enumerate(counts):
+        for index, count in enumerate(histogram.counts):
             cumulative += count
             edge = low + (index + 1) * width
             lines.append(f'{exposed}_bucket{{le="{_format_value(edge)}"}} '
@@ -337,11 +332,10 @@ class MetricsServer:
     binds an ephemeral port (the bound port is returned by ``start`` and
     exposed as :attr:`port`), which is what the tests use.
 
-    Scrapes read the live registry from the server thread. That is safe
-    by construction: the renderer snapshots the instrument dicts before
-    iterating, counters/gauges are single-slot reads, and histogram bin
-    lists are only appended under the GIL — a racing scrape sees a
-    slightly stale but well-formed exposition.
+    Each scrape renders one registry snapshot, taken under the registry
+    lock: a writer that holds the lock around its batch of updates is
+    seen entirely or not at all, and ``+Inf``, ``_count`` and ``_sum``
+    of a histogram come from the same reading.
     """
 
     def __init__(self, registry: MetricsRegistry, port: int = 0,
@@ -411,9 +405,14 @@ class MetricsServer:
     # -- request bodies ----------------------------------------------------
 
     def scrape(self) -> str:
-        """One exposition payload (also counts ``telemetry.scrapes``)."""
-        self.scrapes += 1
-        self.registry.counter("telemetry.scrapes").inc()
+        """One exposition payload (also counts ``telemetry.scrapes``).
+
+        Handler threads scrape concurrently, so both counts move under
+        the registry lock.
+        """
+        with self.registry.lock:
+            self.scrapes += 1
+            self.registry.counter("telemetry.scrapes").inc()
         return render_exposition(self.registry)
 
     def health(self) -> Dict[str, object]:
@@ -494,32 +493,38 @@ class ResourceSampler:
         self.probes[name] = fn
 
     def sample_once(self) -> None:
-        """Take one sample synchronously (what the thread loops on)."""
+        """Take one sample synchronously (what the thread loops on).
+
+        The whole sample is published under the registry lock, so a
+        scrape sees all of it or none of it.
+        """
         registry = self.registry
-        status = _read_proc_self_status()
-        if "VmRSS" in status:
-            registry.set_gauge("process.rss_bytes", status["VmRSS"])
-        if "VmHWM" in status:
-            registry.set_gauge("process.rss_peak_bytes", status["VmHWM"])
-        times = os.times()
-        registry.set_gauge("process.cpu_seconds", times.user + times.system)
-        for generation, pending in enumerate(gc.get_count()):
-            registry.set_gauge(f"process.gc_gen{generation}_pending",
-                               pending)
-        for generation, stats in enumerate(gc.get_stats()):
-            registry.set_gauge(f"process.gc_gen{generation}_collections",
-                               stats.get("collections", 0))
-        registry.set_gauge("process.threads", threading.active_count())
-        if self.dispatcher is not None:
-            self._sample_sinks()
-        for name, fn in list(self.probes.items()):
-            try:
-                registry.set_gauge(name, float(fn()))
-            except Exception:
-                # A dead probe (e.g. reading a torn-down sweep) must not
-                # kill the sampling thread mid-run.
-                continue
-        registry.counter("telemetry.samples").inc()
+        with registry.lock:
+            status = _read_proc_self_status()
+            if "VmRSS" in status:
+                registry.set_gauge("process.rss_bytes", status["VmRSS"])
+            if "VmHWM" in status:
+                registry.set_gauge("process.rss_peak_bytes", status["VmHWM"])
+            times = os.times()
+            registry.set_gauge("process.cpu_seconds",
+                               times.user + times.system)
+            for generation, pending in enumerate(gc.get_count()):
+                registry.set_gauge(f"process.gc_gen{generation}_pending",
+                                   pending)
+            for generation, stats in enumerate(gc.get_stats()):
+                registry.set_gauge(f"process.gc_gen{generation}_collections",
+                                   stats.get("collections", 0))
+            registry.set_gauge("process.threads", threading.active_count())
+            if self.dispatcher is not None:
+                self._sample_sinks()
+            for name, fn in list(self.probes.items()):
+                try:
+                    registry.set_gauge(name, float(fn()))
+                except Exception:
+                    # A dead probe (e.g. reading a torn-down sweep) must not
+                    # kill the sampling thread mid-run.
+                    continue
+            registry.counter("telemetry.samples").inc()
 
     def _sample_sinks(self) -> None:
         """Publish a depth gauge per introspectable dispatcher sink."""

@@ -2,8 +2,8 @@
 
 The event stream (:mod:`repro.obs.events`) records *decisions*; spans
 record *where the time went*. A :class:`Span` is one named interval —
-``sweep``, ``cell``, ``simulate``, ``warmup``, ``measure``,
-``policy-hook`` — carrying wall-clock and CPU duration, a parent link,
+``sweep``, ``cell``, ``simulate``, ``warmup``, ``measure`` — carrying
+wall-clock and CPU duration, a parent link,
 and the recording process/thread ids. A :class:`Tracer` owns an open-span
 stack (so nesting falls out of ``with`` blocks) plus the list of
 completed spans, and exports them in the Chrome trace-event JSON format
@@ -109,21 +109,10 @@ class Tracer:
     Tracing does not change which code computes a run: a traced
     simulation keeps its fused kernel, and its ``simulate`` span
     records the tier that ran in its ``tier`` arg.
-
-    Parameters
-    ----------
-    profile_hooks:
-        When True, the measurement protocol wraps traced policies in
-        :class:`repro.obs.ProfiledPolicy` and records one aggregate
-        ``policy-hook`` span per protocol hook under each ``simulate``
-        span. Decision-transparent, but hooks only exist on the object
-        path, so every profiled run is demoted to it (tier ``object``)
-        and costs several times a kernel run. Off by default.
     """
 
-    def __init__(self, profile_hooks: bool = False) -> None:
+    def __init__(self) -> None:
         self.spans: List[Span] = []
-        self.profile_hooks = profile_hooks
         self._stack: List[Span] = []
         self._next_id = 1
 
@@ -175,8 +164,9 @@ class Tracer:
                tid: Optional[int] = None, **args: object) -> Span:
         """Record an already-measured (synthetic) span.
 
-        Used for aggregate ``policy-hook`` spans and for the parent-side
-        ``cell`` envelopes synthesized around relayed worker spans. When
+        Used for a kernel run's ``warmup``/``measure`` phases and for
+        the parent-side ``cell`` envelopes synthesized around relayed
+        worker spans. When
         ``parent_id`` is None the span parents under the innermost open
         span, like :meth:`span`.
         """

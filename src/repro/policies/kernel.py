@@ -109,7 +109,7 @@ class KernelResult:
     #: Evictions of pages written while resident, over both windows.
     writebacks: int
     #: Surviving resident pages mapped to their admission times, in
-    #: admission order — exactly the simulator's ``_admitted_at`` map.
+    #: admission order (the order of the simulator's residency map).
     resident: Dict[PageId, int]
     #: The surviving residents written since their admission.
     dirty: List[PageId]

@@ -17,10 +17,10 @@ sessions the way production buffer managers do — by *sharding*:
   bookkeeping done under the lock does not grow with the shard size.
 
 Cross-shard state is limited to thread-safe accounting: the per-tenant
-:class:`~repro.service.quotas.TenantLedger` and an optional
-:class:`~repro.obs.registry.MetricsRegistry` updated under a dedicated
-metrics lock (``service.*`` counters, gauges, and the request-latency
-histogram scraped by ``/metrics`` and rendered by ``repro top``).
+:class:`~repro.service.quotas.TenantLedger` and a
+:class:`~repro.obs.registry.MetricsRegistry` updated under the registry
+lock (``service.*`` counters, gauges, and the request-latency histogram
+scraped by ``/metrics`` and rendered by ``repro top``).
 
 Tenant admission control reuses the multi-pool quota idiom per tenant
 (the buffer-management survey's per-tenant segmentation): when an
@@ -141,6 +141,15 @@ class ShardedBufferManager:
         :func:`repro.obs.runtime.suppress`); telemetry flows through the
         lock-protected registry instead. Pass a dispatcher only for
         single-threaded harnesses (the serial-equivalence property).
+
+    The lock rule: a request takes its shard's lock for the pool work,
+    releases it, and then takes the registry lock
+    (:attr:`~repro.obs.registry.MetricsRegistry.lock`) once to record
+    all of its ``service.*`` updates, so a ``/metrics`` snapshot sees a
+    request's counters and latency observations together or not at all.
+    A snapshot holds the registry lock while it reads the
+    ``service.shard.N.resident`` gauges, which take shard locks, so no
+    code here takes the registry lock while holding a shard lock.
     """
 
     def __init__(self, capacity: int, shards: int = 4,
@@ -158,7 +167,6 @@ class ShardedBufferManager:
         self.capacity = capacity
         self.ledger = TenantLedger(quotas)
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._metrics_lock = threading.Lock()
         self._session_lock = threading.Lock()
         self._next_session_id = 0
         self._open_sessions = 0
@@ -218,7 +226,7 @@ class ShardedBufferManager:
         creates instruments (registry creation mutates shared dicts).
         """
         self.ledger.ensure(tenant)
-        with self._metrics_lock:
+        with self.registry.lock:
             if tenant in self._tenant_instruments:
                 return
             registry = self.registry
@@ -358,7 +366,7 @@ class ShardedBufferManager:
             self.register_tenant(tenant)
             instruments = self._tenant_instruments[tenant]
         requests, hits, misses, quota_evictions, latency = instruments
-        with self._metrics_lock:
+        with self.registry.lock:
             self._requests.inc()
             requests.inc()
             if hit:

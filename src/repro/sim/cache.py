@@ -76,7 +76,6 @@ class CacheSimulator:
         self.evictions = 0
         self.writebacks = 0
         self._resident: Dict[PageId, bool] = {}  # page -> dirty?
-        self._admitted_at: Dict[PageId, int] = {}
         self.eviction_log: Optional[List[AccessOutcome]] = (
             [] if record_evictions else None)
         #: The execution tier that ran: ``"object"`` (per-reference
@@ -125,7 +124,6 @@ class CacheSimulator:
                 self._evict(victim, t, outcome)
             self.policy.on_admit(ref.page, t)
             self._resident[ref.page] = False
-            self._admitted_at[ref.page] = t
 
         if ref.is_write:
             self._resident[ref.page] = True
@@ -164,7 +162,6 @@ class CacheSimulator:
                 self._evict(policy.choose_victim(t, incoming=page), t)
             policy.on_admit(page, t)
             resident[page] = False
-            self._admitted_at[page] = t
         self.counter.record(hit)
         obs = self._obs
         if obs is not None and obs.takes_references:
@@ -236,13 +233,11 @@ class CacheSimulator:
         self.writebacks += result.writebacks
         self._resident = dict.fromkeys(result.resident, False)
         self._resident.update(dict.fromkeys(result.dirty, True))
-        self._admitted_at = dict(result.resident)
         return True
 
     def _evict(self, victim: PageId, t: int,
                outcome: Optional[AccessOutcome] = None) -> None:
         dirty = self._resident.pop(victim)
-        admitted = self._admitted_at.pop(victim)
         if self._provenance is not None:
             # Victim choice already recorded its decision; complete it
             # with the outcome only the driver knows.
@@ -265,7 +260,6 @@ class CacheSimulator:
                     AccessOutcome(reference=outcome.reference, time=t,
                                   hit=False, evicted=victim,
                                   evicted_dirty=dirty))
-        del admitted  # retained only for residency-duration analyses
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the buffer, evicting victims if it shrank.

@@ -57,7 +57,7 @@ class MetricsCollector:
         #: small values mean the policy discards pages it just used.
         self.eviction_age = StreamingMoments()
         self._ever_seen: Set[PageId] = set()
-        self._admitted_at: Dict[PageId, int] = {}
+        self._admitted: Dict[PageId, int] = {}
         self._last_reference: Dict[PageId, int] = {}
 
     def record(self, outcome: AccessOutcome) -> None:
@@ -72,10 +72,10 @@ class MetricsCollector:
             else:
                 self.misses.compulsory += 1
                 self._ever_seen.add(page)
-            self._admitted_at[page] = now
+            self._admitted[page] = now
         if outcome.evicted is not None:
             victim = outcome.evicted
-            admitted = self._admitted_at.pop(victim, now)
+            admitted = self._admitted.pop(victim, now)
             duration = max(0, now - admitted)
             self.residency.add(float(duration))
             self.residency_histogram.add(duration)

@@ -60,7 +60,7 @@ from ..obs import runtime as obs_runtime
 from ..obs import trace as obs_trace
 from ..obs.dispatcher import CallbackSink, EventDispatcher
 from ..obs.events import CellFailureEvent, ProgressEvent
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import MetricsRegistry, RegistrySnapshot
 from ..workloads.base import Workload
 from . import recovery
 from .runner import PolicySpec, ProtocolResult, run_paper_protocol
@@ -108,10 +108,8 @@ class _SweepJob:
     trace_cache: TraceCache
     #: Record spans in the worker and relay them to the parent tracer.
     trace: bool = False
-    #: The parent tracer's ``profile_hooks`` setting, for the worker's.
-    profile_hooks: bool = False
-    #: Accumulate metrics in a worker-local registry and relay the
-    #: counter values and histogram states for the parent to merge.
+    #: Accumulate metrics in a worker-local registry and relay its
+    #: snapshot for the parent to merge.
     collect_metrics: bool = False
     #: The parent dispatcher's ``takes_references``: a sink that takes
     #: per-reference events demotes serial runs to the object path, so
@@ -125,19 +123,16 @@ class _CellOutput:
 
     The cell's :class:`ProtocolResult` plus the observability side
     channels: serialized spans (plain dicts, see
-    :meth:`repro.obs.trace.Tracer.serialize`), the worker registry's
-    counter values, its histogram states (see
-    :meth:`repro.obs.registry.MetricsRegistry.histogram_values`), and a
-    snapshot of its non-callable gauges taken at cell exit (merged
-    last-write-wins with the worker pid as provenance). All ride the
-    existing pickle result channel — no extra IPC machinery.
+    :meth:`repro.obs.trace.Tracer.serialize`) and the worker registry's
+    snapshot at cell exit, which the parent folds in with
+    :meth:`repro.obs.registry.MetricsRegistry.merge` (the worker pid is
+    the provenance of its gauges). Both ride the existing pickle result
+    channel — no extra IPC machinery.
     """
 
     result: ProtocolResult
     spans: List[Dict[str, object]] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    histograms: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
+    metrics: Optional[RegistrySnapshot] = None
     worker_pid: int = 0
 
 
@@ -171,7 +166,7 @@ def _run_cell(job_id: int, spec_index: int, capacity: int) -> _CellOutput:
             trace_cache=job.trace_cache, metrics=registry)
 
     if job.trace:
-        tracer = obs_trace.Tracer(profile_hooks=job.profile_hooks)
+        tracer = obs_trace.Tracer()
         with obs_trace.activate(tracer):
             result = cell()
         spans = tracer.serialize()
@@ -180,10 +175,7 @@ def _run_cell(job_id: int, spec_index: int, capacity: int) -> _CellOutput:
         spans = []
     return _CellOutput(
         result=result, spans=spans,
-        counters=registry.counter_values() if registry is not None else {},
-        histograms=(registry.histogram_values()
-                    if registry is not None else {}),
-        gauges=registry.gauge_values() if registry is not None else {},
+        metrics=registry.snapshot() if registry is not None else None,
         worker_pid=os.getpid())
 
 
@@ -249,14 +241,15 @@ class _GridRun:
         """
         if self.registry is None:
             return
-        self.registry.set_gauge("sweep.cells_total", float(total))
-        self.registry.set_gauge("sweep.cells_done",
-                                float(len(self.results)))
-        # Register the fault counters at zero up front: a live /metrics
-        # scrape of a healthy sweep should show them absent-of-faults,
-        # not absent-of-instrumentation.
-        for name in ("sweep.cell.fallbacks", "sweep.cell.failures"):
-            self.registry.counter(name)
+        with self.registry.lock:
+            self.registry.set_gauge("sweep.cells_total", float(total))
+            self.registry.set_gauge("sweep.cells_done",
+                                    float(len(self.results)))
+            # Register the fault counters at zero up front: a live
+            # /metrics scrape of a healthy sweep should show them
+            # absent-of-faults, not absent-of-instrumentation.
+            for name in ("sweep.cell.fallbacks", "sweep.cell.failures"):
+                self.registry.counter(name)
 
     def complete(self, capacity: int, label: str,
                  result: ProtocolResult) -> None:
@@ -413,23 +406,24 @@ def _run_grid(workload: Workload, specs: Sequence[PolicySpec],
             # Gauges merged last-write-wins in completion order, so live
             # scrapes showed the latest finished cell. A serial sweep
             # ends on the grid's last cell: re-apply its relayed gauges
-            # so the final snapshot does too. (Had the pool not returned
-            # it, it ran last in-process and wrote its own.)
-            gauges, worker = last
-            run.registry.merge_gauges(gauges, worker=worker)
+            # (only those) so the final snapshot does too. (Had the pool
+            # not returned it, it ran last in-process and wrote its own.)
+            metrics, worker = last
+            run.registry.merge(RegistrySnapshot(gauges=metrics.gauges),
+                               worker=worker)
     except KeyboardInterrupt:
         raise run.salvage() from None
     return run.finish()
 
 
 def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
-               ) -> Optional[Tuple[Dict[str, float], str]]:
+               ) -> Optional[Tuple[RegistrySnapshot, str]]:
     """Run cells on a fork pool and record every cell it returns.
 
     All cells are submitted up front. A cell whose worker raised, or
     died and broke the pool (which fails every pending cell with it),
     is reported as a ``fallback`` and left for the caller to re-run
-    in-process. Returns the relayed gauges and worker pid of the last
+    in-process. Returns the relayed snapshot and worker pid of the last
     cell in grid order when the pool returned that cell.
     """
     global _next_job_id
@@ -446,10 +440,9 @@ def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
         workload=run.workload, specs=run.specs, warmup=run.warmup,
         measured=run.measured, seed=run.seed, repetitions=run.repetitions,
         trace_cache=run.cache, trace=tracer is not None,
-        profile_hooks=tracer is not None and tracer.profile_hooks,
         collect_metrics=run.registry is not None,
         takes_references=run.obs is not None and run.obs.takes_references)
-    last: Optional[Tuple[Dict[str, float], str]] = None
+    last: Optional[Tuple[RegistrySnapshot, str]] = None
     try:
         window: Dict[Future, _Cell] = {}
         for cell in cells:
@@ -483,17 +476,11 @@ def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
                 label = run.specs[cell.index].label
                 if tracer is not None:
                     _absorb_cell(tracer, output.spans, cell.capacity, label)
-                if run.registry is not None:
-                    if output.counters:
-                        run.registry.merge_counters(output.counters)
-                    if output.histograms:
-                        run.registry.merge_histograms(output.histograms)
-                    if output.gauges:
-                        worker = str(output.worker_pid)
-                        run.registry.merge_gauges(output.gauges,
-                                                  worker=worker)
-                        if cell == cells[-1]:
-                            last = (output.gauges, worker)
+                if run.registry is not None and output.metrics is not None:
+                    worker = str(output.worker_pid)
+                    run.registry.merge(output.metrics, worker=worker)
+                    if cell == cells[-1]:
+                        last = (output.metrics, worker)
                 run.complete(cell.capacity, label, output.result)
     finally:
         try:

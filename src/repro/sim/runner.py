@@ -25,7 +25,6 @@ from ..obs import runtime as obs_runtime
 from ..obs import trace as obs_trace
 from ..obs.dispatcher import EventDispatcher
 from ..obs.events import SnapshotEvent
-from ..obs.profiler import PROFILED_HOOKS, ProfiledPolicy
 from ..obs.registry import MetricsRegistry
 from ..policies import A0Policy, BeladyPolicy, ReplacementPolicy, make_policy
 from ..stats import ConfidenceInterval, mean_confidence_interval
@@ -271,34 +270,6 @@ def _record_kernel_phases(tracer: "obs_trace.Tracer",
                   cpu_us=cpu_us - warm_cpu, references=measured)
 
 
-def _record_hook_spans(tracer: "obs_trace.Tracer",
-                       parent: "obs_trace.Span",
-                       profiled: ProfiledPolicy) -> None:
-    """Synthesize aggregate ``policy-hook`` spans under a simulate span.
-
-    One span per protocol hook (millions of per-call spans would dwarf
-    the run being measured); each carries call count and p50/p95/p99 in
-    its args and spans the hook's *total* time, laid out sequentially
-    from the simulate span's start so Perfetto renders them nested.
-    """
-    cursor = parent.start_us
-    for hook in PROFILED_HOOKS:
-        profile = profiled.profiles[hook]
-        if not profile.count:
-            continue
-        duration = int(profile.total * 1e6)
-        summary = profile.summary_us()
-        tracer.record(
-            hook, start_us=cursor, duration_us=duration, cpu_us=duration,
-            parent_id=parent.span_id, category="policy-hook",
-            pid=parent.pid, tid=parent.tid,
-            calls=profile.count, mean_us=round(summary["mean"], 3),
-            p50_us=round(summary["p50"], 3),
-            p95_us=round(summary["p95"], 3),
-            p99_us=round(summary["p99"], 3))
-        cursor += duration
-
-
 def _record_protocol_counters(registry: MetricsRegistry,
                               simulator: CacheSimulator) -> None:
     """Fold one finished run's totals into protocol.* counters."""
@@ -317,16 +288,17 @@ def _record_protocol_counters(registry: MetricsRegistry,
     counter("protocol.evictions").inc(simulator.evictions)
     counter("protocol.writebacks").inc(simulator.writebacks)
     # Hit ratios are bounded in [0, 1], so a fixed binning is exact for
-    # relay: forked sweep workers ship bin counts + raw moments and the
-    # parent merges them (see MetricsRegistry.merge_histograms), keeping
-    # --metrics-out distributions identical under --jobs N and serial.
+    # relay: forked sweep workers ship bin counts + raw moments in their
+    # snapshots and the parent merges them (see MetricsRegistry.merge),
+    # keeping --metrics-out distributions identical under --jobs N and
+    # serial.
     registry.histogram("protocol.run_hit_ratio", 0.0, 1.0).observe(
         simulator.hit_ratio)
     # Point-in-time gauges for the live telemetry plane: non-callable,
-    # so forked sweep workers can snapshot them at cell exit and the
-    # parent can merge them last-write-wins (MetricsRegistry.
-    # merge_gauges) — a /metrics scrape mid-sweep then shows the most
-    # recently completed run regardless of which process ran it.
+    # so they ride a forked worker's snapshot at cell exit and the
+    # parent merges them last-write-wins (MetricsRegistry.merge) — a
+    # /metrics scrape mid-sweep then shows the most recently completed
+    # run regardless of which process ran it.
     registry.set_gauge("protocol.last_run_hit_ratio", simulator.hit_ratio)
     registry.set_gauge("protocol.last_run_evictions",
                        float(simulator.evictions))
@@ -378,12 +350,9 @@ def run_paper_protocol(workload: Workload,
     separate the repetitions of a sweep. With an ambient tracer (see
     :mod:`repro.obs.trace`) each repetition records a ``simulate`` span
     whose ``tier`` arg names the execution tier that ran (``object`` or
-    ``kernel``), with ``warmup``/``measure`` children; a
-    ``Tracer(profile_hooks=True)`` adds aggregate ``policy-hook`` spans
-    from a decision-transparent :class:`ProfiledPolicy` wrapper, which
-    runs the object path. With a metrics registry — ``metrics`` or the
-    ambient dispatcher's — the run's totals accumulate into
-    ``protocol.*`` counters.
+    ``kernel``), with ``warmup``/``measure`` children. With a metrics
+    registry — ``metrics`` or the ambient dispatcher's — the run's
+    totals accumulate into ``protocol.*`` counters.
     """
     if repetitions <= 0:
         raise ConfigurationError("need at least one repetition")
@@ -404,29 +373,27 @@ def run_paper_protocol(workload: Workload,
         if spec.needs_trace:
             context.trace = trace.page_ids()
         policy = spec.build(context)
-        driven: ReplacementPolicy = policy
-        if tracer is not None and tracer.profile_hooks:
-            driven = ProfiledPolicy(policy)
 
         def drive() -> CacheSimulator:
             if obs is not None:
                 with obs.scoped(policy=spec.label, capacity=capacity,
                                 seed=run_seed):
-                    return measure_hit_ratio(driven, trace, capacity,
+                    return measure_hit_ratio(policy, trace, capacity,
                                              warmup, observability=obs)
-            return measure_hit_ratio(driven, trace, capacity, warmup)
+            return measure_hit_ratio(policy, trace, capacity, warmup)
 
         if tracer is not None:
             with tracer.span("simulate", policy=spec.label,
                              capacity=capacity, seed=run_seed) as span:
                 simulator = drive()
                 span.args["tier"] = simulator.tier
-            if isinstance(driven, ProfiledPolicy):
-                _record_hook_spans(tracer, span, driven)
         else:
             simulator = drive()
         if registry is not None:
-            _record_protocol_counters(registry, simulator)
+            # One batch under the registry lock: a live scrape sees a
+            # run's counters, histogram observation and gauges together.
+            with registry.lock:
+                _record_protocol_counters(registry, simulator)
         warmup_ratio = (simulator.warmup_counter.hit_ratio
                         if simulator.warmup_counter else 0.0)
         runs.append(RunResult(

@@ -131,7 +131,7 @@ class TestTierCounters:
         dispatcher.metrics = MetricsRegistry()
         run_experiment(table_4_3_spec(scale=0.02, repetitions=1),
                        observability=dispatcher)
-        counters = dispatcher.metrics.counter_values()
+        counters = dispatcher.metrics.snapshot().counters
         assert counters["sim.tier.kernel"] == 42
         assert counters.get("sim.tier.object", 0) == 0
         assert counters["protocol.runs"] == 42

@@ -40,7 +40,7 @@ def _sweep(jobs, tracer=None, metrics=None):
 @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
 class TestParallelTraceRelay:
     def test_worker_spans_reparent_under_cells(self, tmp_path):
-        tracer = Tracer(profile_hooks=True)
+        tracer = Tracer()
         _sweep(jobs=4, tracer=tracer)
 
         sweep_spans = tracer.find("sweep")
@@ -57,11 +57,6 @@ class TestParallelTraceRelay:
         # The relayed spans really were recorded in other processes.
         parent_pid = sweep_spans[0].pid
         assert {span.pid for span in simulates} != {parent_pid}
-        # Aggregate policy-hook spans rode along and nest under simulate.
-        simulate_ids = {span.span_id for span in simulates}
-        hooks = tracer.find(category="policy-hook")
-        assert hooks
-        assert all(span.parent_id in simulate_ids for span in hooks)
 
     def test_chrome_export_is_valid_and_loadable(self, tmp_path):
         tracer = Tracer()
@@ -97,9 +92,9 @@ class TestParallelMetricsMerge:
         _sweep(jobs=1, metrics=serial)
         parallel = MetricsRegistry()
         _sweep(jobs=4, metrics=parallel)
-        serial_counts = serial.counter_values()
+        serial_counts = serial.snapshot().counters
         assert serial_counts["protocol.runs"] == \
             len(CAPACITIES) * len(SPECS)
         # Regression: forked workers used to drop their deltas silently,
         # leaving the parallel totals at zero.
-        assert parallel.counter_values() == serial_counts
+        assert parallel.snapshot().counters == serial_counts

@@ -157,16 +157,3 @@ class TestTracedProtocol:
         assert warmup.start_us >= simulate.start_us
         assert measured.start_us == warmup.end_us
         assert warmup.cpu_us >= 0 and measured.cpu_us >= 0
-
-    def test_hook_profiling_runs_the_object_path(self):
-        tracer = Tracer(profile_hooks=True)
-        with obs_trace.activate(tracer):
-            profiled = protocol()
-        assert profiled.runs == protocol().runs
-        (simulate,) = tracer.find("simulate")
-        assert simulate.args["tier"] == "object"
-        hooks = tracer.find(category="policy-hook")
-        assert {span.name for span in hooks} >= {"on_hit", "on_admit"}
-        assert all(span.parent_id == simulate.span_id for span in hooks)
-        assert {span.name for span in tracer.children_of(
-            simulate.span_id)} >= {"warmup", "measure"}

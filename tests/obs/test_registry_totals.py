@@ -1,9 +1,11 @@
-"""Registry totality fixes: empty-histogram percentiles, counter merging."""
+"""Registry totality fixes: empty-histogram percentiles, snapshot merging."""
+
+import pickle
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import EventDispatcher, MetricsRegistry
+from repro.obs import EventDispatcher, MetricsRegistry, RegistrySnapshot
 
 
 class TestEmptyHistogramPercentiles:
@@ -55,24 +57,24 @@ class TestCounterMerge:
         worker_a.counter("protocol.misses").inc(2)
         worker_b = MetricsRegistry()
         worker_b.counter("protocol.hits").inc(1)
-        parent.merge_counters(worker_a.counter_values())
-        parent.merge_counters(worker_b.counter_values())
-        assert parent.counter_values() == {"protocol.hits": 16,
-                                           "protocol.misses": 2}
+        parent.merge(worker_a.snapshot())
+        parent.merge(worker_b.snapshot())
+        assert parent.snapshot().counters == {"protocol.hits": 16,
+                                              "protocol.misses": 2}
 
     def test_merge_is_order_independent(self):
         deltas = [{"a": 1, "b": 2}, {"a": 3}, {"b": 4}]
         forward, backward = MetricsRegistry(), MetricsRegistry()
         for delta in deltas:
-            forward.merge_counters(delta)
+            forward.merge(RegistrySnapshot(counters=delta))
         for delta in reversed(deltas):
-            backward.merge_counters(delta)
-        assert forward.counter_values() == backward.counter_values()
+            backward.merge(RegistrySnapshot(counters=delta))
+        assert forward.snapshot().counters == backward.snapshot().counters
 
     def test_merge_rejects_negative_deltas(self):
         registry = MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            registry.merge_counters({"x": -1})
+            registry.merge(RegistrySnapshot(counters={"x": -1}))
 
 
 class TestDispatcherMetricsSlot:
@@ -81,7 +83,7 @@ class TestDispatcherMetricsSlot:
         assert dispatcher.metrics is None
         dispatcher.metrics = MetricsRegistry()
         dispatcher.metrics.counter("x").inc()
-        assert dispatcher.metrics.counter_values() == {"x": 1}
+        assert dispatcher.metrics.snapshot().counters == {"x": 1}
 
 
 class TestHistogramRelay:
@@ -106,8 +108,8 @@ class TestHistogramRelay:
         parent, worker_a, worker_b = (MetricsRegistry() for _ in range(3))
         self._observed(worker_a, "latency", [1.0, 2.0, 3.0])
         self._observed(worker_b, "latency", [4.0, 5.0])
-        parent.merge_histograms(worker_a.histogram_values())
-        parent.merge_histograms(worker_b.histogram_values())
+        parent.merge(worker_a.snapshot())
+        parent.merge(worker_b.snapshot())
         merged = parent.histogram("latency", low=0.0, high=10.0, bins=20)
         assert merged.count == 5
         assert merged.mean == pytest.approx(3.0)
@@ -122,7 +124,7 @@ class TestHistogramRelay:
         parent, worker = MetricsRegistry(), MetricsRegistry()
         self._observed(parent, "latency", [1.0])
         self._observed(worker, "latency", [9.0])
-        parent.merge_histograms(worker.histogram_values())
+        parent.merge(worker.snapshot())
         merged = parent.histogram("latency", low=0.0, high=10.0, bins=20)
         assert merged.count == 2
         assert merged.mean == pytest.approx(5.0)
@@ -132,18 +134,20 @@ class TestHistogramRelay:
         parent.histogram("latency", low=0.0, high=10.0, bins=20)
         worker.histogram("latency", low=0.0, high=10.0, bins=40)
         with pytest.raises(ConfigurationError):
-            parent.merge_histograms(worker.histogram_values())
+            parent.merge(worker.snapshot())
 
-    def test_state_survives_json_round_trip(self):
-        import json
+    def test_snapshot_survives_pickle_round_trip(self):
+        # Sweep workers relay their snapshot over the pickle result
+        # channel.
         worker, parent = MetricsRegistry(), MetricsRegistry()
         self._observed(worker, "latency", [2.5, 7.5])
-        relayed = json.loads(json.dumps(worker.histogram_values()))
-        parent.merge_histograms(relayed)
+        relayed = pickle.loads(pickle.dumps(worker.snapshot()))
+        parent.merge(relayed)
         assert parent.histogram("latency", 0.0, 10.0, 20).count == 2
 
     def test_gauges_are_not_relayed(self):
         worker = MetricsRegistry()
         worker.gauge("live", lambda: 42.0)
-        assert worker.histogram_values() == {}
-        assert worker.counter_values() == {}
+        snapshot = worker.snapshot()
+        assert snapshot.histograms == {}
+        assert snapshot.counters == {}

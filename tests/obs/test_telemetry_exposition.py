@@ -110,8 +110,9 @@ class TestRenderEdgeCases:
         assert counts[-1] == series.count == 2
 
     def test_worker_label_is_escaped_and_rendered(self):
-        registry = MetricsRegistry()
-        registry.merge_gauges({"g": 7.0}, worker='we"ird\\pid')
+        registry, worker = MetricsRegistry(), MetricsRegistry()
+        worker.set_gauge("g", 7.0)
+        registry.merge(worker.snapshot(), worker='we"ird\\pid')
         text = render_exposition(registry)
         assert 'g{worker="we\\"ird\\\\pid"} 7' in text
 
@@ -145,11 +146,11 @@ class TestRenderEdgeCases:
 
 class TestParseRoundTrip:
     def test_render_parse_round_trip(self):
-        registry = MetricsRegistry()
+        registry, worker = MetricsRegistry(), MetricsRegistry()
         registry.counter("protocol.hits").inc(10)
         registry.set_gauge("sweep.cells_done", 2)
-        registry.merge_gauges({"protocol.last_run_hit_ratio": 0.25},
-                              worker="4242")
+        worker.set_gauge("protocol.last_run_hit_ratio", 0.25)
+        registry.merge(worker.snapshot(), worker="4242")
         histogram = registry.histogram("protocol.run_hit_ratio",
                                        0.0, 1.0, bins=8)
         for value in (0.125, 0.25, 0.5, 0.875):

@@ -104,7 +104,7 @@ class TestMetricsServer:
         server.scrape()
         server.scrape()
         assert server.scrapes == 2
-        assert registry.counter_values()["telemetry.scrapes"] == 2
+        assert registry.snapshot().counters["telemetry.scrapes"] == 2
 
 
 class TestResourceSampler:
@@ -137,7 +137,7 @@ class TestResourceSampler:
             assert sampler.running
         assert not sampler.running
         # At least the immediate sample plus the stop() closing sample.
-        assert registry.counter_values()["telemetry.samples"] >= 2
+        assert registry.snapshot().counters["telemetry.samples"] >= 2
         sampler.stop()  # idempotent
 
     def test_dispatcher_sink_depths(self):

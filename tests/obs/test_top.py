@@ -89,11 +89,11 @@ class TestRenderFrame:
         assert "threads 3" in frame and "gc2 4" in frame
 
     def test_worker_provenance_line(self):
-        registry = MetricsRegistry()
-        registry.merge_gauges({"protocol.last_run_hit_ratio": 0.4},
-                              worker="111")
-        registry.merge_gauges({"protocol.last_run_evictions": 9.0},
-                              worker="222")
+        registry, first, second = (MetricsRegistry() for _ in range(3))
+        first.set_gauge("protocol.last_run_hit_ratio", 0.4)
+        second.set_gauge("protocol.last_run_evictions", 9.0)
+        registry.merge(first.snapshot(), worker="111")
+        registry.merge(second.snapshot(), worker="222")
         exposition = parse_exposition(render_exposition(registry))
         frame = render_frame(exposition)
         assert "workers" in frame

@@ -173,7 +173,3 @@ class TestAmbientTracer:
             with obs_trace.maybe_span("dropped") as span:
                 assert span is None
         assert tracer.spans == []
-
-    def test_profile_hooks_flag_defaults_off(self):
-        assert Tracer().profile_hooks is False
-        assert Tracer(profile_hooks=True).profile_hooks is True

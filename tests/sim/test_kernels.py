@@ -101,7 +101,6 @@ def assert_identical(sim_a, sim_b):
     assert sim_a.resident_pages == sim_b.resident_pages
     assert ({page: sim_a.is_dirty(page) for page in sim_a.resident_pages}
             == {page: sim_b.is_dirty(page) for page in sim_b.resident_pages})
-    assert sim_a._admitted_at == sim_b._admitted_at
     assert sim_a.now == sim_b.now
 
 

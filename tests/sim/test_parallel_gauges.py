@@ -21,27 +21,40 @@ def _sweep(jobs):
     return dispatcher.metrics
 
 
+def _gauge_values(registry):
+    """The registry's set (non-callable) gauges, as relayed."""
+    return {name: gauge.value
+            for name, gauge in registry.snapshot().gauges.items()
+            if not gauge.live}
+
+
 class TestGaugeRelay:
     def test_registry_gauge_values_excludes_callable_gauges(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("plain", 4.0)
-        registry.gauge("live", lambda: 9.0)
-        assert registry.gauge_values() == {"plain": 4.0}
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        worker.set_gauge("plain", 4.0)
+        worker.gauge("live", lambda: 9.0)
+        parent.merge(worker.snapshot(), worker="100")
+        assert _gauge_values(parent) == {"plain": 4.0}
 
     def test_merge_is_last_write_wins_with_provenance(self):
         registry = MetricsRegistry()
-        registry.merge_gauges({"g": 1.0}, worker="100")
-        registry.merge_gauges({"g": 2.0}, worker="200")
-        assert registry.snapshot()["g"] == 2.0
-        assert registry.gauge_source("g") == "200"
-        assert registry.gauge_source("unknown") is None
+        for value, worker in ((1.0, "100"), (2.0, "200")):
+            cell = MetricsRegistry()
+            cell.set_gauge("g", value)
+            registry.merge(cell.snapshot(), worker=worker)
+        snapshot = registry.snapshot()
+        assert snapshot["g"] == 2.0
+        assert snapshot.gauges["g"].worker == "200"
+        assert "unknown" not in snapshot.gauges
 
     def test_merge_never_overwrites_a_live_parent_gauge(self):
-        registry = MetricsRegistry()
+        registry, cell = MetricsRegistry(), MetricsRegistry()
         registry.gauge("live", lambda: 42.0)
-        registry.merge_gauges({"live": 0.0}, worker="100")
-        assert registry.snapshot()["live"] == 42.0
-        assert registry.gauge_source("live") is None
+        cell.set_gauge("live", 0.0)
+        registry.merge(cell.snapshot(), worker="100")
+        snapshot = registry.snapshot()
+        assert snapshot["live"] == 42.0
+        assert snapshot.gauges["live"].worker is None
 
     def test_serial_sweep_publishes_run_gauges(self):
         registry = _sweep(jobs=1)
@@ -58,17 +71,19 @@ class TestGaugeRelay:
         serial and a --jobs 2 sweep, with worker provenance attached."""
         serial = _sweep(jobs=1)
         fanned = _sweep(jobs=2)
-        serial_gauges = set(serial.gauge_values())
-        fanned_gauges = set(fanned.gauge_values())
+        serial_gauges = set(_gauge_values(serial))
+        fanned_gauges = set(_gauge_values(fanned))
         assert serial_gauges == fanned_gauges
         assert "protocol.last_run_hit_ratio" in fanned_gauges
 
         # Relayed values carry which worker pid last wrote them; the
         # parent never relays to itself.
-        source = fanned.gauge_source("protocol.last_run_hit_ratio")
+        source = fanned.snapshot().gauges[
+            "protocol.last_run_hit_ratio"].worker
         assert source is not None and source.isdigit()
         assert int(source) != os.getpid()
-        assert serial.gauge_source("protocol.last_run_hit_ratio") is None
+        assert serial.snapshot().gauges[
+            "protocol.last_run_hit_ratio"].worker is None
 
         # Last-write-wins still lands a real measurement, and progress
         # gauges total up identically.

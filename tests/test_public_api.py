@@ -56,7 +56,7 @@ class TestTopLevelApi:
             "activate", "current", "resolve",
             # metrics
             "Counter", "Gauge", "HistogramMetric", "MetricsRegistry",
-            "SlidingHitRatioWindow", "HitRatioWindowRecorder",
+            "RegistrySnapshot", "SlidingHitRatioWindow", "HitRatioWindowRecorder",
             # sinks + profiler
             "JsonlSink", "RingBufferSink", "ConsoleProgressSink",
             "TimelineSink", "ProfiledPolicy", "HookProfile",
