@@ -139,6 +139,10 @@ class ProfiledPolicy(ReplacementPolicy):
         """
         return None
 
+    #: No stack curve either: a run read off one calls no hook at all,
+    #: so ``__getattr__`` must not hand out the inner policy's.
+    stack_hits = None
+
     def reset(self) -> None:
         """Reset the wrapped policy; recorded profiles are kept."""
         self.inner.reset()

@@ -69,16 +69,18 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from itertools import islice
+from itertools import accumulate, islice
 from time import perf_counter_ns
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from ..errors import NoEvictableFrameError
+from ..errors import ConfigurationError, NoEvictableFrameError
 from ..types import PageId
 
 __all__ = [
     "KernelResult",
     "SimulationKernel",
+    "StackCurve",
+    "StackTotals",
     "dirty_residents",
     "lru_stack_hits",
     "make_a0_kernel",
@@ -189,8 +191,61 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     return kernel
 
 
-def lru_stack_hits(pages: Sequence[PageId], warmup: int) -> array:
-    """LRU's measured hits at every buffer size, from one pass.
+class StackTotals(NamedTuple):
+    """A fresh LRU run's totals at one buffer size, read off a curve."""
+
+    warmup_hits: int
+    warmup_misses: int
+    hits: int
+    misses: int
+    evictions: int
+    writebacks: int
+    #: Pages resident when the trace ends.
+    resident: int
+
+
+@dataclass(frozen=True)
+class StackCurve:
+    """LRU's run totals at every buffer size (see :func:`lru_stack_hits`).
+
+    Each column is indexed by capacity, from 0 to :attr:`distinct`; a
+    larger buffer runs exactly like one of :attr:`distinct` frames.
+    """
+
+    #: Length of the trace, and of its warm-up window.
+    references: int
+    warmup: int
+    #: ``hits[c]``: the measured-window hits of a fresh c-frame buffer.
+    hits: array
+    #: ``warmup_hits[c]``: its warm-up-window hits.
+    warmup_hits: array
+    #: ``writebacks[c]``: its evictions of written pages, both windows.
+    writebacks: array
+
+    @property
+    def distinct(self) -> int:
+        """The number of distinct pages in the trace."""
+        return len(self.hits) - 1
+
+    def at(self, capacity: int) -> StackTotals:
+        """What a fresh ``capacity``-frame LRU run of the trace reports."""
+        if capacity <= 0:
+            raise ConfigurationError("buffer capacity must be positive")
+        frames = min(capacity, self.distinct)
+        warmup_hits = self.warmup_hits[frames]
+        hits = self.hits[frames]
+        warmup_misses = self.warmup - warmup_hits
+        misses = self.references - self.warmup - hits
+        # Every miss admits a page; all but the survivors leave again.
+        return StackTotals(warmup_hits, warmup_misses, hits, misses,
+                           warmup_misses + misses - frames,
+                           self.writebacks[frames], frames)
+
+
+def lru_stack_hits(pages: Sequence[PageId], warmup: int,
+                   next_write: Optional[Sequence[int]] = None
+                   ) -> StackCurve:
+    """Every total of a fresh LRU run at every buffer size, in one pass.
 
     LRU is a stack algorithm (Mattson et al., "Evaluation techniques for
     storage hierarchies", IBM Syst. J. 1970): a c-frame buffer always
@@ -204,30 +259,80 @@ def lru_stack_hits(pages: Sequence[PageId], warmup: int) -> array:
     since (the stack distance less one, a memmove in C), and appends the
     new time.
 
-    Returns ``hits`` where ``hits[c]`` is the number of references after
-    the first ``warmup`` that hit in a fresh c-frame LRU buffer, for c
-    from 0 to the number of distinct pages; any larger buffer hits as
-    often as ``hits[-1]``.
+    ``pages`` and ``next_write`` are the columns of a
+    :class:`~repro.sim.trace_cache.CachedTrace`. The returned
+    :class:`StackCurve` holds, for every capacity c at once:
+
+    - the measured and the warm-up hits, counted by stack distance in
+      the window the reference falls in;
+    - the write-backs. A page re-referenced at stack distance D, or left
+      at depth D when the trace ends, was evicted since its previous
+      reference at every capacity below D. That eviction wrote the page
+      back exactly when c >= M, where M is the largest stack distance
+      of its references since its last write (1 for the write itself):
+      a miss after the write re-admitted it clean. So each such page
+      adds one to the range [M, D) of a difference array.
+
+    Evictions follow from the misses (see :meth:`StackCurve.at`). The
+    curve costs O(distinct pages) integers, never one per reference.
+    :class:`~repro.policies.LRUPolicy` exposes the pass as its
+    ``stack_hits`` hook; the B(1) search and the measurement protocol's
+    ``stack`` tier read the curves a
+    :class:`~repro.sim.trace_cache.TraceCache` holds.
+
+    Raises :class:`~repro.errors.ConfigurationError` when ``warmup``
+    leaves no measurement window, as the measurement protocol does.
     """
-    # hits[d] first counts measured references at stack distance d, then
-    # becomes the running total over distances up to d.
+    if warmup < 0 or warmup >= len(pages):
+        raise ConfigurationError(
+            "warm-up must leave a non-empty measurement window")
+    # Each column first counts references (hits) or range ends
+    # (write-backs) at each stack distance, then becomes a running total.
     hits = array("q", [0])
+    warmup_hits = array("q", [0])
+    dirty = array("q", [0])
     lasts: List[int] = []
     last: Dict[PageId, int] = {}
-    for t, page in enumerate(pages, 1):
-        previous = last.get(page)
-        if previous is None:
-            hits.append(0)
-        else:
-            i = bisect_left(lasts, previous)
-            if t > warmup:
-                hits[len(lasts) - i] += 1
-            del lasts[i]
-        lasts.append(t)
-        last[page] = t
-    for capacity in range(1, len(hits)):
-        hits[capacity] += hits[capacity - 1]
-    return hits
+    # Written pages -> M, the largest stack distance since the last write.
+    reach: Dict[PageId, int] = {}
+    last_use = last.get
+    reach_of = reach.get
+    push = lasts.append
+    t = 0
+    remaining = iter(pages)
+    for counts, segment in ((warmup_hits, islice(remaining, warmup)),
+                            (hits, remaining)):
+        for page in segment:
+            t += 1
+            previous = last_use(page)
+            if previous is None:
+                hits.append(0)
+                warmup_hits.append(0)
+                dirty.append(0)
+                depth = 0
+            else:
+                i = bisect_left(lasts, previous)
+                depth = len(lasts) - i
+                counts[depth] += 1
+                del lasts[i]
+            push(t)
+            last[page] = t
+            if next_write is not None:
+                bound = reach_of(page)
+                if bound is not None and bound < depth:
+                    dirty[bound] += 1
+                    dirty[depth] -= 1
+                    reach[page] = depth
+                if next_write[t - 1] == t:
+                    reach[page] = 1
+    for page, bound in reach.items():
+        depth = len(lasts) - bisect_left(lasts, last[page])
+        if bound < depth:
+            dirty[bound] += 1
+            dirty[depth] -= 1
+    return StackCurve(t, warmup, array("q", accumulate(hits)),
+                      array("q", accumulate(warmup_hits)),
+                      array("q", accumulate(dirty)))
 
 
 def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:

@@ -54,17 +54,22 @@ class LRUPolicy(ReplacementPolicy):
         from .kernel import make_lru_kernel
         return make_lru_kernel(self, capacity)
 
-    def stack_hits(self, pages, warmup: int):
-        """Measured hits at every capacity from one Mattson pass.
+    def stack_hits(self, pages, warmup: int, next_write=None):
+        """Every total of a fresh run at every capacity, from one pass.
 
-        LRU is a stack algorithm, so one pass over ``pages`` yields what a
-        fresh run would measure at each buffer size (see
+        LRU is a stack algorithm, so one Mattson pass over a trace's
+        columns yields what a fresh run would report at each buffer
+        size: measured and warm-up hits, evictions and write-backs (a
+        :class:`~repro.policies.kernel.StackCurve`; see
         :func:`repro.policies.kernel.lru_stack_hits`). Only LRU declares
-        this hook; the B(1) search (:mod:`repro.sim.equi_effective`)
-        looks capacities up on it instead of simulating each one.
+        this hook. A :class:`~repro.sim.trace_cache.TraceCache` keeps
+        the curves; the B(1) search (:mod:`repro.sim.equi_effective`)
+        and the measurement protocol's ``stack`` tier
+        (:func:`repro.sim.run_paper_protocol`) read capacities off them
+        instead of simulating each one.
         """
         from .kernel import lru_stack_hits
-        return lru_stack_hits(pages, warmup)
+        return lru_stack_hits(pages, warmup, next_write)
 
     def reset(self) -> None:
         super().reset()

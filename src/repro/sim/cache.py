@@ -28,6 +28,36 @@ from ..types import (
 )
 
 
+def _needs_observe(policy: ReplacementPolicy) -> bool:
+    """True when ``policy`` must see every reference through ``observe``.
+
+    The fast integer path and the fused kernels may skip the hook: the
+    base implementation is a no-op, and policies whose override only
+    consumes metadata they do not act on opt out via
+    ``observe_optional`` (LRU-K does, unless it is distinguishing
+    processes).
+    """
+    return (type(policy).observe is not ReplacementPolicy.observe
+            and not getattr(policy, "observe_optional", False))
+
+
+def takes_every_reference(policy: ReplacementPolicy,
+                          observability: Optional[EventDispatcher]) -> bool:
+    """True when a run of ``policy`` must be driven reference by reference.
+
+    That is when an event sink takes access/eviction events
+    (:attr:`repro.obs.EventDispatcher.takes_references`), an
+    eviction-decision provenance recorder is attached to the policy, or
+    the policy reads each reference through an ``observe`` hook it does
+    not declare optional. The fused kernels
+    (:meth:`CacheSimulator.run_fused`) and the measurement protocol's
+    ``stack`` tier (:func:`repro.sim.run_paper_protocol`) decline then.
+    """
+    return ((observability is not None and observability.takes_references)
+            or getattr(policy, "provenance", None) is not None
+            or _needs_observe(policy))
+
+
 class CacheSimulator:
     """Drive a replacement policy over a reference string.
 
@@ -55,14 +85,7 @@ class CacheSimulator:
             raise ConfigurationError("buffer capacity must be positive")
         self.policy = policy
         self.capacity = capacity
-        # The fast integer path and the fused kernels may skip the
-        # observe() hook: the base implementation is a no-op, and
-        # policies whose override only consumes metadata they do not act
-        # on opt out via ``observe_optional`` (LRU-K does, unless it is
-        # distinguishing processes). Otherwise run_fused declines.
-        self._wants_observe = (
-            type(policy).observe is not ReplacementPolicy.observe
-            and not getattr(policy, "observe_optional", False))
+        self._wants_observe = _needs_observe(policy)
         self._obs = obs_runtime.resolve(observability)
         if self._obs is not None and hasattr(policy, "bind_observability"):
             policy.bind_observability(self._obs)
@@ -80,7 +103,11 @@ class CacheSimulator:
             [] if record_evictions else None)
         #: The execution tier that ran: ``"object"`` (per-reference
         #: hooks), or ``"kernel"`` once :meth:`run_fused` played the
-        #: trace through the policy's fused kernel.
+        #: trace through the policy's fused kernel. The third tier,
+        #: ``"stack"``, never reaches a simulator: the measurement
+        #: protocol (:func:`repro.sim.run_paper_protocol`) answers such
+        #: a run from a stack curve, because a lookup cannot leave
+        #: behind the policy state a kernel run leaves.
         self.tier = "object"
         #: ``perf_counter_ns`` at which a kernel run's warm-up window
         #: ended (None on the object path), for after-the-fact spans.
@@ -187,14 +214,13 @@ class CacheSimulator:
         residency and :attr:`tier` then reflect the completed run), or
         False when the caller must fall back to the object path because:
 
-        - a per-reference observation channel is attached — an event
-          sink that takes access/eviction events
-          (:attr:`repro.obs.EventDispatcher.takes_references`), a
-          provenance recorder, or the eviction log (kernels emit no
-          per-reference record by contract);
-        - the policy reads each reference through an ``observe`` hook
-          it does not declare optional (kernels never call it, so such
-          a policy would lose the process ids it reads);
+        - the run :func:`takes_every_reference`: a per-reference
+          observation channel is attached (kernels emit no
+          per-reference record by contract), or the policy reads each
+          reference through an ``observe`` hook it does not declare
+          optional (kernels never call it, so such a policy would lose
+          the process ids it reads);
+        - the eviction log is on;
         - the simulator already processed references (kernels replay
           whole runs from a fresh state only);
         - the policy offers no kernel for its configuration (hook
@@ -209,10 +235,8 @@ class CacheSimulator:
         """
         if warmup < 0:
             raise ConfigurationError("warm-up length cannot be negative")
-        obs = self._obs
-        if (self.eviction_log is not None or self._provenance is not None
-                or (obs is not None and obs.takes_references)
-                or self._wants_observe
+        if (self.eviction_log is not None
+                or takes_every_reference(self.policy, self._obs)
                 or self.clock.now != 0 or self.counter.total):
             return False
         factory = getattr(self.policy, "make_kernel", None)

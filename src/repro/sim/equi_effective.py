@@ -17,11 +17,20 @@ each probed capacity, in one of two ways:
   ``stack_hits`` hook; only :class:`~repro.policies.LRUPolicy` does)
   holds, in a c-frame buffer, the pages it would hold in any larger
   one. One Mattson stack-distance pass per repetition trace therefore
-  gives its measured hits at *every* capacity, and each probe is a
-  lookup. A lookup returns the very float
+  gives every total of a fresh run at *every* capacity — measured and
+  warm-up hits, evictions, write-backs
+  (:class:`~repro.policies.kernel.StackCurve`) — and each probe is a
+  lookup of the measured hits. A lookup returns the very float
   :func:`~repro.sim.runner.run_paper_protocol` would, so B(1) is
   bit-identical to bisecting over simulations; the curve is monotone,
   so that is the smallest capacity reaching the target.
+  :func:`stack_curves` builds the curves into the experiment's
+  :class:`~repro.sim.trace_cache.TraceCache`, where
+  :func:`~repro.sim.runner.run_paper_protocol` also reads them: a
+  table's LRU-1 column takes the ``stack`` tier.
+  :func:`~repro.sim.experiment.run_experiment` calls it before its
+  sweep, so the column, the search and forked sweep workers share one
+  pass per trace.
 - **Other baselines** simulate each probed capacity with
   :func:`~repro.sim.runner.run_paper_protocol`, cached per capacity.
   Their hit ratio need only be non-decreasing in the buffer size up to
@@ -30,11 +39,12 @@ each probed capacity, in one of two ways:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, SimulationError
 from ..obs import trace as obs_trace
 from ..obs.dispatcher import EventDispatcher
+from ..policies.kernel import StackCurve
 from ..stats import mean_confidence_interval
 from ..workloads.base import Workload
 from .runner import PolicySpec, RunContext, run_paper_protocol
@@ -90,26 +100,31 @@ def equi_effective_buffer_size(evaluate: HitRatioFunction,
     return bracket_high
 
 
-def _stack_curves(workload: Workload, baseline: PolicySpec, capacity: int,
-                  warmup: int, total: int, seed: int, repetitions: int,
-                  trace_cache: TraceCache) -> Optional[List[Sequence[int]]]:
-    """Measured hits by capacity, one curve per repetition, or None.
+def stack_curves(workload: Workload, baseline: PolicySpec, capacity: int,
+                 warmup: int, total: int, seed: int, repetitions: int,
+                 trace_cache: TraceCache) -> Optional[List[StackCurve]]:
+    """The baseline's stack curves, one per repetition trace, or None.
 
-    None means the baseline does not declare the stack property. Traces
-    come from ``trace_cache``, one repetition at a time.
+    None means the baseline does not declare the stack property (a
+    ``stack_hits`` hook). Curves ``trace_cache`` lacks are built into it,
+    one repetition at a time under one ``b1.curve`` span, so later calls
+    and :func:`~repro.sim.runner.run_paper_protocol` runs of the
+    baseline (its ``stack`` tier) read them there.
     """
     if baseline.needs_trace:
         return None
     policy = baseline.build(RunContext(capacity=capacity, workload=workload))
-    stack_hits = getattr(policy, "stack_hits", None)
-    if stack_hits is None:
+    if getattr(policy, "stack_hits", None) is None:
         return None
-    curves = []
-    with obs_trace.maybe_span("b1.curve", policy=baseline.label,
-                              repetitions=repetitions, references=total):
-        for repetition in range(repetitions):
-            trace = trace_cache.get(workload, total, seed + repetition)
-            curves.append(stack_hits(trace.page_ids(), warmup))
+    seeds = range(seed, seed + repetitions)
+    curves = [trace_cache.stack_curve(policy, workload, total, run_seed,
+                                      warmup) for run_seed in seeds]
+    if any(curve is None for curve in curves):
+        with obs_trace.maybe_span("b1.curve", policy=baseline.label,
+                                  repetitions=repetitions, references=total):
+            curves = [trace_cache.build_stack_curve(policy, workload, total,
+                                                    run_seed, warmup)
+                      for run_seed in seeds]
     return curves
 
 
@@ -132,20 +147,20 @@ def baseline_evaluator(workload: Workload,
     ``known`` hit ratios (e.g. a sweep's column) seeding that cache.
     Both read their traces from ``trace_cache``.
     """
-    curves: Optional[List[Sequence[int]]] = None
+    curves: Optional[List[StackCurve]] = None
     decided = False
     simulated: Dict[int, float] = dict(known or {})
 
     def evaluate(capacity: int) -> float:
         nonlocal curves, decided
         if not decided:
-            curves = _stack_curves(workload, baseline, capacity, warmup,
-                                   warmup + measured, seed, repetitions,
-                                   trace_cache)
+            curves = stack_curves(workload, baseline, capacity, warmup,
+                                  warmup + measured, seed, repetitions,
+                                  trace_cache)
             decided = True
         if curves is not None:
             return mean_confidence_interval(
-                [curve[min(capacity, len(curve) - 1)] / measured
+                [curve.at(capacity).hits / measured
                  for curve in curves]).mean
         if capacity not in simulated:
             simulated[capacity] = run_paper_protocol(

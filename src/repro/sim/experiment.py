@@ -18,7 +18,11 @@ from ..errors import ConfigurationError, SimulationError
 from ..obs.dispatcher import EventDispatcher
 from ..workloads.base import Workload
 from . import recovery
-from .equi_effective import baseline_evaluator, equi_effective_buffer_size
+from .equi_effective import (
+    baseline_evaluator,
+    equi_effective_buffer_size,
+    stack_curves,
+)
 # run_paper_protocol is unused here but stays importable from this
 # module: benchmarks/e2e/tracing.py wraps it by name.
 from .runner import PolicySpec, run_paper_protocol  # noqa: F401
@@ -128,6 +132,15 @@ def _run_experiment(spec: ExperimentSpec,
                     jobs: Optional[int],
                     checkpoint: Optional[recovery.SweepCheckpoint],
                     trace_cache: TraceCache) -> ExperimentResult:
+    if spec.equi_effective is not None:
+        # A stack baseline's curves (LRU-1's) answer its B(1) search and
+        # every run of its column, so they are built first: before the
+        # sweep, and so before a pool forks and shares them.
+        stack_curves(spec.workload,
+                     spec.spec_by_label(spec.equi_effective[0]),
+                     spec.capacities[0], spec.warmup,
+                     spec.warmup + spec.measured, spec.seed,
+                     spec.repetitions, trace_cache)
     cells = sweep_buffer_sizes(
         spec.workload, spec.policies, spec.capacities,
         warmup=spec.warmup, measured=spec.measured,

@@ -16,6 +16,7 @@ for a given (capacity, workload, trace) context.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -27,10 +28,11 @@ from ..obs.dispatcher import EventDispatcher
 from ..obs.events import SnapshotEvent
 from ..obs.registry import MetricsRegistry
 from ..policies import A0Policy, BeladyPolicy, ReplacementPolicy, make_policy
+from ..policies.kernel import StackCurve
 from ..stats import ConfidenceInterval, mean_confidence_interval
-from ..types import PageId, Reference
+from ..types import HitRatioCounter, PageId, Reference
 from ..workloads.base import Workload
-from .cache import CacheSimulator
+from .cache import CacheSimulator, takes_every_reference
 from .trace_cache import CachedTrace, TraceCache, TraceLike
 
 
@@ -132,25 +134,38 @@ class RunResult:
     evictions: int
     writebacks: int
 
+    @classmethod
+    def of(cls, label: str, capacity: int, seed: int,
+           measured: HitRatioCounter, warmup: HitRatioCounter,
+           evictions: int, writebacks: int) -> "RunResult":
+        """A run from its window counters, on any tier."""
+        return cls(label=label, capacity=capacity, seed=seed,
+                   hit_ratio=measured.hit_ratio, hits=measured.hits,
+                   misses=measured.misses,
+                   warmup_hit_ratio=warmup.hit_ratio,
+                   evictions=evictions, writebacks=writebacks)
+
     @property
     def measured_references(self) -> int:
         """T, the size of the measurement window."""
         return self.hits + self.misses
 
 
-def _snapshot_counters(simulator: CacheSimulator) -> dict:
+def _snapshot_counters(measured: HitRatioCounter, evictions: int,
+                       writebacks: int, resident: int,
+                       policy: Optional[ReplacementPolicy] = None) -> dict:
     """The counters a run-boundary SnapshotEvent carries."""
     counters = {
-        "hits": float(simulator.counter.hits),
-        "misses": float(simulator.counter.misses),
-        "hit_ratio": simulator.hit_ratio,
-        "evictions": float(simulator.evictions),
-        "writebacks": float(simulator.writebacks),
-        "resident": float(len(simulator.resident_pages)),
+        "hits": float(measured.hits),
+        "misses": float(measured.misses),
+        "hit_ratio": measured.hit_ratio,
+        "evictions": float(evictions),
+        "writebacks": float(writebacks),
+        "resident": float(resident),
     }
     # LRU-K-family policies carry an LRUKStats block; surface it so the
     # eviction-quality counters land in the event stream too.
-    stats = getattr(simulator.policy, "stats", None)
+    stats = getattr(policy, "stats", None)
     if stats is not None and is_dataclass(stats):
         for spec in dataclass_fields(stats):
             counters[f"policy.{spec.name}"] = float(
@@ -194,11 +209,14 @@ def measure_hit_ratio(policy: ReplacementPolicy,
     obs = simulator._obs
     observing = obs is not None and obs.has_sinks
     if observing:
-        obs.emit(SnapshotEvent(time=0, phase="start",
-                               counters={"capacity": float(capacity),
-                                         "references": float(
-                                             len(references)),
-                                         "warmup": float(warmup)}))
+        obs.emit(_start_snapshot(capacity, len(references), warmup))
+
+    def snapshot(phase: str) -> SnapshotEvent:
+        return SnapshotEvent(time=simulator.now, phase=phase,
+                             counters=_snapshot_counters(
+                                 simulator.counter, simulator.evictions,
+                                 simulator.writebacks,
+                                 len(simulator.resident_pages), policy))
 
     measured = len(references) - warmup
     stream: Optional[Iterator] = None
@@ -230,16 +248,47 @@ def measure_hit_ratio(policy: ReplacementPolicy,
         if observing:
             # Emitted before the counter reset so this snapshot
             # carries the warm-up window's totals.
-            obs.emit(SnapshotEvent(time=simulator.now, phase="measurement",
-                                   counters=_snapshot_counters(simulator)))
+            obs.emit(snapshot("measurement"))
         simulator.start_measurement()
         with obs_trace.maybe_span("measure", references=measured):
             for item in stream:
                 access(item)
     if observing:
-        obs.emit(SnapshotEvent(time=simulator.now, phase="end",
-                               counters=_snapshot_counters(simulator)))
+        obs.emit(snapshot("end"))
     return simulator
+
+
+def _start_snapshot(capacity: int, references: int,
+                    warmup: int) -> SnapshotEvent:
+    """The ``start`` snapshot of a run, on every tier."""
+    return SnapshotEvent(time=0, phase="start",
+                         counters={"capacity": float(capacity),
+                                   "references": float(references),
+                                   "warmup": float(warmup)})
+
+
+def _read_curve(curve: StackCurve, label: str, capacity: int, seed: int,
+                obs: Optional[EventDispatcher]) -> RunResult:
+    """One run of a stack-property policy, read off its curve.
+
+    This is the ``stack`` tier. It emits the ``start`` and ``end``
+    snapshots a kernel run of the same cell emits, and like a kernel
+    run no ``measurement`` snapshot. No policy runs, so the snapshot
+    carries no policy stats block (LRU has none).
+    """
+    totals = curve.at(capacity)
+    measured = HitRatioCounter(totals.hits, totals.misses)
+    if obs is not None and obs.has_sinks:
+        obs.emit(_start_snapshot(capacity, curve.references, curve.warmup))
+        obs.emit(SnapshotEvent(
+            time=curve.references, phase="end",
+            counters=_snapshot_counters(measured, totals.evictions,
+                                        totals.writebacks,
+                                        totals.resident)))
+    return RunResult.of(label, capacity, seed, measured,
+                        HitRatioCounter(totals.warmup_hits,
+                                        totals.warmup_misses),
+                        totals.evictions, totals.writebacks)
 
 
 def _phase_clock() -> Tuple[int, int, int]:
@@ -270,39 +319,38 @@ def _record_kernel_phases(tracer: "obs_trace.Tracer",
                   cpu_us=cpu_us - warm_cpu, references=measured)
 
 
-def _record_protocol_counters(registry: MetricsRegistry,
-                              simulator: CacheSimulator) -> None:
-    """Fold one finished run's totals into protocol.* counters."""
+def _record_protocol_counters(registry: MetricsRegistry, tier: str,
+                              run: RunResult, references: int,
+                              policy: Optional[ReplacementPolicy]) -> None:
+    """Fold one finished run's totals into protocol.* counters.
+
+    ``policy`` is the policy that ran, whose stats block (if any) is
+    folded in too; None for a run the ``stack`` tier read off a curve.
+    """
     counter = registry.counter
     counter("protocol.runs").inc()
     # The registry has no labels: one flat counter per execution tier.
-    counter(f"sim.tier.{simulator.tier}").inc()
-    measured = simulator.counter
-    warm = simulator.warmup_counter
-    references = measured.hits + measured.misses
-    if warm is not None:
-        references += warm.hits + warm.misses
+    counter(f"sim.tier.{tier}").inc()
     counter("protocol.references").inc(references)
-    counter("protocol.hits").inc(measured.hits)
-    counter("protocol.misses").inc(measured.misses)
-    counter("protocol.evictions").inc(simulator.evictions)
-    counter("protocol.writebacks").inc(simulator.writebacks)
+    counter("protocol.hits").inc(run.hits)
+    counter("protocol.misses").inc(run.misses)
+    counter("protocol.evictions").inc(run.evictions)
+    counter("protocol.writebacks").inc(run.writebacks)
     # Hit ratios are bounded in [0, 1], so a fixed binning is exact for
     # relay: forked sweep workers ship bin counts + raw moments in their
     # snapshots and the parent merges them (see MetricsRegistry.merge),
     # keeping --metrics-out distributions identical under --jobs N and
     # serial.
     registry.histogram("protocol.run_hit_ratio", 0.0, 1.0).observe(
-        simulator.hit_ratio)
+        run.hit_ratio)
     # Point-in-time gauges for the live telemetry plane: non-callable,
     # so they ride a forked worker's snapshot at cell exit and the
     # parent merges them last-write-wins (MetricsRegistry.merge) — a
     # /metrics scrape mid-sweep then shows the most recently completed
     # run regardless of which process ran it.
-    registry.set_gauge("protocol.last_run_hit_ratio", simulator.hit_ratio)
-    registry.set_gauge("protocol.last_run_evictions",
-                       float(simulator.evictions))
-    stats = getattr(simulator.policy, "stats", None)
+    registry.set_gauge("protocol.last_run_hit_ratio", run.hit_ratio)
+    registry.set_gauge("protocol.last_run_evictions", float(run.evictions))
+    stats = getattr(policy, "stats", None)
     if stats is not None and is_dataclass(stats):
         for spec in dataclass_fields(stats):
             value = getattr(stats, spec.name)
@@ -345,19 +393,32 @@ def run_paper_protocol(workload: Workload,
     Without a cache the trace is still materialized only once per
     repetition and shared with the oracle.
 
+    A repetition runs on one of three tiers, all computing the same
+    :class:`RunResult`:
+
+    - ``stack``: the policy declares the stack property (LRU), the
+      cache already holds its curve for this trace and warm-up (see
+      :meth:`TraceCache.build_stack_curve`; this function never builds
+      one, since for a single run a pass costs more than a kernel run),
+      and nothing needs every reference
+      (:func:`~repro.sim.cache.takes_every_reference`). The run is read
+      off the curve;
+    - ``kernel`` or ``object``: otherwise :func:`measure_hit_ratio`
+      drives the policy, through its fused kernel when it can.
+
     Events emitted during each run are tagged with
     ``policy``/``capacity``/``seed`` context so downstream sinks can
     separate the repetitions of a sweep. With an ambient tracer (see
     :mod:`repro.obs.trace`) each repetition records a ``simulate`` span
-    whose ``tier`` arg names the execution tier that ran (``object`` or
-    ``kernel``), with ``warmup``/``measure`` children. With a metrics
-    registry — ``metrics`` or the ambient dispatcher's — the run's
-    totals accumulate into ``protocol.*`` counters.
+    whose ``tier`` arg names the tier that ran; a ``kernel`` or
+    ``object`` span has ``warmup``/``measure`` children, a ``stack``
+    span none. With a metrics registry — ``metrics`` or the ambient
+    dispatcher's — the run's totals accumulate into ``protocol.*``
+    counters and its tier into ``sim.tier.*``, alike on every tier.
     """
     if repetitions <= 0:
         raise ConfigurationError("need at least one repetition")
     obs = obs_runtime.resolve(observability)
-    tracer = obs_trace.current()
     registry = metrics
     if registry is None and obs is not None:
         registry = getattr(obs, "metrics", None)
@@ -373,36 +434,36 @@ def run_paper_protocol(workload: Workload,
         if spec.needs_trace:
             context.trace = trace.page_ids()
         policy = spec.build(context)
-
-        def drive() -> CacheSimulator:
-            if obs is not None:
-                with obs.scoped(policy=spec.label, capacity=capacity,
-                                seed=run_seed):
-                    return measure_hit_ratio(policy, trace, capacity,
-                                             warmup, observability=obs)
-            return measure_hit_ratio(policy, trace, capacity, warmup)
-
-        if tracer is not None:
-            with tracer.span("simulate", policy=spec.label,
-                             capacity=capacity, seed=run_seed) as span:
-                simulator = drive()
-                span.args["tier"] = simulator.tier
-        else:
-            simulator = drive()
+        curve = None
+        if (trace_cache is not None
+                and not takes_every_reference(policy, obs)):
+            curve = trace_cache.stack_curve(policy, workload, total,
+                                            run_seed, warmup)
+        scope = (obs.scoped(policy=spec.label, capacity=capacity,
+                            seed=run_seed)
+                 if obs is not None else nullcontext())
+        with obs_trace.maybe_span("simulate", policy=spec.label,
+                                  capacity=capacity,
+                                  seed=run_seed) as span, scope:
+            if curve is not None:
+                tier, ran = "stack", None
+                run = _read_curve(curve, spec.label, capacity, run_seed, obs)
+            else:
+                simulator = measure_hit_ratio(policy, trace, capacity,
+                                              warmup, observability=obs)
+                tier, ran = simulator.tier, policy
+                run = RunResult.of(
+                    spec.label, capacity, run_seed, simulator.counter,
+                    simulator.warmup_counter, simulator.evictions,
+                    simulator.writebacks)
+            if span is not None:
+                span.args["tier"] = tier
         if registry is not None:
             # One batch under the registry lock: a live scrape sees a
             # run's counters, histogram observation and gauges together.
             with registry.lock:
-                _record_protocol_counters(registry, simulator)
-        warmup_ratio = (simulator.warmup_counter.hit_ratio
-                        if simulator.warmup_counter else 0.0)
-        runs.append(RunResult(
-            label=spec.label, capacity=capacity, seed=run_seed,
-            hit_ratio=simulator.hit_ratio,
-            hits=simulator.counter.hits, misses=simulator.counter.misses,
-            warmup_hit_ratio=warmup_ratio,
-            evictions=simulator.evictions,
-            writebacks=simulator.writebacks))
+                _record_protocol_counters(registry, tier, run, total, ran)
+        runs.append(run)
     interval = mean_confidence_interval([run.hit_ratio for run in runs])
     return ProtocolResult(label=spec.label, capacity=capacity,
                           interval=interval, runs=runs)

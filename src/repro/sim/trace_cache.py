@@ -28,6 +28,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..policies.base import ReplacementPolicy
+from ..policies.kernel import StackCurve
 from ..types import AccessKind, PageId, Reference
 from ..workloads.base import Workload
 
@@ -159,6 +161,10 @@ def _next_writes(references: Sequence[Reference]) -> array:
 #: Cache key: (workload identity, reference count, seed).
 _TraceKey = Tuple[int, int, int]
 
+#: Curve key: (policy class, workload identity, reference count, seed,
+#: warm-up).
+_CurveKey = Tuple[type, int, int, int, int]
+
 
 class TraceCache:
     """Materialize each (workload, seed, total) reference string once.
@@ -171,11 +177,22 @@ class TraceCache:
     A cache is typically scoped to one sweep/experiment; sharing it
     across the policies, capacities, and equi-effective probes of a
     table collapses ``P × B`` trace materializations into one per seed.
+
+    It also keeps stack curves: for a policy that declares the stack
+    property (a ``stack_hits`` hook; only
+    :class:`~repro.policies.LRUPolicy` does), one Mattson pass over a
+    trace with a given warm-up yields every total of a fresh run at every
+    capacity (:class:`~repro.policies.kernel.StackCurve`). Only
+    :meth:`build_stack_curve` runs a pass; :func:`~repro.sim.
+    run_experiment` calls it, through the B(1) search, before its sweep,
+    and :func:`~repro.sim.run_paper_protocol` reads the curves with
+    :meth:`stack_curve`. A curve holds O(distinct pages) integers.
     """
 
     def __init__(self) -> None:
         self._traces: Dict[_TraceKey, CachedTrace] = {}
         self._pinned: Dict[int, Workload] = {}
+        self._curves: Dict[_CurveKey, StackCurve] = {}
         self.hits = 0
         self.misses = 0
 
@@ -195,9 +212,32 @@ class TraceCache:
         self._traces[key] = trace
         return trace
 
+    def stack_curve(self, policy: ReplacementPolicy, workload: Workload,
+                    total: int, seed: int,
+                    warmup: int) -> Optional[StackCurve]:
+        """The curve built for ``policy``'s class on this trace and
+        warm-up, or None: this lookup never runs a pass."""
+        return self._curves.get(
+            (type(policy), id(workload), total, seed, warmup))
+
+    def build_stack_curve(self, policy: ReplacementPolicy,
+                          workload: Workload, total: int, seed: int,
+                          warmup: int) -> StackCurve:
+        """The curve for this trace and warm-up, from ``policy``'s
+        ``stack_hits`` hook on first request."""
+        key = (type(policy), id(workload), total, seed, warmup)
+        curve = self._curves.get(key)
+        if curve is None:
+            trace = self.get(workload, total, seed)
+            curve = policy.stack_hits(trace.page_ids(), warmup,
+                                      trace.next_write)
+            self._curves[key] = curve
+        return curve
+
     def clear(self) -> None:
-        """Drop every cached trace (frees the arrays/lists)."""
+        """Drop every cached trace and curve (frees the arrays/lists)."""
         self._traces.clear()
+        self._curves.clear()
         self._pinned.clear()
 
 

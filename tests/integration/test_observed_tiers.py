@@ -1,9 +1,12 @@
 """Observed table runs compute on the same tier as plain ones.
 
 A traced or narrated Table 4.1/4.2/4.3 run must render the untraced
-table, run every cell on a fused kernel, and record the same span tree
-the object path records: each ``simulate`` span names its tier and holds
-one ``warmup`` and one ``measure`` child.
+table and keep every cell off the object path. LRU-1 runs read the
+stack curves the B(1) column built: their ``simulate`` spans say
+``stack`` and have no children, since no reference is replayed. Every
+other run takes its fused kernel and records the span tree the object
+path records: a ``simulate`` span saying ``kernel`` with one ``warmup``
+and one ``measure`` child.
 """
 
 import pytest
@@ -29,8 +32,13 @@ def test_traced_table_matches_plain_and_keeps_the_kernels(table):
     assert traced == run_experiment(SPECS[table]()).to_table().render()
 
     simulates = tracer.find("simulate")
-    assert simulates
-    for span in simulates:
+    stack = [span for span in simulates if span.args["policy"] == "LRU-1"]
+    kernel = [span for span in simulates if span.args["policy"] != "LRU-1"]
+    assert stack and kernel
+    for span in stack:
+        assert span.args["tier"] == "stack", span.args
+        assert tracer.children_of(span.span_id) == [], span.args
+    for span in kernel:
         assert span.args["tier"] == "kernel", span.args
         children = sorted(child.name
                           for child in tracer.children_of(span.span_id))

@@ -1,10 +1,12 @@
-"""The B(1) search answers LRU-1 probes from one Mattson pass.
+"""The B(1) search and the LRU-1 column read one Mattson pass.
 
-LRU is a stack algorithm, so one stack-distance pass per trace gives its
-measured hits at every buffer size. These tests hold that curve to the
+LRU is a stack algorithm, so one stack-distance pass per trace gives
+every total of a fresh run at every buffer size: measured and warm-up
+hits, evictions and write-backs. These tests hold that curve to the
 simulation it replaces: per capacity against ``measure_hit_ratio``, and
-per table row against bisecting over ``run_paper_protocol``. Baselines
-without the stack property must keep simulating.
+per table row against bisecting over ``run_paper_protocol`` runs that
+are pinned to the kernel tier. Baselines without the stack property
+must keep simulating.
 """
 
 from array import array
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.experiments.table43 import table_4_3_spec
-from repro.obs import EventDispatcher, RingBufferSink
+from repro.obs import EventDispatcher, ProfiledPolicy, RingBufferSink
 from repro.obs import trace as obs_trace
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.policies import LRUPolicy, make_policy
 from repro.sim import (
@@ -42,37 +45,55 @@ REFERENCES = st.lists(
               kind=st.sampled_from(AccessKind),
               process_id=st.one_of(st.none(), st.integers(0, 3))),
     min_size=2, max_size=200)
+#: Warm-ups: none, a third of the trace, all but the last reference.
+WARMUPS = st.sampled_from(["none", "third", "all-but-last"])
 
 
-def assert_curve_matches(curve, trace, warmup, distinct):
+def warmup_of(choice, length):
+    return {"none": 0, "third": length // 3,
+            "all-but-last": length - 1}[choice]
+
+
+def assert_curve_matches(trace, warmup):
+    """Every field of the pass equals a simulated run at every capacity."""
+    curve = LRUPolicy().stack_hits(trace.page_ids(), warmup,
+                                   trace.next_write)
+    distinct = len(set(trace.page_ids()))
+    assert curve.distinct == distinct
     for capacity in range(1, distinct + 2):
         simulator = measure_hit_ratio(LRUPolicy(), trace, capacity, warmup)
-        assert curve[min(capacity, len(curve) - 1)] == simulator.counter.hits
+        totals = curve.at(capacity)
+        assert (totals.hits, totals.misses) == (
+            simulator.counter.hits, simulator.counter.misses), capacity
+        assert (totals.warmup_hits, totals.warmup_misses) == (
+            simulator.warmup_counter.hits,
+            simulator.warmup_counter.misses), capacity
+        assert totals.evictions == simulator.evictions, capacity
+        assert totals.writebacks == simulator.writebacks, capacity
+        assert totals.resident == len(simulator.resident_pages), capacity
 
 
 @settings(max_examples=60, deadline=None)
-@given(pages=PAGES, split=st.floats(min_value=0.0, max_value=0.99))
-def test_curve_equals_simulation_on_page_ids(pages, split):
-    warmup = int(len(pages) * split)
-    curve = LRUPolicy().stack_hits(pages, warmup)
-    assert len(curve) == len(set(pages)) + 1
-    assert_curve_matches(curve, CachedTrace(array("q", pages), None),
-                         warmup, len(set(pages)))
+@given(pages=PAGES, choice=WARMUPS)
+def test_curve_equals_simulation_on_page_ids(pages, choice):
+    assert_curve_matches(CachedTrace(array("q", pages)),
+                         warmup_of(choice, len(pages)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(references=REFERENCES, split=st.floats(min_value=0.0, max_value=0.99))
-def test_curve_equals_simulation_on_references(references, split):
-    warmup = int(len(references) * split)
-    pages = [reference.page for reference in references]
-    curve = LRUPolicy().stack_hits(pages, warmup)
-    assert_curve_matches(curve, references, warmup, len(set(pages)))
+@given(references=REFERENCES, choice=WARMUPS)
+def test_curve_equals_simulation_on_references(references, choice):
+    trace = CachedTrace.from_references(references)
+    assert_curve_matches(trace, warmup_of(choice, len(references)))
 
 
 def test_only_lru_declares_the_stack_property():
-    assert hasattr(LRUPolicy(), "stack_hits")
+    assert getattr(LRUPolicy(), "stack_hits", None) is not None
     for name in ("lru-k", "lfu", "fifo", "clock"):
-        assert not hasattr(make_policy(name), "stack_hits")
+        assert getattr(make_policy(name), "stack_hits", None) is None
+    # Hook profiling forwards unknown names to the wrapped policy, but
+    # a run read off a curve would time no hook.
+    assert getattr(ProfiledPolicy(LRUPolicy()), "stack_hits", None) is None
 
 
 def bisected_column(result):
@@ -81,12 +102,13 @@ def bisected_column(result):
     baseline_label, improved_label = spec.equi_effective
     baseline = spec.spec_by_label(baseline_label)
     cache = TraceCache()
+    registry = MetricsRegistry()
 
     def evaluate(capacity):
         return run_paper_protocol(
             spec.workload, baseline, capacity, spec.warmup, spec.measured,
             seed=spec.seed, repetitions=spec.repetitions,
-            trace_cache=cache).hit_ratio
+            trace_cache=cache, metrics=registry).hit_ratio
 
     column = {}
     for cell in result.cells:
@@ -97,7 +119,17 @@ def bisected_column(result):
             column[cell.capacity] = found / cell.capacity
         except SimulationError:
             column[cell.capacity] = None
+    assert_simulated(registry)
     return column
+
+
+def assert_simulated(registry):
+    """Every run behind a reference column took a fused kernel: none was
+    read off a stack curve, so a curve is never compared with itself."""
+    counters = registry.snapshot().counters
+    tiers = {name for name in counters if name.startswith("sim.tier.")}
+    assert tiers == {"sim.tier.kernel"}
+    assert counters["sim.tier.kernel"] == counters["protocol.runs"] > 0
 
 
 def two_pool_spec(seed, repetitions, pair=("LRU-1", "LRU-2")):
@@ -176,8 +208,11 @@ def test_equi_effective_ratio_matches_simulated_search():
                                  **kwargs)
     target = run_paper_protocol(workload, PolicySpec.lruk(2), 20,
                                 **kwargs).hit_ratio
+    registry = MetricsRegistry()
     found = equi_effective_buffer_size(
         lambda capacity: run_paper_protocol(
-            workload, PolicySpec.lru(), capacity, **kwargs).hit_ratio,
+            workload, PolicySpec.lru(), capacity, metrics=registry,
+            **kwargs).hit_ratio,
         target, low=10, high=4096)
     assert ratio == found / 20
+    assert_simulated(registry)

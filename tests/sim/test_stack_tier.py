@@ -1,0 +1,239 @@
+"""The measurement protocol's ``stack`` tier.
+
+A run of a stack-property policy (LRU) is read off a curve its trace
+cache already holds whenever it would otherwise take a kernel. These
+tests hold such a run to a kernel or object-path run of the same cell:
+the same ``RunResult``, the same registry totals apart from the
+``sim.tier.*`` split, the same run-boundary snapshots and the same
+errors. A table builds one curve per repetition trace and simulates no
+LRU-1 run at all.
+"""
+
+import io
+
+import pytest
+
+from repro.cli import main
+from repro.errors import ConfigurationError
+from repro.experiments import table_4_2_spec, table_4_3_spec
+from repro.obs import (
+    ConsoleProgressSink,
+    EventDispatcher,
+    ProfiledPolicy,
+    RingBufferSink,
+    SnapshotEvent,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.policies import LRUPolicy
+from repro.policies import kernel as policy_kernels
+from repro.sim import (
+    CachedTrace,
+    ExperimentSpec,
+    PolicySpec,
+    measure_hit_ratio,
+    run_experiment,
+    run_paper_protocol,
+)
+from repro.sim import equi_effective
+from repro.sim.trace_cache import TraceCache
+from repro.workloads import BankOLTPWorkload
+
+WORKLOAD = BankOLTPWorkload()
+WARMUP, MEASURED, CAPACITY, SEED = 500, 2500, 100, 4
+
+
+def cache_with_curves(repetitions=2):
+    """A trace cache already holding LRU's curves for SEED onwards."""
+    cache = TraceCache()
+    for seed in range(SEED, SEED + repetitions):
+        cache.build_stack_curve(LRUPolicy(), WORKLOAD, WARMUP + MEASURED,
+                                seed, WARMUP)
+    return cache
+
+
+class RecordingConsoleSink(ConsoleProgressSink):
+    """A run-level sink that keeps every snapshot and its context."""
+
+    def __init__(self):
+        super().__init__(io.StringIO())
+        self.snapshots = []
+
+    def handle(self, event, context):
+        if isinstance(event, SnapshotEvent):
+            self.snapshots.append((event, dict(context)))
+        super().handle(event, context)
+
+
+def lru_runs(result):
+    return {cell.capacity: cell.results["LRU-1"].runs
+            for cell in result.cells}
+
+
+def test_table_4_3_stack_runs_equal_object_path_runs():
+    """The LRU-1 column and every registry total are tier-independent."""
+    spec = table_4_3_spec(scale=0.02, repetitions=1)
+    plain = EventDispatcher()
+    plain.metrics = MetricsRegistry()
+    stacked = run_experiment(spec, observability=plain)
+    demoted_dispatcher = EventDispatcher()
+    demoted_dispatcher.metrics = MetricsRegistry()
+    demoted_dispatcher.attach(RingBufferSink(maxlen=1))
+    demoted = run_experiment(spec, observability=demoted_dispatcher)
+
+    assert lru_runs(stacked) == lru_runs(demoted)
+    assert any(run.writebacks for runs in lru_runs(stacked).values()
+               for run in runs)
+    fused = plain.metrics.snapshot()
+    slow = demoted_dispatcher.metrics.snapshot()
+    assert fused.counters["sim.tier.stack"] == 14
+    assert slow.counters["sim.tier.object"] == 42
+
+    def untiered(counters):
+        return {name: value for name, value in counters.items()
+                if not name.startswith("sim.tier.")}
+
+    assert untiered(fused.counters) == untiered(slow.counters)
+    assert dict(fused.histograms) == dict(slow.histograms)
+    assert dict(fused.gauges) == dict(slow.gauges)
+
+
+def test_stack_runs_emit_the_snapshots_of_kernel_runs():
+    """Under a run-level sink each stack run emits ``start`` and ``end``
+    snapshots equal to a kernel run's, in the same context."""
+
+    def observed(trace_cache):
+        sink = RecordingConsoleSink()
+        dispatcher = EventDispatcher()
+        dispatcher.metrics = MetricsRegistry()
+        dispatcher.attach(sink)
+        result = run_paper_protocol(
+            WORKLOAD, PolicySpec.lru(), CAPACITY, WARMUP, MEASURED,
+            seed=SEED, repetitions=2, observability=dispatcher,
+            trace_cache=trace_cache)
+        snapshots = [(event.time, event.phase, event.counters, context)
+                     for event, context in sink.snapshots]
+        return result, snapshots, dispatcher.metrics.snapshot().counters
+
+    stack, stack_snapshots, stack_counters = observed(cache_with_curves())
+    kernel, kernel_snapshots, kernel_counters = observed(TraceCache())
+    assert stack_counters["sim.tier.stack"] == 2
+    assert kernel_counters["sim.tier.kernel"] == 2
+    assert [phase for _, phase, _, _ in stack_snapshots] == [
+        "start", "end", "start", "end"]
+    assert stack_snapshots == kernel_snapshots
+    assert stack.runs == kernel.runs
+
+
+@pytest.mark.parametrize("warmup", [-1, WARMUP + MEASURED])
+def test_bad_warmup_raises_alike_on_both_tiers(warmup):
+    trace = CachedTrace.materialize(WORKLOAD, WARMUP + MEASURED, SEED)
+    with pytest.raises(ConfigurationError) as kernel:
+        measure_hit_ratio(LRUPolicy(), trace, CAPACITY, warmup)
+    with pytest.raises(ConfigurationError) as stack:
+        LRUPolicy().stack_hits(trace.page_ids(), warmup, trace.next_write)
+    assert str(stack.value) == str(kernel.value)
+    # A table whose B(1) baseline is LRU builds its curves first, so the
+    # bad warm-up surfaces there, as the same error.
+    spec = ExperimentSpec(
+        name="bad", workload=WORKLOAD,
+        policies=[PolicySpec.lru(), PolicySpec.lruk(2)],
+        capacities=[CAPACITY], warmup=warmup,
+        measured=WARMUP + MEASURED - warmup,
+        equi_effective=("LRU-1", "LRU-2"))
+    with pytest.raises(ConfigurationError) as table:
+        run_experiment(spec)
+    assert str(table.value) == str(kernel.value)
+
+
+def test_bad_capacity_raises_alike_on_both_tiers():
+    errors = []
+    for cache in (cache_with_curves(1), TraceCache()):
+        with pytest.raises(ConfigurationError) as error:
+            run_paper_protocol(WORKLOAD, PolicySpec.lru(), 0, WARMUP,
+                               MEASURED, seed=SEED, trace_cache=cache)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
+
+
+def test_profiled_lru_keeps_the_object_path():
+    """Hook profiling times every hook even when a curve is at hand."""
+    profiled = []
+
+    def factory(context):
+        profiled.append(ProfiledPolicy(LRUPolicy()))
+        return profiled[-1]
+
+    cache = cache_with_curves(1)
+    registry = MetricsRegistry()
+    result = run_paper_protocol(
+        WORKLOAD, PolicySpec("LRU-1", factory), CAPACITY, WARMUP, MEASURED,
+        seed=SEED, trace_cache=cache, metrics=registry)
+    counters = registry.snapshot().counters
+    assert counters["sim.tier.object"] == 1
+    assert "sim.tier.stack" not in counters
+    report = profiled[0].report()
+    assert report["observe"]["count"] == WARMUP + MEASURED
+    assert (report["on_hit"]["count"] + report["on_admit"]["count"]
+            == WARMUP + MEASURED)
+    assert report["choose_victim"]["count"] == report["on_evict"]["count"]
+    assert report["on_evict"]["count"] == result.runs[0].evictions > 0
+    assert result.runs == run_paper_protocol(
+        WORKLOAD, PolicySpec.lru(), CAPACITY, WARMUP, MEASURED, seed=SEED,
+        trace_cache=cache).runs
+
+
+def test_a_table_makes_one_pass_per_trace(monkeypatch):
+    passes, lru_kernels, probes = [], [], []
+    stack_hits = policy_kernels.lru_stack_hits
+    make_lru_kernel = policy_kernels.make_lru_kernel
+    protocol = equi_effective.run_paper_protocol
+
+    def counted_pass(*args, **kwargs):
+        passes.append(args[1])
+        return stack_hits(*args, **kwargs)
+
+    def counted_kernel(policy, capacity):
+        kernel = make_lru_kernel(policy, capacity)
+
+        def run(*args):
+            lru_kernels.append(capacity)
+            return kernel(*args)
+        return run
+
+    def counted_probe(workload, spec, capacity, *args, **kwargs):
+        probes.append(capacity)
+        return protocol(workload, spec, capacity, *args, **kwargs)
+
+    monkeypatch.setattr(policy_kernels, "lru_stack_hits", counted_pass)
+    monkeypatch.setattr(policy_kernels, "make_lru_kernel", counted_kernel)
+    monkeypatch.setattr(equi_effective, "run_paper_protocol", counted_probe)
+    spec = table_4_2_spec(scale=0.1, repetitions=3)
+    run_experiment(spec)
+    assert passes == [spec.warmup] * 3
+    assert lru_kernels == []
+    assert probes == []
+
+
+def test_tables_without_a_b1_column_keep_the_lru_kernel():
+    """Curves are built only for a B(1) column, never for the sweep."""
+    dispatcher = EventDispatcher()
+    dispatcher.metrics = MetricsRegistry()
+    run_experiment(table_4_2_spec(scale=0.05, repetitions=1,
+                                  include_equi_effective=False),
+                   observability=dispatcher)
+    counters = dispatcher.metrics.snapshot().counters
+    assert "sim.tier.stack" not in counters
+    assert counters["sim.tier.kernel"] == counters["protocol.runs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table4.1", "--scale", "0.05", "--repetitions", "1", "--quiet"],
+    ["table4.2", "--scale", "0.05", "--repetitions", "1", "--quiet"],
+    ["table4.3", "--scale", "0.02", "--repetitions", "1", "--quiet"],
+])
+def test_pooled_table_prints_the_serial_table(argv, capsys):
+    """Forked workers read the curves the parent built before the fork."""
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
