@@ -94,6 +94,16 @@ from .sim.explain import EXPLAIN_WORKLOADS
 from .workloads import BankOLTPWorkload
 from .workloads.oltp import FIVE_MINUTE_WINDOW_REFERENCES, PAPER_TRACE_LENGTH
 
+
+class TelemetryStartupError(ConfigurationError):
+    """A telemetry flag the plane could not start with.
+
+    :func:`main` lets it propagate, as it does an unwritable
+    ``--metrics-out``: the one-line exit is for a command's own
+    configuration.
+    """
+
+
 #: JSONL access-event sampling for CLI runs: decision events (evictions,
 #: purges, snapshots, window samples) are always written; raw accesses are
 #: thinned to keep multi-million-reference sweeps to tractable file sizes.
@@ -161,9 +171,12 @@ def _observability(quiet: bool,
             print(f"serving /metrics on {server.url}", file=sys.stderr)
         if sample_resources:
             assert dispatcher.metrics is not None
-            sampler = ResourceSampler(dispatcher.metrics,
-                                      interval=sample_resources,
-                                      dispatcher=dispatcher)
+            try:
+                sampler = ResourceSampler(dispatcher.metrics,
+                                          interval=sample_resources,
+                                          dispatcher=dispatcher)
+            except ConfigurationError as exc:
+                raise TelemetryStartupError(str(exc)) from exc
             sampler.start()
         with obs_runtime.activate(dispatcher):
             if tracer is not None:
@@ -544,19 +557,15 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         # The endpoint registry (when --serve-metrics/--sample-resources
         # created one) doubles as the manager's, so a live scrape and the
         # printed report read the same service.* instruments.
-        try:
-            manager = ShardedBufferManager(
-                args.capacity, shards=args.shards,
-                policy_factory=lambda: LRUKPolicy(k=args.k),
-                quotas=quotas, registry=obs.metrics)
-            narrate(f"serving {args.sessions} session(s) x {args.refs} "
-                    f"refs over {args.shards} shard(s), "
-                    f"{args.tenants} tenant(s) ...")
-            report = run_load(manager, tenants, sessions=args.sessions,
-                              references=args.refs, seed=args.seed)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        manager = ShardedBufferManager(
+            args.capacity, shards=args.shards,
+            policy_factory=lambda: LRUKPolicy(k=args.k),
+            quotas=quotas, registry=obs.metrics)
+        narrate(f"serving {args.sessions} session(s) x {args.refs} "
+                f"refs over {args.shards} shard(s), "
+                f"{args.tenants} tenant(s) ...")
+        report = run_load(manager, tenants, sessions=args.sessions,
+                          references=args.refs, seed=args.seed)
         print(report.render())
         if args.hold > 0:
             narrate(f"holding for {args.hold:.1f}s (scrape window) ...")
@@ -565,11 +574,29 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` from any command prints
+    one ``error:`` line on stderr and exits 2, except one the telemetry
+    plane raised while starting (:class:`TelemetryStartupError`). A
+    sweep that lost cells exits 1, an interrupted one 130.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and args.checkpoint is None:
         parser.error("--resume requires --checkpoint PATH")
+    try:
+        return _run_command(parser, args)
+    except TelemetryStartupError:
+        raise
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(parser: argparse.ArgumentParser,
+                 args: argparse.Namespace) -> int:
+    """Run the parsed command; returns its exit code."""
     if args.command == "list":
         return _list_targets()
     if args.command == "trace-stats":

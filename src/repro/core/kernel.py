@@ -1,13 +1,16 @@
 """The fused LRU-K simulation kernel.
 
 This is the hot path behind every sweep cell the harness runs with the
-default policy family: one function that plays an entire compact page-id
-trace through the full Figure 2.1 algorithm — CRP-aware hit handling,
-history shifts, heap victim selection, the forced-eviction fallback,
-and the Retained Information purge demon — with every data structure
-bound to a local and zero per-reference allocation. Write-backs are
-counted from the trace's write column as every kernel counts them (see
-:mod:`repro.policies.kernel`).
+default policy family: one function that plays a compact page-id trace,
+one protocol window per call, through the full Figure 2.1 algorithm —
+CRP-aware hit handling, history shifts, heap victim selection, the
+forced-eviction fallback, and the Retained Information purge demon —
+with every data structure bound to a local and zero per-reference
+allocation. Like every kernel (see :mod:`repro.policies.kernel`) it
+keeps its state between calls, counts write-backs from the trace's
+write column, and returns hits, write-backs and residents; it also
+keeps the policy's :class:`~repro.core.lruk.LRUKStats`, deriving
+admissions and evictions from the hits and the change in residents.
 
 Where :class:`~repro.core.lruk.LRUKPolicy` driven through
 :meth:`~repro.sim.CacheSimulator.access_page` pays, per reference, a
@@ -37,13 +40,11 @@ the object path.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import islice
-from time import perf_counter_ns
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NoEvictableFrameError
 from ..policies.base import HEAP_COMPACT_SLACK
-from ..policies.kernel import KernelResult, SimulationKernel, dirty_residents
+from ..policies.kernel import KernelTotals, SimulationKernel
 from ..types import PageId
 from .history import HistoryBlock
 
@@ -79,9 +80,10 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     crp = policy.crp
     store = policy.history
     compact_slack = HEAP_COMPACT_SLACK
+    resident: Dict[PageId, int] = {}
 
-    def kernel(pages: Sequence[PageId], warmup: int,
-               next_write: Optional[Sequence[int]]) -> KernelResult:
+    def kernel(pages: Iterable[PageId], t: int,
+               next_write: Optional[Sequence[int]]) -> KernelTotals:
         # -- locals-bound policy state ------------------------------------
         stats = policy.stats
         blocks = store._blocks
@@ -91,166 +93,153 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
         rip = store.retained_information_period
         purge_interval = store.purge_interval
         heap = policy._heap
-        resident: Dict[PageId, int] = {}
         k2 = k == 2
         # -- locals-accumulated counters, flushed once at the end ---------
-        warmup_hits = warmup_misses = hits = misses = 0
-        evictions = writebacks = infinite = forced = admissions = 0
-        uncorrelated = correlated = compactions = purged = 0
-        t = 0
+        # Misses, admissions and evictions follow from these, the
+        # number of references and the change in residents.
+        hits = writebacks = correlated = infinite = forced = 0
+        compactions = purged = 0
+        start, residents_before = t, len(resident)
 
-        remaining = iter(pages)
-        for boundary, segment in enumerate((islice(remaining, warmup),
-                                            remaining)):
-            for page in segment:
-                t += 1
-                block = get_block(page)
-                if page in resident:
-                    # -- Figure 2.1, "p is already in the buffer" ---------
-                    # Resident pages always have blocks, and the key grows
-                    # in place: selection re-keys the heap entry later.
-                    hits += 1
-                    if t - block.last > crp:
-                        # A new, uncorrelated reference.
-                        if k2:
-                            # HIST(p,1) is set while resident, so
-                            # `hist[0] and block.last` is LAST(p).
-                            hist = block.hist
-                            hist[1] = block.last
-                            hist[0] = t
-                            block.last = t
-                        else:
-                            block.record_uncorrelated(t)
-                        uncorrelated += 1
-                    else:
-                        # A correlated reference: only LAST moves.
-                        block.last = t
-                        correlated += 1
-                else:
-                    # -- Figure 2.1, the fetch path -----------------------
-                    misses += 1
-                    if len(resident) >= capacity:
-                        # Victim selection: an entry is up to date while
-                        # its HIST(q,1) is, since any history change
-                        # records a new HIST(q,1).
-                        if crp:
-                            victim = None
-                            set_aside: Optional[List[Tuple[int, int,
-                                                           PageId]]] = None
-                            while heap:
-                                entry = heap[0]
-                                _, first, q = entry
-                                admitted_at = resident.get(q)
-                                if admitted_at is None or first < admitted_at:
-                                    heappop(heap)  # orphan
-                                    continue
-                                b = get_block(q)
-                                if b.hist[0] != first:
-                                    heapreplace(heap,
-                                                (b.hist[-1], b.hist[0], q))
-                                    continue
-                                if t - b.last <= crp:
-                                    # CRP-protected.
-                                    if set_aside is None:
-                                        set_aside = []
-                                    set_aside.append(heappop(heap))
-                                    continue
-                                victim = q
-                                break
-                            if set_aside:
-                                for entry in set_aside:
-                                    heappush(heap, entry)
-                            if victim is None:
-                                # Forced choice: evict the stalest burst.
-                                best_last = None
-                                for q in resident:
-                                    q_last = get_block(q).last
-                                    if best_last is None or q_last < best_last:
-                                        best_last = q_last
-                                        victim = q
-                                if victim is None:
-                                    raise NoEvictableFrameError(
-                                        "no resident pages to evict")
-                                forced += 1
-                            # The top is a live entry; it goes with its
-                            # page (LRUKPolicy.on_evict).
-                            if heap and heap[0][2] == victim:
-                                heappop(heap)
-                        else:
-                            # CRP disabled: nothing is protected and no
-                            # orphan ever forms, so the heap holds exactly
-                            # the residents and the first up-to-date top
-                            # is the victim.
-                            while True:
-                                _, first, victim = heap[0]
-                                hist = get_block(victim).hist
-                                if hist[0] == first:
-                                    break
-                                heapreplace(heap, (hist[-1], hist[0], victim))
-                            heappop(heap)
-                        evictions += 1
-                        if next_write is None:
-                            del resident[victim]
-                        elif next_write[resident.pop(victim) - 1] < t:
-                            writebacks += 1
-                        if get_block(victim).hist[-1] == 0:
-                            infinite += 1
-                        # The HIST block survives: Retained Information.
-                    # Admission (LRUKPolicy.on_admit).
-                    if block is None:
-                        # "initialize history control block"
-                        block = HistoryBlock(k)
-                        blocks[page] = block
-                        block.hist[0] = t
-                        block.last = t
-                        key = block.hist[-1]
-                    elif k2:
+        for t, page in enumerate(pages, t + 1):
+            block = get_block(page)
+            if page in resident:
+                # -- Figure 2.1, "p is already in the buffer" -------------
+                # Resident pages always have blocks, and the key grows
+                # in place: selection re-keys the heap entry later.
+                hits += 1
+                if t - block.last > crp:
+                    # A new, uncorrelated reference.
+                    if k2:
+                        # HIST(p,1) is set while resident, so
+                        # `hist[0] and block.last` is LAST(p).
                         hist = block.hist
-                        hist[1] = hist[0]
+                        hist[1] = block.last
                         hist[0] = t
                         block.last = t
-                        key = hist[1]
                     else:
-                        block.record_readmission(t)
-                        key = block.hist[-1]
-                    admissions += 1
-                    uncorrelated += 1
-                    resident[page] = t
-                    heappush(heap, (key, t, page))
-                    if len(heap) > 2 * len(resident) + compact_slack:
-                        heap = _compact(resident, get_block)
-                        compactions += 1
-                # -- HistoryStore.touch: the amortized purge demon --------
-                if rip is not None:
-                    heappush(expiry, (t, page))
-                    touches += 1
-                    if touches >= purge_interval:
-                        touches = 0
-                        postponed = None
-                        while expiry and expiry[0][0] + rip < t:
-                            entry = heappop(expiry)
-                            last, q = entry
-                            b = get_block(q)
-                            if b is None or b.last != last:
-                                continue  # stale: the page was touched again
-                            if q in resident:
-                                # Resident blocks are always retained.
-                                if postponed is None:
-                                    postponed = []
-                                postponed.append(entry)
+                        block.record_uncorrelated(t)
+                else:
+                    # A correlated reference: only LAST moves.
+                    block.last = t
+                    correlated += 1
+            else:
+                # -- Figure 2.1, the fetch path ---------------------------
+                if len(resident) >= capacity:
+                    # Victim selection: an entry is up to date while
+                    # its HIST(q,1) is, since any history change
+                    # records a new HIST(q,1).
+                    if crp:
+                        victim = None
+                        set_aside: Optional[List[Tuple[int, int,
+                                                       PageId]]] = None
+                        while heap:
+                            entry = heap[0]
+                            _, first, q = entry
+                            admitted_at = resident.get(q)
+                            if admitted_at is None or first < admitted_at:
+                                heappop(heap)  # orphan
                                 continue
-                            del blocks[q]
-                            purged += 1
-                        if postponed:
-                            for entry in postponed:
-                                heappush(expiry, entry)
-            if boundary == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
+                            b = get_block(q)
+                            if b.hist[0] != first:
+                                heapreplace(heap, (b.hist[-1], b.hist[0], q))
+                                continue
+                            if t - b.last <= crp:
+                                # CRP-protected.
+                                if set_aside is None:
+                                    set_aside = []
+                                set_aside.append(heappop(heap))
+                                continue
+                            victim = q
+                            break
+                        if set_aside:
+                            for entry in set_aside:
+                                heappush(heap, entry)
+                        if victim is None:
+                            # Forced choice: evict the stalest burst.
+                            best_last = None
+                            for q in resident:
+                                q_last = get_block(q).last
+                                if best_last is None or q_last < best_last:
+                                    best_last = q_last
+                                    victim = q
+                            if victim is None:
+                                raise NoEvictableFrameError(
+                                    "no resident pages to evict")
+                            forced += 1
+                        # The top is a live entry; it goes with its
+                        # page (LRUKPolicy.on_evict).
+                        if heap and heap[0][2] == victim:
+                            heappop(heap)
+                    else:
+                        # CRP disabled: nothing is protected and no
+                        # orphan ever forms, so the heap holds exactly
+                        # the residents and the first up-to-date top
+                        # is the victim.
+                        while True:
+                            _, first, victim = heap[0]
+                            hist = get_block(victim).hist
+                            if hist[0] == first:
+                                break
+                            heapreplace(heap, (hist[-1], hist[0], victim))
+                        heappop(heap)
+                    if next_write is None:
+                        del resident[victim]
+                    elif next_write[resident.pop(victim) - 1] < t:
+                        writebacks += 1
+                    if get_block(victim).hist[-1] == 0:
+                        infinite += 1
+                    # The HIST block survives: Retained Information.
+                # Admission (LRUKPolicy.on_admit).
+                if block is None:
+                    # "initialize history control block"
+                    block = HistoryBlock(k)
+                    blocks[page] = block
+                    block.hist[0] = t
+                    block.last = t
+                    key = block.hist[-1]
+                elif k2:
+                    hist = block.hist
+                    hist[1] = hist[0]
+                    hist[0] = t
+                    block.last = t
+                    key = hist[1]
+                else:
+                    block.record_readmission(t)
+                    key = block.hist[-1]
+                resident[page] = t
+                heappush(heap, (key, t, page))
+                if len(heap) > 2 * len(resident) + compact_slack:
+                    heap = _compact(resident, get_block)
+                    compactions += 1
+            # -- HistoryStore.touch: the amortized purge demon ------------
+            if rip is not None:
+                heappush(expiry, (t, page))
+                touches += 1
+                if touches >= purge_interval:
+                    touches = 0
+                    postponed = None
+                    while expiry and expiry[0][0] + rip < t:
+                        entry = heappop(expiry)
+                        last, q = entry
+                        b = get_block(q)
+                        if b is None or b.last != last:
+                            continue  # stale: the page was touched again
+                        if q in resident:
+                            # Resident blocks are always retained.
+                            if postponed is None:
+                                postponed = []
+                            postponed.append(entry)
+                            continue
+                        del blocks[q]
+                        purged += 1
+                    if postponed:
+                        for entry in postponed:
+                            heappush(expiry, entry)
 
         # -- flush locals back into the policy's bookkeeping --------------
-        policy._resident.update(resident)
+        misses = t - start - hits
+        policy._resident = set(resident)
         policy._heap = heap
         # Live entries are no older than their page's admission.
         policy._live = {entry[2]: entry for entry in heap
@@ -258,17 +247,15 @@ def make_lruk_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
                         and entry[1] >= resident[entry[2]]}
         store._touches_since_purge = touches
         store.purged_blocks += purged
-        stats.uncorrelated_references += uncorrelated
+        # Every miss is an uncorrelated reference that admits a page.
+        stats.uncorrelated_references += misses + hits - correlated
         stats.correlated_references += correlated
-        stats.admissions += admissions
-        stats.evictions += evictions
+        stats.admissions += misses
+        stats.evictions += misses - (len(resident) - residents_before)
         stats.infinite_distance_evictions += infinite
         stats.forced_evictions += forced
         stats.heap_compactions += compactions
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, writebacks, resident,
-                            dirty_residents(resident, next_write, t), t,
-                            warmup_ended)
+        return hits, writebacks, resident
 
     return kernel
 

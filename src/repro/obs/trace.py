@@ -164,11 +164,9 @@ class Tracer:
                tid: Optional[int] = None, **args: object) -> Span:
         """Record an already-measured (synthetic) span.
 
-        Used for a kernel run's ``warmup``/``measure`` phases and for
-        the parent-side ``cell`` envelopes synthesized around relayed
-        worker spans. When
-        ``parent_id`` is None the span parents under the innermost open
-        span, like :meth:`span`.
+        Used for the parent-side ``cell`` envelopes synthesized around
+        relayed worker spans. When ``parent_id`` is None the span
+        parents under the innermost open span, like :meth:`span`.
         """
         span = Span(
             name=name,

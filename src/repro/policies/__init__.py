@@ -15,7 +15,7 @@ from .base import (
     register_policy,
     register_policy_factory,
 )
-from .kernel import KernelResult, SimulationKernel
+from .kernel import SimulationKernel
 from .lru import LRUPolicy
 from .fifo import FIFOPolicy, MRUPolicy
 from .random_policy import RandomPolicy
@@ -39,7 +39,6 @@ __all__ = [
     "make_policy",
     "register_policy",
     "register_policy_factory",
-    "KernelResult",
     "SimulationKernel",
     "LRUPolicy",
     "FIFOPolicy",

@@ -137,15 +137,20 @@ class ReplacementPolicy(abc.ABC):
     def make_kernel(self, capacity: int):
         """Return a fused simulation kernel for this policy, or None.
 
-        A kernel is a closure ``kernel(pages, warmup, next_write) ->
-        :class:`repro.policies.kernel.KernelResult`` that runs an entire
-        compact trace (page column, write column or None) in one loop,
-        decision-identically to driving
+        A kernel is a closure ``kernel(pages, t, next_write) -> (hits,
+        writebacks, resident)`` that plays the page ids it is given,
+        numbered from ``t + 1``, in one loop (``next_write`` is the
+        trace's write column or None), keeps its state between calls,
+        and returns the call's hits and write-backs with every resident
+        page mapped to its admission time. Played over a trace, it is
+        decision-identical to driving
         :meth:`repro.sim.CacheSimulator.access` one reference at a time
-        (see :mod:`repro.policies.kernel` for the full contract). The default — no kernel — keeps every policy on
-        the object path; policies with a fused implementation override
-        this and may still return None for configurations (or live
-        state) the fused loop does not replicate.
+        (see :mod:`repro.policies.kernel` for the full contract;
+        :meth:`repro.sim.CacheSimulator.run_fused` calls it once per
+        protocol window). The default — no kernel — keeps every policy
+        on the object path; policies with a fused implementation
+        override this and may still return None for configurations (or
+        live state) the fused loop does not replicate.
         """
         return None
 

@@ -101,10 +101,6 @@ class ClockPolicy(ReplacementPolicy):
             return page
         raise NoEvictableFrameError("CLOCK sweep found no evictable page")
 
-    def make_kernel(self, capacity: int):
-        from .kernel import make_clock_kernel
-        return make_clock_kernel(self, capacity)
-
     def reset(self) -> None:
         super().reset()
         self._ring.clear()

@@ -10,10 +10,10 @@ decision procedure is fixed for the whole run.
 
 A *simulation kernel* removes the dispatch. A policy may override
 :meth:`~repro.policies.base.ReplacementPolicy.make_kernel` to return a
-closure that processes an **entire compact page-id trace** (the
-``array('q')`` page column of :class:`repro.sim.trace_cache.CachedTrace`)
-in one fused loop with the policy's data structures bound to locals, stat
-counters accumulated in plain ints, and no per-reference allocation.
+closure that plays compact page ids (the ``array('q')`` page column of
+:class:`repro.sim.trace_cache.CachedTrace`) in one fused loop with the
+policy's data structures bound to locals, stat counters accumulated in
+plain ints, and no per-reference allocation.
 
 A trace with writes also carries a write column, ``next_write``:
 ``next_write[i]`` is the time of the first write to ``pages[i]`` at or
@@ -28,39 +28,49 @@ passes ``None`` and pays only an ``is None`` test per eviction.
 
 The contract every kernel must honour:
 
-- **Decision-identical.** Driving ``kernel(pages, warmup, next_write)``
-  from a fresh simulator produces the same hit/miss sequence, the same
-  evictions and write-backs, the same final policy state (residency,
-  history, heap contents as a multiset, stats counters) as calling
-  ``access(reference)`` once per reference with ``start_measurement()``
-  at the warm-up boundary. This is property-tested in
-  ``tests/sim/test_kernels.py``, on read-only and on write-bit traces.
-- **State-synchronizing.** On return the policy's own bookkeeping is
-  exactly what the object path would have left behind, so introspection
-  (``resident_pages``, history blocks, stats) and any further object-path
-  driving work unchanged.
+- **One window per call.** ``kernel(pages, t, next_write)`` plays only
+  the page ids it is given (any iterable), numbered ``t + 1``,
+  ``t + 2``, ...; ``next_write`` is the whole trace's write column (or
+  None). It returns ``(hits, writebacks, resident)``: the call's hits
+  and write-backs, and every resident page mapped to its admission
+  time, in admission order. The kernel keeps its state in the
+  factory's closure, so calls over consecutive pieces of a trace,
+  carrying ``t``, decide exactly as one call over the whole trace.
+  Everything else follows from those totals, and
+  :meth:`~repro.sim.cache.CacheSimulator.run_fused` derives it: it
+  calls the kernel once per protocol window, the one place the warm-up
+  boundary is applied to a kernel run.
+- **Decision-identical.** Playing a trace through a fresh policy's
+  kernel produces the same hit/miss sequence, the same evictions and
+  write-backs, the same final policy state (residency, history, heap
+  contents as a multiset, stats counters) as calling
+  ``access(reference)`` once per reference. This is property-tested in
+  ``tests/sim/test_kernels.py``, on read-only and on write-bit traces,
+  whole and cut into pieces at random points.
+- **State-synchronizing.** On return from every call the policy's own
+  bookkeeping is exactly what the object path would have left behind,
+  so introspection (``resident_pages``, history blocks, stats) and any
+  further object-path driving work unchanged. Between calls nothing but
+  the kernel may drive the policy.
 - **Aggregate-observable only.** Kernels never emit events and never
-  record provenance; what they report is the :class:`KernelResult`
-  totals plus the moment the warm-up window ended, from which the
-  measurement protocol records the run's ``warmup``/``measure`` spans
-  and counters. Simulators must bypass them whenever a *per-reference*
-  channel is attached — an event sink that takes access/eviction
-  events, an eviction-decision provenance recorder, the simulator's
-  eviction log, or hook profiling (whose wrapper offers no kernel). An
-  ambient tracer, metrics, and run-level sinks such as progress
-  narration do not. :meth:`~repro.sim.cache.CacheSimulator.run_fused`
-  enforces this and falls back to the object path.
+  record provenance; ``run_fused`` opens the run's ``warmup`` and
+  ``measure`` spans around its calls, and the measurement protocol
+  records the run's counters from the totals. Simulators must bypass
+  kernels whenever a *per-reference* channel is attached — an event
+  sink that takes access/eviction events, an eviction-decision
+  provenance recorder, or hook profiling (whose wrapper offers no
+  kernel). An ambient tracer, metrics, and run-level sinks such as
+  progress narration do not. ``run_fused`` enforces this and falls
+  back to the object path.
 - **Fresh-state only.** Factories return None when the policy already
   holds resident pages (a kernel cannot reconstruct mid-run driver
   state), or when the configuration has features the fused loop does not
   replicate — then the driver silently falls back.
 
 ``make_kernel(capacity)`` returns either ``None`` (no kernel for this
-configuration) or a callable ``kernel(pages, warmup, next_write) ->
-KernelResult``. ``warmup`` is non-negative (``run_fused`` checks).
-Kernels split the trace at the warm-up boundary with one shared
-iterator, never a slice, so a run allocates nothing proportional to the
-trace.
+configuration) or a :data:`SimulationKernel`. Kernels iterate what they
+are given and never slice it, so a driver that splits one iterator at
+the warm-up boundary allocates nothing proportional to the trace.
 """
 
 from __future__ import annotations
@@ -70,63 +80,34 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import accumulate, islice
-from time import perf_counter_ns
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from ..errors import ConfigurationError, NoEvictableFrameError
+from ..errors import ConfigurationError
 from ..types import PageId
 
 __all__ = [
-    "KernelResult",
+    "KernelTotals",
     "SimulationKernel",
     "StackCurve",
     "StackTotals",
     "dirty_residents",
     "lru_stack_hits",
     "make_a0_kernel",
-    "make_clock_kernel",
     "make_fifo_kernel",
     "make_lfu_kernel",
     "make_lru_kernel",
 ]
 
 
-@dataclass
-class KernelResult:
-    """What a fused kernel hands back to the driving simulator.
+#: What one kernel call returns: its hits, its write-backs, and every
+#: resident page mapped to its admission time, in admission order.
+KernelTotals = Tuple[int, int, Dict[PageId, int]]
 
-    The driver folds these into its own counters and residency maps so
-    the simulator object ends in the same externally visible state as an
-    object-path run.
-    """
-
-    #: Hits/misses of the warm-up window (empty window: both zero).
-    warmup_hits: int
-    warmup_misses: int
-    #: Hits/misses of the measurement window.
-    hits: int
-    misses: int
-    #: Total evictions over both windows.
-    evictions: int
-    #: Evictions of pages written while resident, over both windows.
-    writebacks: int
-    #: Surviving resident pages mapped to their admission times, in
-    #: admission order (the order of the simulator's residency map).
-    resident: Dict[PageId, int]
-    #: The surviving residents written since their admission.
-    dirty: List[PageId]
-    #: Final logical time (= number of references processed).
-    now: int
-    #: ``time.perf_counter_ns()`` when the warm-up window ended, so the
-    #: simulator can time the warm-up and measurement phases of a run it
-    #: did not drive reference by reference.
-    warmup_ended_ns: int
-
-
-#: A fused trace runner: (compact page ids, warm-up length, write column
-#: or None) -> result.
-SimulationKernel = Callable[[Sequence[PageId], int, Optional[Sequence[int]]],
-                            KernelResult]
+#: A fused trace runner: (page ids, the time before the first of them,
+#: write column or None) -> the call's totals.
+SimulationKernel = Callable[
+    [Iterable[PageId], int, Optional[Sequence[int]]], KernelTotals]
 
 
 def dirty_residents(resident: Dict[PageId, int],
@@ -149,44 +130,29 @@ def make_lru_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     """
     if policy._resident:
         return None
+    admitted: Dict[PageId, int] = {}
 
-    def kernel(pages: Sequence[PageId], warmup: int,
-               next_write: Optional[Sequence[int]]) -> KernelResult:
+    def kernel(pages: Iterable[PageId], t: int,
+               next_write: Optional[Sequence[int]]) -> KernelTotals:
         order = policy._order
         move_to_end = order.move_to_end
-        admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = 0
-        evictions = writebacks = 0
-        t = 0
-        remaining = iter(pages)
-        for boundary, segment in enumerate((islice(remaining, warmup),
-                                            remaining)):
-            for page in segment:
-                t += 1
-                if page in order:
-                    hits += 1
-                    move_to_end(page)
-                else:
-                    misses += 1
-                    if len(order) >= capacity:
-                        victim = next(iter(order))
-                        del order[victim]
-                        evictions += 1
-                        if next_write is None:
-                            del admitted[victim]
-                        elif next_write[admitted.pop(victim) - 1] < t:
-                            writebacks += 1
-                    order[page] = None
-                    admitted[page] = t
-            if boundary == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
-        policy._resident.update(admitted)
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, writebacks, admitted,
-                            dirty_residents(admitted, next_write, t), t,
-                            warmup_ended)
+        hits = writebacks = 0
+        for t, page in enumerate(pages, t + 1):
+            if page in order:
+                hits += 1
+                move_to_end(page)
+            else:
+                if len(order) >= capacity:
+                    victim = next(iter(order))
+                    del order[victim]
+                    if next_write is None:
+                        del admitted[victim]
+                    elif next_write[admitted.pop(victim) - 1] < t:
+                        writebacks += 1
+                order[page] = None
+                admitted[page] = t
+        policy._resident = set(admitted)
+        return hits, writebacks, admitted
 
     return kernel
 
@@ -339,42 +305,27 @@ def make_fifo_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     """Fused loop for FIFO: admission order, hits change nothing."""
     if policy._resident:
         return None
+    admitted: Dict[PageId, int] = {}
 
-    def kernel(pages: Sequence[PageId], warmup: int,
-               next_write: Optional[Sequence[int]]) -> KernelResult:
+    def kernel(pages: Iterable[PageId], t: int,
+               next_write: Optional[Sequence[int]]) -> KernelTotals:
         order = policy._order
-        admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = 0
-        evictions = writebacks = 0
-        t = 0
-        remaining = iter(pages)
-        for boundary, segment in enumerate((islice(remaining, warmup),
-                                            remaining)):
-            for page in segment:
-                t += 1
-                if page in order:
-                    hits += 1
-                else:
-                    misses += 1
-                    if len(order) >= capacity:
-                        victim = next(iter(order))
-                        del order[victim]
-                        evictions += 1
-                        if next_write is None:
-                            del admitted[victim]
-                        elif next_write[admitted.pop(victim) - 1] < t:
-                            writebacks += 1
-                    order[page] = None
-                    admitted[page] = t
-            if boundary == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
-        policy._resident.update(admitted)
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, writebacks, admitted,
-                            dirty_residents(admitted, next_write, t), t,
-                            warmup_ended)
+        hits = writebacks = 0
+        for t, page in enumerate(pages, t + 1):
+            if page in order:
+                hits += 1
+            else:
+                if len(order) >= capacity:
+                    victim = next(iter(order))
+                    del order[victim]
+                    if next_write is None:
+                        del admitted[victim]
+                    elif next_write[admitted.pop(victim) - 1] < t:
+                        writebacks += 1
+                order[page] = None
+                admitted[page] = t
+        policy._resident = set(admitted)
+        return hits, writebacks, admitted
 
     return kernel
 
@@ -390,133 +341,35 @@ def make_a0_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     """
     if policy._resident:
         return None
+    admitted: Dict[PageId, int] = {}
 
-    def kernel(pages: Sequence[PageId], warmup: int,
-               next_write: Optional[Sequence[int]]) -> KernelResult:
+    def kernel(pages: Iterable[PageId], t: int,
+               next_write: Optional[Sequence[int]]) -> KernelTotals:
         beta_of = policy._beta.get
         heap = policy._heap
         live = policy._live
-        admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = 0
-        evictions = writebacks = 0
-        t = 0
-        remaining = iter(pages)
-        for boundary, segment in enumerate((islice(remaining, warmup),
-                                            remaining)):
-            for page in segment:
-                t += 1
-                if page in live:
-                    hits += 1
-                else:
-                    misses += 1
-                    if len(live) >= capacity:
-                        while True:
-                            beta, victim = heap[0]
-                            if live.get(victim) == beta:
-                                break
-                            heappop(heap)  # stale (evicted) entry
-                        del live[victim]
-                        evictions += 1
-                        if next_write is None:
-                            del admitted[victim]
-                        elif next_write[admitted.pop(victim) - 1] < t:
-                            writebacks += 1
-                    beta = beta_of(page, 0.0)
-                    live[page] = beta
-                    admitted[page] = t
-                    heappush(heap, (beta, page))
-            if boundary == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
-        policy._resident.update(admitted)
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, writebacks, admitted,
-                            dirty_residents(admitted, next_write, t), t,
-                            warmup_ended)
-
-    return kernel
-
-
-def make_clock_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
-    """Fused loop for second-chance CLOCK.
-
-    Inlines the ring sweep, tombstoning, and lazy compaction of
-    :class:`repro.policies.clock._SweepBuffer`; the hand and the ring
-    list live in locals and are flushed back on return.
-    """
-    if policy._resident:
-        return None
-
-    def kernel(pages: Sequence[PageId], warmup: int,
-               next_write: Optional[Sequence[int]]) -> KernelResult:
-        ring = policy._ring
-        ring_pages = ring.pages
-        slot_of = ring.slot_of
-        hand = ring.hand
-        referenced = policy._referenced
-        admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = 0
-        evictions = writebacks = 0
-        t = 0
-        remaining = iter(pages)
-        for boundary, segment in enumerate((islice(remaining, warmup),
-                                            remaining)):
-            for page in segment:
-                t += 1
-                if page in referenced:
-                    hits += 1
-                    referenced[page] = True
-                else:
-                    misses += 1
-                    if len(referenced) >= capacity:
-                        victim = None
-                        for _ in range(2 * len(ring_pages) + 1):
-                            if not ring_pages:
-                                break
-                            hand %= len(ring_pages)
-                            candidate = ring_pages[hand]
-                            hand += 1
-                            if candidate is None:
-                                continue
-                            if referenced[candidate]:
-                                referenced[candidate] = False
-                                continue
-                            victim = candidate
+        hits = writebacks = 0
+        for t, page in enumerate(pages, t + 1):
+            if page in live:
+                hits += 1
+            else:
+                if len(live) >= capacity:
+                    while True:
+                        beta, victim = heap[0]
+                        if live.get(victim) == beta:
                             break
-                        if victim is None:
-                            raise NoEvictableFrameError(
-                                "CLOCK sweep found no evictable page")
-                        ring_pages[slot_of.pop(victim)] = None
-                        del referenced[victim]
-                        evictions += 1
-                        if next_write is None:
-                            del admitted[victim]
-                        elif next_write[admitted.pop(victim) - 1] < t:
-                            writebacks += 1
-                        # _SweepBuffer.compact_if_needed, inline.
-                        if len(slot_of) * 2 < len(ring_pages):
-                            ring_pages = [p for p in ring_pages
-                                          if p is not None]
-                            slot_of.clear()
-                            for slot, p in enumerate(ring_pages):
-                                slot_of[p] = slot
-                            hand %= max(1, len(ring_pages))
-                    slot_of[page] = len(ring_pages)
-                    ring_pages.append(page)
-                    referenced[page] = True
-                    admitted[page] = t
-            if boundary == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
-        ring.pages = ring_pages
-        ring.hand = hand
-        policy._resident.update(admitted)
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, writebacks, admitted,
-                            dirty_residents(admitted, next_write, t), t,
-                            warmup_ended)
+                        heappop(heap)  # stale (evicted) entry
+                    del live[victim]
+                    if next_write is None:
+                        del admitted[victim]
+                    elif next_write[admitted.pop(victim) - 1] < t:
+                        writebacks += 1
+                beta = beta_of(page, 0.0)
+                live[page] = beta
+                admitted[page] = t
+                heappush(heap, (beta, page))
+        policy._resident = set(admitted)
+        return hits, writebacks, admitted
 
     return kernel
 
@@ -535,57 +388,41 @@ def make_lfu_kernel(policy, capacity: int) -> Optional[SimulationKernel]:
     """
     if policy._resident or policy._heap:
         return None
+    admitted: Dict[PageId, int] = {}
 
-    def kernel(pages: Sequence[PageId], warmup: int,
-               next_write: Optional[Sequence[int]]) -> KernelResult:
+    def kernel(pages: Iterable[PageId], t: int,
+               next_write: Optional[Sequence[int]]) -> KernelTotals:
         count = policy._count
         count_of = count.get
         last_access = policy._last_access
         heap = policy._heap
-        admitted: Dict[PageId, int] = {}
-        warmup_hits = warmup_misses = hits = misses = 0
-        evictions = writebacks = 0
-        t = 0
-        remaining = iter(pages)
-        for boundary, segment in enumerate((islice(remaining, warmup),
-                                            remaining)):
-            for page in segment:
-                t += 1
-                # LFUPolicy._bump, inline.
-                references = count_of(page, 0) + 1
-                count[page] = references
-                last_access[page] = t
-                if page in admitted:
-                    hits += 1
-                    continue
-                misses += 1
-                if len(admitted) >= capacity:
-                    # Nothing is excluded and no orphan ever forms, so the
-                    # first up-to-date top is the victim.
-                    while True:
-                        _, last, victim = heap[0]
-                        latest = last_access[victim]
-                        if latest == last:
-                            break
-                        heapreplace(heap, (count[victim], latest, victim))
-                    heappop(heap)
-                    evictions += 1
-                    if next_write is None:
-                        del admitted[victim]
-                    elif next_write[admitted.pop(victim) - 1] < t:
-                        writebacks += 1
-                admitted[page] = t
-                heappush(heap, (references, t, page))
-            if boundary == 0:
-                warmup_hits, warmup_misses = hits, misses
-                hits = misses = 0
-                warmup_ended = perf_counter_ns()
-        policy._heap = heap
+        hits = writebacks = 0
+        for t, page in enumerate(pages, t + 1):
+            # LFUPolicy._bump, inline.
+            references = count_of(page, 0) + 1
+            count[page] = references
+            last_access[page] = t
+            if page in admitted:
+                hits += 1
+                continue
+            if len(admitted) >= capacity:
+                # Nothing is excluded and no orphan ever forms, so the
+                # first up-to-date top is the victim.
+                while True:
+                    _, last, victim = heap[0]
+                    latest = last_access[victim]
+                    if latest == last:
+                        break
+                    heapreplace(heap, (count[victim], latest, victim))
+                heappop(heap)
+                if next_write is None:
+                    del admitted[victim]
+                elif next_write[admitted.pop(victim) - 1] < t:
+                    writebacks += 1
+            admitted[page] = t
+            heappush(heap, (references, t, page))
         policy._live = {entry[2]: entry for entry in heap}
-        policy._resident.update(admitted)
-        return KernelResult(warmup_hits, warmup_misses, hits, misses,
-                            evictions, writebacks, admitted,
-                            dirty_residents(admitted, next_write, t), t,
-                            warmup_ended)
+        policy._resident = set(admitted)
+        return hits, writebacks, admitted
 
     return kernel

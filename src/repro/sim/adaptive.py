@@ -42,8 +42,7 @@ class AdaptiveCacheSimulator(CacheSimulator):
                  block_cost: float = 0.01,
                  max_history_fraction: float = 0.5,
                  adjust_interval: int = 64,
-                 min_frames: int = 1,
-                 record_evictions: bool = False) -> None:
+                 min_frames: int = 1) -> None:
         if not isinstance(policy, LRUKPolicy):
             raise ConfigurationError(
                 "the frame/history exchange only applies to LRU-K "
@@ -72,8 +71,7 @@ class AdaptiveCacheSimulator(CacheSimulator):
         max_blocks = int(memory_budget * max_history_fraction / block_cost)
         policy.max_history_blocks = max(1, max_blocks)
 
-        super().__init__(policy, capacity=int(memory_budget),
-                         record_evictions=record_evictions)
+        super().__init__(policy, capacity=int(memory_budget))
         self._accesses_since_adjust = 0
         self.adjustments = 0
         self.min_capacity_seen = self.capacity

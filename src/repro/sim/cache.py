@@ -11,14 +11,17 @@ protocol, so a policy validated here runs unmodified there.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from itertools import islice
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence
 
 from ..clock import LogicalClock
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
+from ..obs import trace as obs_trace
 from ..obs.dispatcher import EventDispatcher
 from ..obs.events import AccessEvent, EvictionEvent, victim_telemetry
 from ..policies.base import ReplacementPolicy
+from ..policies.kernel import dirty_residents
 from ..types import (
     AccessOutcome,
     HitRatioCounter,
@@ -67,9 +70,6 @@ class CacheSimulator:
         Any :class:`~repro.policies.base.ReplacementPolicy`.
     capacity:
         Number of buffer slots ``B``.
-    record_evictions:
-        When True, keeps an in-order log of (time, page) evictions for
-        post-hoc analysis (costs memory on long runs; off by default).
     observability:
         An :class:`repro.obs.EventDispatcher` to emit access/eviction
         events through. Defaults to the ambient dispatcher activated via
@@ -79,7 +79,6 @@ class CacheSimulator:
     """
 
     def __init__(self, policy: ReplacementPolicy, capacity: int,
-                 record_evictions: bool = False,
                  observability: Optional[EventDispatcher] = None) -> None:
         if capacity <= 0:
             raise ConfigurationError("buffer capacity must be positive")
@@ -99,8 +98,6 @@ class CacheSimulator:
         self.evictions = 0
         self.writebacks = 0
         self._resident: Dict[PageId, bool] = {}  # page -> dirty?
-        self.eviction_log: Optional[List[AccessOutcome]] = (
-            [] if record_evictions else None)
         #: The execution tier that ran: ``"object"`` (per-reference
         #: hooks), or ``"kernel"`` once :meth:`run_fused` played the
         #: trace through the policy's fused kernel. The third tier,
@@ -109,9 +106,6 @@ class CacheSimulator:
         #: a run from a stack curve, because a lookup cannot leave
         #: behind the policy state a kernel run leaves.
         self.tier = "object"
-        #: ``perf_counter_ns`` at which a kernel run's warm-up window
-        #: ended (None on the object path), for after-the-fact spans.
-        self.warmup_ended_ns: Optional[int] = None
 
     # -- state inspection -------------------------------------------------------
 
@@ -172,9 +166,6 @@ class CacheSimulator:
         page-id form of :class:`repro.sim.trace_cache.CachedTrace` —
         are driven through here by :func:`repro.sim.measure_hit_ratio`.
         """
-        if self.eviction_log is not None:
-            # The eviction log records full outcomes; take the slow path.
-            return self.access(page).hit
         t = self.clock.tick()
         policy = self.policy
         if self._wants_observe:
@@ -202,13 +193,21 @@ class CacheSimulator:
         ``pages`` and ``next_write`` are the page and write columns of a
         :class:`~repro.sim.trace_cache.CachedTrace` (``next_write`` is
         None for a trace without writes). The fused path (see
-        :mod:`repro.policies.kernel`) runs the whole warm-up +
-        measurement protocol in one loop with the policy's structures
-        bound to locals — no per-reference hook dispatch, no
+        :mod:`repro.policies.kernel`) binds the policy's structures to
+        locals — no per-reference hook dispatch, no
         :class:`~repro.types.Reference`/:class:`~repro.types.AccessOutcome`
         allocation — and is decision-identical to calling :meth:`access`
         once per reference with :meth:`start_measurement` at the
         boundary, write-backs and dirty residents included.
+
+        This is where a kernel run meets the warm-up boundary: the
+        kernel is called once for the warm-up window and once for the
+        measurement window, over one iterator split at the boundary,
+        each call inside a ``warmup`` or ``measure`` span under an
+        ambient tracer. The kernel reports hits, write-backs and the
+        residents; a window's misses are its length less its hits, and
+        since every miss admitted a page, the evictions are the misses
+        less the pages still resident.
 
         Returns True when a kernel ran (the simulator's counters, clock,
         residency and :attr:`tier` then reflect the completed run), or
@@ -220,43 +219,45 @@ class CacheSimulator:
           reference through an ``observe`` hook it does not declare
           optional (kernels never call it, so such a policy would lose
           the process ids it reads);
-        - the eviction log is on;
         - the simulator already processed references (kernels replay
           whole runs from a fresh state only);
         - the policy offers no kernel for its configuration (hook
           profiling's :class:`~repro.obs.ProfiledPolicy` never does).
 
         Aggregate observation — an ambient tracer, metrics, run-level
-        sinks such as progress narration — does not demote a run: the
-        protocol records spans and counters from the kernel's result.
+        sinks such as progress narration — does not demote a run.
 
-        Raises :class:`~repro.errors.ConfigurationError` for a negative
-        ``warmup``, before any kernel is built.
+        Raises :class:`~repro.errors.ConfigurationError` for a warm-up
+        outside ``[0, len(pages)]``, before any kernel is built.
         """
-        if warmup < 0:
-            raise ConfigurationError("warm-up length cannot be negative")
-        if (self.eviction_log is not None
-                or takes_every_reference(self.policy, self._obs)
+        total = len(pages)
+        if not 0 <= warmup <= total:
+            raise ConfigurationError("warm-up must lie within the trace")
+        if (takes_every_reference(self.policy, self._obs)
                 or self.clock.now != 0 or self.counter.total):
             return False
         factory = getattr(self.policy, "make_kernel", None)
-        if factory is None:
-            return False
-        kernel = factory(self.capacity)
+        kernel = factory(self.capacity) if factory is not None else None
         if kernel is None:
             return False
-        result = kernel(pages, warmup, next_write)
+        remaining = iter(pages)
+        with obs_trace.maybe_span("warmup", references=warmup):
+            warmup_hits, warmup_writebacks, _ = kernel(
+                islice(remaining, warmup), 0, next_write)
+        with obs_trace.maybe_span("measure", references=total - warmup):
+            hits, writebacks, resident = kernel(remaining, warmup,
+                                                next_write)
         self.tier = "kernel"
-        self.warmup_ended_ns = result.warmup_ended_ns
-        self.clock.advance(result.now)
-        self.warmup_counter = HitRatioCounter(hits=result.warmup_hits,
-                                              misses=result.warmup_misses)
-        self.counter.hits = result.hits
-        self.counter.misses = result.misses
-        self.evictions += result.evictions
-        self.writebacks += result.writebacks
-        self._resident = dict.fromkeys(result.resident, False)
-        self._resident.update(dict.fromkeys(result.dirty, True))
+        self.clock.advance(total)
+        self.warmup_counter = HitRatioCounter(hits=warmup_hits,
+                                              misses=warmup - warmup_hits)
+        self.counter.hits = hits
+        self.counter.misses = total - warmup - hits
+        self.evictions = total - warmup_hits - hits - len(resident)
+        self.writebacks = warmup_writebacks + writebacks
+        self._resident = dict.fromkeys(resident, False)
+        self._resident.update(dict.fromkeys(
+            dirty_residents(resident, next_write, total), True))
         return True
 
     def _evict(self, victim: PageId, t: int,
@@ -279,11 +280,6 @@ class CacheSimulator:
         if outcome is not None:
             outcome.evicted = victim
             outcome.evicted_dirty = dirty
-            if self.eviction_log is not None:
-                self.eviction_log.append(
-                    AccessOutcome(reference=outcome.reference, time=t,
-                                  hit=False, evicted=victim,
-                                  evicted_dirty=dirty))
 
     def set_capacity(self, capacity: int) -> None:
         """Resize the buffer, evicting victims if it shrank.
@@ -299,10 +295,7 @@ class CacheSimulator:
         self.capacity = capacity
         now = self.clock.now
         while len(self._resident) > self.capacity:
-            victim = self.policy.choose_victim(max(1, now))
-            outcome = AccessOutcome(
-                reference=as_reference(victim), time=now, hit=False)
-            self._evict(victim, max(1, now), outcome)
+            self._evict(self.policy.choose_victim(max(1, now)), max(1, now))
 
     def run(self, references: Iterable["Reference | PageId"]) -> HitRatioCounter:
         """Process an entire reference string; returns the live counter."""

@@ -50,6 +50,17 @@ class ExperimentSpec:
     caption: str = ""
 
     def __post_init__(self) -> None:
+        # The protocol is checked here, before any trace is built, so a
+        # bad value fails once rather than once per cell.
+        if self.repetitions < 1:
+            raise ConfigurationError("need at least one repetition")
+        if self.warmup < 0 or self.measured < 1:
+            raise ConfigurationError(
+                "warm-up must leave a non-empty measurement window")
+        if not self.capacities:
+            raise ConfigurationError("need at least one buffer capacity")
+        if min(self.capacities) <= 0:
+            raise ConfigurationError("buffer capacity must be positive")
         labels = {spec.label for spec in self.policies}
         if self.equi_effective is not None:
             baseline, improved = self.equi_effective

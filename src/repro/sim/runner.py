@@ -15,11 +15,10 @@ for a given (capacity, workload, trace) context.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
@@ -196,10 +195,12 @@ def measure_hit_ratio(policy: ReplacementPolicy,
     of the measurement window is ``simulator.hit_ratio``. When an event
     dispatcher is given (or ambient), the run is bracketed by
     ``SnapshotEvent``s: ``start``, ``measurement`` (the warm-up
-    boundary; object path only, since a kernel run has no mid-run state
-    to snapshot), and ``end`` (with final counters, including the
-    policy's own stats block when it has one). Under an ambient tracer
-    the run records ``warmup`` and ``measure`` spans on every tier.
+    boundary; object path only, since a kernel run's counters are
+    derived when it ends), and ``end`` (with final counters, including
+    the policy's own stats block when it has one). Under an ambient
+    tracer the run records live ``warmup`` and ``measure`` spans on
+    either tier; on the kernel tier :meth:`CacheSimulator.run_fused`
+    opens them around its two kernel calls.
     """
     if warmup < 0 or warmup >= len(references):
         raise ConfigurationError(
@@ -220,26 +221,18 @@ def measure_hit_ratio(policy: ReplacementPolicy,
 
     measured = len(references) - warmup
     stream: Optional[Iterator] = None
-    if isinstance(references, CachedTrace):
-        # Offer the whole trace to the policy's fused kernel first
-        # (decision-identical, no per-reference dispatch); run_fused
-        # declines — returning False — whenever a per-reference channel
-        # is attached, the policy reads references through observe(), or
-        # no kernel exists, and a per-reference path below takes over.
-        pages = references.page_ids()
-        tracer = obs_trace.current()
-        started = _phase_clock() if tracer is not None else None
-        if simulator.run_fused(pages, warmup, references.next_write):
-            if tracer is not None:
-                _record_kernel_phases(tracer, started,
-                                      simulator.warmup_ended_ns,
-                                      warmup, measured)
-        elif references.plain:
-            access, stream = simulator.access_page, iter(pages)
+    if not isinstance(references, CachedTrace):
+        access, stream = simulator.access, iter(references)
+    elif not simulator.run_fused(references.page_ids(), warmup,
+                                 references.next_write):
+        # The fused kernel (decision-identical, no per-reference
+        # dispatch) declined: a per-reference channel is attached, the
+        # policy reads references through observe(), or no kernel
+        # exists. A per-reference path takes over.
+        if references.plain:
+            access, stream = simulator.access_page, iter(references.page_ids())
         else:
             access, stream = simulator.access, iter(references.references())
-    else:
-        access, stream = simulator.access, iter(references)
     if stream is not None:
         # One iterator split at the boundary: the trace is never copied.
         with obs_trace.maybe_span("warmup", references=warmup):
@@ -289,34 +282,6 @@ def _read_curve(curve: StackCurve, label: str, capacity: int, seed: int,
                         HitRatioCounter(totals.warmup_hits,
                                         totals.warmup_misses),
                         totals.evictions, totals.writebacks)
-
-
-def _phase_clock() -> Tuple[int, int, int]:
-    """``(wall µs since the epoch, perf_counter_ns, process_time_ns)``."""
-    return (time.time_ns() // 1_000, time.perf_counter_ns(),
-            time.process_time_ns())
-
-
-def _record_kernel_phases(tracer: "obs_trace.Tracer",
-                          started: Tuple[int, int, int],
-                          warmup_ended_ns: int, warmup: int,
-                          measured: int) -> None:
-    """Record a kernel run's ``warmup`` and ``measure`` spans afterwards.
-
-    The kernel stamps the moment its warm-up window ended; the phases
-    run from ``started`` to that stamp and from there to now. The run's
-    CPU time is split between them in proportion to their wall time.
-    """
-    start_us, start_ns, cpu_ns = started
-    total_us = (time.perf_counter_ns() - start_ns) // 1_000
-    cpu_us = (time.process_time_ns() - cpu_ns) // 1_000
-    warm_us = (warmup_ended_ns - start_ns) // 1_000
-    warm_cpu = cpu_us * warm_us // total_us if total_us else 0
-    tracer.record("warmup", start_us=start_us, duration_us=warm_us,
-                  cpu_us=warm_cpu, references=warmup)
-    tracer.record("measure", start_us=start_us + warm_us,
-                  duration_us=total_us - warm_us,
-                  cpu_us=cpu_us - warm_cpu, references=measured)
 
 
 def _record_protocol_counters(registry: MetricsRegistry, tier: str,

@@ -155,5 +155,5 @@ class TestTracedProtocol:
         assert warmup.args["references"] == WARMUP
         assert measured.args["references"] == REFERENCES - WARMUP
         assert warmup.start_us >= simulate.start_us
-        assert measured.start_us == warmup.end_us
+        assert warmup.end_us <= measured.start_us
         assert warmup.cpu_us >= 0 and measured.cpu_us >= 0

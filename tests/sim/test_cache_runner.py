@@ -37,14 +37,6 @@ class TestCacheSimulator:
         simulator.access(Reference(page=1, kind=AccessKind.READ))
         assert simulator.is_dirty(1)
 
-    def test_eviction_log_optional(self):
-        simulator = CacheSimulator(LRUPolicy(), capacity=1,
-                                   record_evictions=True)
-        simulator.access(1)
-        simulator.access(2)
-        assert len(simulator.eviction_log) == 1
-        assert simulator.eviction_log[0].evicted == 1
-
     def test_run_consumes_iterable(self):
         simulator = CacheSimulator(LRUPolicy(), capacity=2)
         counter = simulator.run([1, 2, 1, 2])

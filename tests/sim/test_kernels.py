@@ -60,7 +60,6 @@ WARMUPS = st.sampled_from([0.0, 0.33, 1.0])
 KERNEL_POLICIES = {
     "lru": lambda: make_policy("lru"),
     "fifo": lambda: make_policy("fifo"),
-    "clock": lambda: make_policy("clock"),
     "lfu": lambda: make_policy("lfu"),
     "lruk": lambda: LRUKPolicy(k=2),
 }
@@ -213,7 +212,7 @@ class TestSimplePolicyKernelEquivalence:
            capacity=st.integers(min_value=1, max_value=8)
            | st.sampled_from([30, 64]),
            warmup_fraction=WARMUPS,
-           name=st.sampled_from(["lru", "fifo", "clock", "lfu"]))
+           name=st.sampled_from(["lru", "fifo", "lfu"]))
     def test_matches_object_path(self, trace, capacity, warmup_fraction,
                                  name):
         warmup = int(len(trace) * warmup_fraction)
@@ -277,6 +276,66 @@ class TestA0KernelEquivalence:
         assert sim_a.policy._live == sim_b.policy._live
         assert sorted(sim_a.policy._heap) == sorted(sim_b.policy._heap)
         assert sim_a.policy.resident_pages == sim_b.policy.resident_pages
+
+
+#: Every fused kernel, by label; A0 takes a drawn probability vector.
+CUT_POLICIES = {
+    "lru": lambda betas: make_policy("lru"),
+    "fifo": lambda betas: make_policy("fifo"),
+    "a0": A0Policy,
+    "lfu": lambda betas: make_policy("lfu"),
+    "lruk-crp0": lambda betas: LRUKPolicy(k=2),
+    "lruk-crp3": lambda betas: LRUKPolicy(
+        k=2, correlated_reference_period=3, retained_information_period=40),
+}
+
+
+def assert_policy_state_identical(name, pol_a, pol_b):
+    """The bookkeeping a kernel leaves behind, for each policy family."""
+    assert pol_a.resident_pages == pol_b.resident_pages
+    if name.startswith("lruk"):
+        assert_lruk_state_identical(pol_a, pol_b)
+        assert pol_a._live == pol_b._live
+    elif name == "lfu":
+        assert_lfu_state_identical(pol_a, pol_b)
+        assert pol_a._live == pol_b._live
+    elif name == "a0":
+        assert pol_a._live == pol_b._live
+        assert sorted(pol_a._heap) == sorted(pol_b._heap)
+    else:
+        assert list(pol_a._order) == list(pol_b._order)
+
+
+class TestWindowCuts:
+    """A kernel keeps its state between calls, so a trace played in
+    pieces, each numbered from where the last ended, is the same run as
+    the trace played in one call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(trace=REFERENCES, betas=BETAS,
+           capacity=st.integers(min_value=1, max_value=8)
+           | st.sampled_from([30, 64]),
+           name=st.sampled_from(sorted(CUT_POLICIES)),
+           data=st.data())
+    def test_any_cuts_play_like_one_call(self, trace, betas, capacity, name,
+                                         data):
+        pages = trace.page_ids()
+        cuts = sorted(data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(pages)), max_size=4)))
+        whole = CUT_POLICIES[name](betas)
+        hits, writebacks, resident = whole.make_kernel(capacity)(
+            pages, 0, trace.next_write)
+        pieces = CUT_POLICIES[name](betas)
+        kernel = pieces.make_kernel(capacity)
+        piece_hits = piece_writebacks = 0
+        for start, end in zip([0, *cuts], [*cuts, len(pages)]):
+            played = kernel(pages[start:end], start, trace.next_write)
+            piece_hits += played[0]
+            piece_writebacks += played[1]
+            assert pieces.resident_pages == set(played[2])
+        assert (piece_hits, piece_writebacks) == (hits, writebacks)
+        assert list(played[2].items()) == list(resident.items())
+        assert_policy_state_identical(name, whole, pieces)
 
 
 class TestMeasureHitRatioDispatch:
@@ -354,11 +413,6 @@ class TestKernelBypass:
         dispatcher.attach(RingBufferSink())
         simulator = CacheSimulator(LRUKPolicy(k=2), 8,
                                    observability=dispatcher)
-        assert not simulator.run_fused(self.pages(), 0)
-
-    def test_eviction_log_bypasses(self):
-        simulator = CacheSimulator(LRUKPolicy(k=2), 8,
-                                   record_evictions=True)
         assert not simulator.run_fused(self.pages(), 0)
 
     def test_provenance_bypasses(self):
@@ -440,6 +494,12 @@ class TestWarmupValidation:
         assert simulator.now == 0 and simulator.tier == "object"
         assert not policy.resident_pages
 
+    def test_warmup_past_the_trace_is_a_configuration_error(self):
+        simulator = CacheSimulator(make_policy("lru"), 3)
+        with pytest.raises(ConfigurationError, match="warm-up"):
+            simulator.run_fused([1, 2, 3], 4)
+        assert simulator.now == 0 and simulator.tier == "object"
+
 
 class TestUnsupportedConfigurations:
     """Configurations the fused loop does not replicate yield no kernel."""
@@ -458,6 +518,6 @@ class TestUnsupportedConfigurations:
         simulator.access_page(1)
         assert policy.make_kernel(8) is None
 
-    @pytest.mark.parametrize("name", ["mru", "gclock", "lfu-aged"])
+    @pytest.mark.parametrize("name", ["mru", "clock", "gclock", "lfu-aged"])
     def test_base_policies_default_to_none(self, name):
         assert make_policy(name).make_kernel(8) is None

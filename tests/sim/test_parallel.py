@@ -143,13 +143,6 @@ class TestFastIntegerPath:
         assert via_list.warmup_counter.hits == via_trace.warmup_counter.hits
         assert via_list.evictions == via_trace.evictions
 
-    def test_eviction_log_falls_back_to_slow_path(self):
-        simulator = CacheSimulator(LRUKPolicy(k=2), 2,
-                                   record_evictions=True)
-        for page in (1, 2, 3, 4, 1, 2):
-            simulator.access_page(page)
-        assert simulator.eviction_log  # outcomes were recorded
-
 
 class TestJobResolution:
     def test_explicit_jobs_win(self):

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import ExperimentSpec, PolicySpec, run_experiment
+from repro.policies import LRUPolicy
+from repro.sim import (
+    ExperimentSpec,
+    PolicySpec,
+    measure_hit_ratio,
+    run_experiment,
+)
 from repro.sim.equi_effective import equi_effective_buffer_size
 from repro.workloads import TwoPoolWorkload
 
@@ -24,6 +30,46 @@ class TestEquiEffectiveEdges:
 
     def test_low_above_true_threshold_returns_low(self):
         assert equi_effective_buffer_size(lambda b: 1.0, 0.5, low=10) == 10
+
+
+class TestSpecValidation:
+    """A spec checks its protocol when it is built, before any trace."""
+
+    WINDOW = "warm-up must leave a non-empty measurement window"
+
+    def spec(self, **changes):
+        fields = dict(name="bad", workload=TwoPoolWorkload(n1=10, n2=100),
+                      policies=[PolicySpec.lru()], capacities=[5, 10],
+                      warmup=50, measured=100, repetitions=1)
+        fields.update(changes)
+        return ExperimentSpec(**fields)
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions(self, repetitions):
+        with pytest.raises(ConfigurationError, match="repetition"):
+            self.spec(repetitions=repetitions)
+
+    @pytest.mark.parametrize("warmup", [-1, -50])
+    def test_warmup(self, warmup):
+        with pytest.raises(ConfigurationError) as error:
+            self.spec(warmup=warmup)
+        assert str(error.value) == self.WINDOW
+
+    @pytest.mark.parametrize("measured", [0, -5])
+    def test_measured(self, measured):
+        with pytest.raises(ConfigurationError) as error:
+            self.spec(measured=measured)
+        assert str(error.value) == self.WINDOW
+
+    @pytest.mark.parametrize("capacities", [[], [0], [5, -1]])
+    def test_capacities(self, capacities):
+        with pytest.raises(ConfigurationError, match="capacity"):
+            self.spec(capacities=capacities)
+
+    def test_window_message_is_the_protocols(self):
+        with pytest.raises(ConfigurationError) as error:
+            measure_hit_ratio(LRUPolicy(), [1, 2, 3], 1, warmup=3)
+        assert str(error.value) == self.WINDOW
 
 
 class TestExperimentEdges:

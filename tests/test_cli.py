@@ -65,6 +65,15 @@ class TestCommands:
         assert "Table 4.1" in captured.out
         assert "serving /metrics on http://127.0.0.1:" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--scale", "-1"],
+                                       ["--repetitions", "0"]])
+    def test_configuration_error_prints_one_line(self, flags, capsys):
+        assert main(["table4.1", "--quiet", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_top_requires_a_source(self, capsys):
         with pytest.raises(SystemExit):
             main(["top"])
