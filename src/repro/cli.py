@@ -18,8 +18,10 @@ evictions with backward K-distance, history purges, run snapshots, and
 the sliding-window hit-ratio series; schema in docs/observability.md)
 and ``--timeline`` (render an ASCII chart of windowed hit ratio over
 logical time after the table). Progress narration is itself an event
-stream: ``--quiet`` just leaves the console sink unattached, so it
-silences tables, ablations, and trace-stats uniformly.
+stream with one route, :func:`repro.obs.runtime.narrate`: every command
+and the library below it emit ``ProgressEvent``s on the command's
+dispatcher, and ``--quiet`` just leaves the console sink unattached, so
+it silences tables, ablations, reports and trace-stats uniformly.
 
 Parallelism: ``--jobs N`` (table commands) fans the sweep grid over N
 worker processes (:mod:`repro.sim.parallel`); results are identical to
@@ -72,11 +74,11 @@ from .obs import (
     EventDispatcher,
     HitRatioWindowRecorder,
     JsonlSink,
-    ProgressEvent,
     SnapshotEvent,
     TimelineSink,
 )
 from .obs import runtime as obs_runtime
+from .obs.runtime import narrate
 from .obs import trace as obs_trace
 from .obs import perf as obs_perf
 from .obs import top as obs_top
@@ -93,15 +95,6 @@ from .sim import (
 from .sim.explain import EXPLAIN_WORKLOADS
 from .workloads import BankOLTPWorkload
 from .workloads.oltp import FIVE_MINUTE_WINDOW_REFERENCES, PAPER_TRACE_LENGTH
-
-
-class TelemetryStartupError(ConfigurationError):
-    """A telemetry flag the plane could not start with.
-
-    :func:`main` lets it propagate, as it does an unwritable
-    ``--metrics-out``: the one-line exit is for a command's own
-    configuration.
-    """
 
 
 #: JSONL access-event sampling for CLI runs: decision events (evictions,
@@ -171,12 +164,9 @@ def _observability(quiet: bool,
             print(f"serving /metrics on {server.url}", file=sys.stderr)
         if sample_resources:
             assert dispatcher.metrics is not None
-            try:
-                sampler = ResourceSampler(dispatcher.metrics,
-                                          interval=sample_resources,
-                                          dispatcher=dispatcher)
-            except ConfigurationError as exc:
-                raise TelemetryStartupError(str(exc)) from exc
+            sampler = ResourceSampler(dispatcher.metrics,
+                                      interval=sample_resources,
+                                      dispatcher=dispatcher)
             sampler.start()
         with obs_runtime.activate(dispatcher):
             if tracer is not None:
@@ -184,7 +174,7 @@ def _observability(quiet: bool,
                     yield dispatcher, timeline_sink
             else:
                 yield dispatcher, timeline_sink
-        if dispatcher.active:
+        if dispatcher.has_sinks:
             counters = (dict(dispatcher.metrics.snapshot())
                         if dispatcher.metrics is not None else {})
             dispatcher.emit(SnapshotEvent(time=None, phase="final",
@@ -202,15 +192,8 @@ def _observability(quiet: bool,
         print(f"metrics written to {metrics_out}", file=sys.stderr)
 
 
-def _progress_to(dispatcher: EventDispatcher):
-    """A progress callback that narrates through the event stream."""
-    def emitter(line: str) -> None:
-        dispatcher.emit(ProgressEvent(message=line))
-    return emitter
-
-
-def _open_checkpoint(path: Optional[str], resume: bool,
-                     narrate) -> Optional[SweepCheckpoint]:
+def _open_checkpoint(path: Optional[str], resume: bool
+                     ) -> Optional[SweepCheckpoint]:
     """Open the ``--checkpoint`` ledger (resuming when asked)."""
     if path is None:
         return None
@@ -249,14 +232,12 @@ def _run_table(number: str, scale: float, repetitions: Optional[int],
     with _observability(quiet, metrics_out, timeline, trace_out,
                         serve_metrics,
                         sample_resources) as (obs, timeline_sink):
-        narrate = _progress_to(obs)
         with ExitStack() as stack:
-            checkpoint = _open_checkpoint(checkpoint_path, resume, narrate)
+            checkpoint = _open_checkpoint(checkpoint_path, resume)
             if checkpoint is not None:
                 stack.enter_context(checkpoint)
             try:
-                result = run_experiment(spec, progress=narrate,
-                                        observability=obs, jobs=jobs,
+                result = run_experiment(spec, observability=obs, jobs=jobs,
                                         checkpoint=checkpoint)
             except (SweepInterrupted, CellExecutionError) as exc:
                 return _report_sweep_failure(exc)
@@ -275,8 +256,7 @@ def _run_table(number: str, scale: float, repetitions: Optional[int],
 
 
 def _run_trace_stats(scale: float, quiet: bool) -> int:
-    with _observability(quiet) as (obs, _):
-        narrate = _progress_to(obs)
+    with _observability(quiet):
         workload = BankOLTPWorkload()
         count = int(PAPER_TRACE_LENGTH * scale)
         narrate(f"generating {count} OLTP references ...")
@@ -303,8 +283,7 @@ def _run_ablation(name: str, quiet: bool,
         return 2
     with _observability(quiet, metrics_out, timeline, trace_out,
                         serve_metrics,
-                        sample_resources) as (obs, timeline_sink):
-        narrate = _progress_to(obs)
+                        sample_resources) as (_, timeline_sink):
         narrate(f"running ablation {name} ...")
         print(ablation().render())
         if timeline_sink is not None:
@@ -553,7 +532,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
               if args.quota is not None else None)
     with _observability(args.quiet, serve_metrics=args.serve_metrics,
                         sample_resources=args.sample_resources) as (obs, _):
-        narrate = _progress_to(obs)
         # The endpoint registry (when --serve-metrics/--sample-resources
         # created one) doubles as the manager's, so a live scrape and the
         # printed report read the same service.* instruments.
@@ -576,10 +554,10 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A :class:`~repro.errors.ConfigurationError` from any command prints
-    one ``error:`` line on stderr and exits 2, except one the telemetry
-    plane raised while starting (:class:`TelemetryStartupError`). A
-    sweep that lost cells exits 1, an interrupted one 130.
+    A :class:`~repro.errors.ConfigurationError` from any command,
+    including a telemetry flag the plane cannot start with, prints one
+    ``error:`` line on stderr and exits 2. A sweep that lost cells
+    exits 1, an interrupted one 130.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -587,8 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--resume requires --checkpoint PATH")
     try:
         return _run_command(parser, args)
-    except TelemetryStartupError:
-        raise
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -638,12 +614,11 @@ def _run_command(parser: argparse.ArgumentParser,
         return 0 if report.found else 1
     if args.command == "report":
         from .experiments.report import generate_report
-        with _observability(args.quiet) as (obs, _):
+        with _observability(args.quiet):
             text = generate_report(table_scale=args.table_scale,
                                    oltp_scale=args.oltp_scale,
                                    repetitions=args.repetitions,
-                                   include_ablations=args.ablations,
-                                   progress=_progress_to(obs))
+                                   include_ablations=args.ablations)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -7,15 +7,18 @@ ablations — and renders a single Markdown document. EXPERIMENTS.md in
 this repository is the curated long-form version; this module produces
 the mechanical equivalent for any parameter setting, so downstream users
 can re-verify the reproduction on their own machines with one command.
+Progress — each section, and each table's cell and B(1)/B(2) lines — is
+narrated through :func:`repro.obs.runtime.narrate` on the ambient
+dispatcher.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from typing import Callable, Optional
 
 from ..analysis import profile_trace
+from ..obs.runtime import narrate
 from ..sim import run_experiment
 from ..workloads import BankOLTPWorkload
 from ..workloads.oltp import (
@@ -29,14 +32,6 @@ from .table41 import table_4_1_spec
 from .table42 import table_4_2_spec
 from .table43 import table_4_3_spec
 
-Progress = Optional[Callable[[str], None]]
-
-
-def _say(progress: Progress, message: str) -> None:
-    if progress is not None:
-        progress(message)
-
-
 def _code_block(text: str) -> str:
     return f"```\n{text}\n```"
 
@@ -45,8 +40,7 @@ def generate_report(table_scale: float = 1.0,
                     oltp_scale: float = 0.25,
                     repetitions: int = 2,
                     include_ablations: bool = False,
-                    seed: int = 0,
-                    progress: Progress = None) -> str:
+                    seed: int = 0) -> str:
     """Run the reproduction and return the Markdown report."""
     out = io.StringIO()
     started = time.perf_counter()
@@ -56,7 +50,7 @@ def generate_report(table_scale: float = 1.0,
               f"{oltp_scale:g}, {repetitions} repetition(s), seed {seed}."
               "\n\n")
 
-    _say(progress, "Table 4.1 (two-pool experiment) ...")
+    narrate("Table 4.1 (two-pool experiment) ...")
     result = run_experiment(table_4_1_spec(
         scale=table_scale, repetitions=repetitions, seed=seed))
     out.write("## Table 4.1 — two-pool experiment\n\n")
@@ -64,7 +58,7 @@ def generate_report(table_scale: float = 1.0,
                                            PAPER_TABLE_4_1).render()))
     out.write("\n\n")
 
-    _say(progress, "Table 4.2 (Zipfian experiment) ...")
+    narrate("Table 4.2 (Zipfian experiment) ...")
     result = run_experiment(table_4_2_spec(
         scale=table_scale, repetitions=repetitions, seed=seed))
     out.write("## Table 4.2 — Zipfian random access\n\n")
@@ -72,7 +66,7 @@ def generate_report(table_scale: float = 1.0,
                                            PAPER_TABLE_4_2).render()))
     out.write("\n\n")
 
-    _say(progress, "Table 4.3 (OLTP trace experiment) ...")
+    narrate("Table 4.3 (OLTP trace experiment) ...")
     result = run_experiment(table_4_3_spec(scale=oltp_scale, seed=seed))
     out.write("## Table 4.3 — OLTP trace experiment "
               "(synthetic trace, see DESIGN.md §3)\n\n")
@@ -80,7 +74,7 @@ def generate_report(table_scale: float = 1.0,
                                            PAPER_TABLE_4_3).render()))
     out.write("\n\n")
 
-    _say(progress, "Trace characterization ...")
+    narrate("Trace characterization ...")
     count = int(PAPER_TRACE_LENGTH * oltp_scale)
     window = max(1, int(FIVE_MINUTE_WINDOW_REFERENCES * oltp_scale))
     references = list(BankOLTPWorkload().references(count, seed=seed))
@@ -94,7 +88,7 @@ def generate_report(table_scale: float = 1.0,
     if include_ablations:
         out.write("## Ablations (DESIGN.md A1-A10)\n\n")
         for name in sorted(ABLATIONS):
-            _say(progress, f"ablation {name} ...")
+            narrate(f"ablation {name} ...")
             table = ABLATIONS[name]()
             out.write(f"### {name}\n\n")
             out.write(_code_block(table.render()))

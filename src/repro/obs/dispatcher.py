@@ -97,13 +97,9 @@ class EventDispatcher:
         The emission guard for run-level events (snapshots, progress,
         flushes): simulators ask this before *constructing* one. The
         per-reference guard is :attr:`takes_references`. Code outside
-        this module must use these (or :attr:`active`) rather than
-        poking ``_sinks``.
+        this module must use these rather than poking ``_sinks``.
         """
         return bool(self._sinks)
-
-    #: Alias kept for the original spelling of the guard.
-    active = has_sinks
 
     @property
     def takes_references(self) -> bool:
@@ -116,8 +112,6 @@ class EventDispatcher:
         :meth:`close`.
         """
         return self._takes_references
-
-    __bool__ = has_sinks.fget
 
     @property
     def sinks(self) -> "tuple[Sink, ...]":

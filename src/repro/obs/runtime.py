@@ -27,6 +27,7 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from .dispatcher import EventDispatcher
+from .events import ProgressEvent
 
 _active: Optional[EventDispatcher] = None
 
@@ -39,6 +40,16 @@ def current() -> Optional[EventDispatcher]:
 def resolve(explicit: Optional[EventDispatcher]) -> Optional[EventDispatcher]:
     """An explicit dispatcher if given, else the ambient one, else None."""
     return explicit if explicit is not None else _active
+
+
+def narrate(message: str,
+            observability: Optional[EventDispatcher] = None) -> None:
+    """The one narration route: emit ``message`` as a
+    :class:`~repro.obs.events.ProgressEvent` through the explicit, else
+    the ambient, dispatcher when it has sinks; otherwise do nothing."""
+    obs = resolve(observability)
+    if obs is not None and obs.has_sinks:
+        obs.emit(ProgressEvent(message=message))
 
 
 def deactivate() -> None:

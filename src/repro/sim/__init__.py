@@ -10,7 +10,7 @@ from .runner import (
 )
 from .equi_effective import equi_effective_buffer_size, equi_effective_ratio
 from .trace_cache import CachedTrace, TraceCache
-from .parallel import fork_available, run_grid, suggested_jobs
+from .parallel import fork_available
 from .recovery import (
     CellExecutionError,
     CellFailure,
@@ -43,8 +43,6 @@ __all__ = [
     "CachedTrace",
     "TraceCache",
     "fork_available",
-    "run_grid",
-    "suggested_jobs",
     "CellExecutionError",
     "CellFailure",
     "SweepCheckpoint",

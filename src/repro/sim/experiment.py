@@ -12,10 +12,11 @@ paper's layout. The concrete Table 4.1/4.2/4.3 specs live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..obs.dispatcher import EventDispatcher
+from ..obs.runtime import narrate
 from ..workloads.base import Workload
 from . import recovery
 from .equi_effective import (
@@ -113,7 +114,6 @@ class ExperimentResult:
 
 
 def run_experiment(spec: ExperimentSpec,
-                   progress: Optional[Callable[[str], None]] = None,
                    observability: Optional[EventDispatcher] = None,
                    jobs: Optional[int] = None,
                    checkpoint: Optional[recovery.SweepCheckpoint] = None
@@ -127,39 +127,30 @@ def run_experiment(spec: ExperimentSpec,
     pin every workload's traces forever.
     ``jobs`` fans the sweep grid out over worker processes;
     ``checkpoint`` records completed cells for ``--resume`` (see
-    :mod:`repro.sim.recovery`).
+    :mod:`repro.sim.recovery`). Each cell and each B(1)/B(2) ratio is
+    narrated through :func:`repro.obs.runtime.narrate` (on
+    ``observability``, else the ambient dispatcher).
     """
     trace_cache = TraceCache()
     try:
-        return _run_experiment(spec, progress, observability, jobs,
-                               checkpoint, trace_cache)
-    finally:
-        trace_cache.clear()
-
-
-def _run_experiment(spec: ExperimentSpec,
-                    progress: Optional[Callable[[str], None]],
-                    observability: Optional[EventDispatcher],
-                    jobs: Optional[int],
-                    checkpoint: Optional[recovery.SweepCheckpoint],
-                    trace_cache: TraceCache) -> ExperimentResult:
-    if spec.equi_effective is not None:
-        # A stack baseline's curves (LRU-1's) answer its B(1) search and
-        # every run of its column, so they are built first: before the
-        # sweep, and so before a pool forks and shares them.
-        stack_curves(spec.workload,
-                     spec.spec_by_label(spec.equi_effective[0]),
-                     spec.capacities[0], spec.warmup,
-                     spec.warmup + spec.measured, spec.seed,
-                     spec.repetitions, trace_cache)
-    cells = sweep_buffer_sizes(
-        spec.workload, spec.policies, spec.capacities,
-        warmup=spec.warmup, measured=spec.measured,
-        seed=spec.seed, repetitions=spec.repetitions, progress=progress,
-        observability=observability, jobs=jobs, trace_cache=trace_cache,
-        checkpoint=checkpoint)
-    result = ExperimentResult(spec=spec, cells=cells)
-    if spec.equi_effective is not None:
+        if spec.equi_effective is not None:
+            # A stack baseline's curves (LRU-1's) answer its B(1) search and
+            # every run of its column, so they are built first: before the
+            # sweep, and so before a pool forks and shares them.
+            stack_curves(spec.workload,
+                         spec.spec_by_label(spec.equi_effective[0]),
+                         spec.capacities[0], spec.warmup,
+                         spec.warmup + spec.measured, spec.seed,
+                         spec.repetitions, trace_cache)
+        cells = sweep_buffer_sizes(
+            spec.workload, spec.policies, spec.capacities,
+            warmup=spec.warmup, measured=spec.measured,
+            seed=spec.seed, repetitions=spec.repetitions,
+            observability=observability, jobs=jobs,
+            trace_cache=trace_cache, checkpoint=checkpoint)
+        result = ExperimentResult(spec=spec, cells=cells)
+        if spec.equi_effective is None:
+            return result
         baseline_label, improved_label = spec.equi_effective
         high = (spec.equi_effective_high
                 if spec.equi_effective_high is not None
@@ -181,7 +172,10 @@ def _run_experiment(spec: ExperimentSpec,
             except SimulationError:
                 ratio = None  # target beyond the baseline's reach
             result.equi_effective_ratios[cell.capacity] = ratio
-            if progress is not None and ratio is not None:
-                progress(f"B={cell.capacity:<6d} "
-                         f"B({baseline_label})/B({improved_label})={ratio:.2f}")
-    return result
+            if ratio is not None:
+                narrate(f"B={cell.capacity:<6d} "
+                        f"B({baseline_label})/B({improved_label})={ratio:.2f}",
+                        observability)
+        return result
+    finally:
+        trace_cache.clear()

@@ -2,21 +2,21 @@
 
 The paper's evaluation (Section 4.1) is a grid of independent cells —
 each a pure function of (workload spec, policy spec, buffer size, seed).
-:func:`run_grid` executes that grid on a ``ProcessPoolExecutor`` and
-merges the results deterministically, so a parallel sweep returns
-*bit-identical* :class:`~repro.sim.runner.ProtocolResult` objects to a
-serial one (property-tested in ``tests/sim/test_parallel.py``).
+:func:`execute_grid`, the engine behind the one entry point
+:func:`~repro.sim.sweep.sweep_buffer_sizes`, runs that grid on a
+``ProcessPoolExecutor`` and merges the results deterministically, so a
+parallel sweep returns *bit-identical* results to a serial one
+(property-tested in ``tests/sim/test_parallel.py``).
 
 Policy specs hold closures, which do not pickle; the engine therefore
-requires the ``fork`` start method (standard on Linux): the grid inputs
-— workload, specs, and a :class:`~repro.sim.trace_cache.TraceCache`
-pre-warmed with every run seed's reference string — are published in a
-module-level registry *before* the pool forks, and workers inherit them
-copy-on-write. Each task submission then carries only a few small
-integers. Every seed's trace is materialized exactly once, in the
-parent, and shared read-only by all workers; no worker regenerates a
-reference string. On platforms without ``fork`` the engine degrades to
-in-process execution with the same shared cache.
+requires the ``fork`` start method (standard on Linux): the grid's
+:class:`_GridRun` — its inputs and a trace cache pre-warmed with every
+run seed's reference string — is published in a module-level registry
+*before* the pool forks, and workers inherit it copy-on-write and run
+cells through its :meth:`~_GridRun.run_cell`, as the parent does. Each
+task submission carries only a job id and a cell; no worker regenerates
+a reference string. On platforms without ``fork`` the engine degrades
+to in-process execution with the same shared cache.
 
 Workers run unobserved: the parent's ambient event dispatcher (and its
 file sinks) must not be written from forked children, so the first thing
@@ -24,11 +24,10 @@ a worker task does is clear the inherited ambient dispatcher. A worker
 still runs each cell on the tier a serial sweep would: while the
 parent's dispatcher takes per-reference events, worker runs take the
 object path too and drop those events, so the relayed ``sim.tier.*``
-counters match a serial sweep's. Progress
-is instead narrated from the parent — one line per *completed* cell, in
-completion order, through the usual ``progress`` callback or as
-:class:`~repro.obs.events.ProgressEvent`s on the dispatcher — so
-``--timeline``/``--quiet`` behave under ``--jobs N`` exactly as in
+counters match a serial sweep's. Progress is instead narrated from the
+parent — one :class:`~repro.obs.events.ProgressEvent` per *completed*
+cell, in completion order, through :func:`repro.obs.runtime.narrate` —
+so ``--timeline``/``--quiet`` behave under ``--jobs N`` exactly as in
 serial mode.
 
 One rule handles every failure. A cell the pool did not return — its
@@ -48,18 +47,19 @@ Failures surface as :class:`~repro.obs.events.CellFailureEvent`s and the
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
 from ..obs import trace as obs_trace
 from ..obs.dispatcher import CallbackSink, EventDispatcher
-from ..obs.events import CellFailureEvent, ProgressEvent
+from ..obs.events import CellFailureEvent
 from ..obs.registry import MetricsRegistry, RegistrySnapshot
 from ..workloads.base import Workload
 from . import recovery
@@ -92,31 +92,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-# -- fork-shared grid state ----------------------------------------------------
-
-
-@dataclass
-class _SweepJob:
-    """Everything a worker needs, published pre-fork."""
-
-    workload: Workload
-    specs: Sequence[PolicySpec]
-    warmup: int
-    measured: int
-    seed: int
-    repetitions: int
-    trace_cache: TraceCache
-    #: Record spans in the worker and relay them to the parent tracer.
-    trace: bool = False
-    #: Accumulate metrics in a worker-local registry and relay its
-    #: snapshot for the parent to merge.
-    collect_metrics: bool = False
-    #: The parent dispatcher's ``takes_references``: a sink that takes
-    #: per-reference events demotes serial runs to the object path, so
-    #: worker runs take it too (their events are dropped).
-    takes_references: bool = False
-
-
 @dataclass
 class _CellOutput:
     """What a worker sends back over the result channel.
@@ -136,79 +111,17 @@ class _CellOutput:
     worker_pid: int = 0
 
 
-#: Jobs visible to forked workers; keyed by a monotonically increasing id
-#: so overlapping grids (nested sweeps) cannot collide.
-_SHARED: Dict[int, _SweepJob] = {}
-_next_job_id = 0
-
-
-def _run_cell(job_id: int, spec_index: int, capacity: int) -> _CellOutput:
-    """Worker task: one (policy, capacity) cell of the grid."""
-    # Forked workers inherit the parent's ambient dispatcher (and its
-    # open file sinks) and the parent's ambient tracer; emitting through
-    # the former from many processes would interleave corrupt output,
-    # and appending to the latter is invisible to the parent — so
-    # workers clear both and build their own instruments when asked.
-    obs_runtime.deactivate()
-    obs_trace.deactivate()
-    job = _SHARED[job_id]
-    registry = MetricsRegistry() if job.collect_metrics else None
-    observability = None
-    if job.takes_references:
-        observability = EventDispatcher()
-        observability.attach(CallbackSink(lambda event, context: None))
-
-    def cell() -> ProtocolResult:
-        return run_paper_protocol(
-            job.workload, job.specs[spec_index], capacity,
-            job.warmup, job.measured, seed=job.seed,
-            repetitions=job.repetitions, observability=observability,
-            trace_cache=job.trace_cache, metrics=registry)
-
-    if job.trace:
-        tracer = obs_trace.Tracer()
-        with obs_trace.activate(tracer):
-            result = cell()
-        spans = tracer.serialize()
-    else:
-        result = cell()
-        spans = []
-    return _CellOutput(
-        result=result, spans=spans,
-        metrics=registry.snapshot() if registry is not None else None,
-        worker_pid=os.getpid())
-
-
-# -- the engine ----------------------------------------------------------------
-
-
-def _narrate(line: str,
-             progress: Optional[Callable[[str], None]],
-             observability: Optional[EventDispatcher]) -> None:
-    """Progress via the callback when given, else the event dispatcher."""
-    if progress is not None:
-        progress(line)
-        return
-    obs = obs_runtime.resolve(observability)
-    if obs is not None and obs.active:
-        obs.emit(ProgressEvent(message=line))
-
-
-def _cell_line(capacity: int, label: str, result: ProtocolResult) -> str:
-    """The per-cell progress line (same format as the serial sweep)."""
-    return f"B={capacity:<6d} {label:<8s} C={result.hit_ratio:.4f}"
-
-
 class _GridRun:
-    """One grid's inputs, completed cells and failure records."""
+    """One grid's inputs, completed cells and failure records.
+
+    :func:`_pool_pass` publishes it whole to forked workers.
+    """
 
     def __init__(self, workload: Workload, specs: Sequence[PolicySpec],
-                 warmup: int, measured: int, seed: int, repetitions: int,
-                 cache: TraceCache,
-                 checkpoint: Optional[recovery.SweepCheckpoint],
-                 fingerprint: Optional[str],
-                 progress: Optional[Callable[[str], None]],
-                 observability: Optional[EventDispatcher]) -> None:
+                 capacities: Sequence[int], warmup: int, measured: int,
+                 seed: int, repetitions: int, cache: TraceCache,
+                 observability: Optional[EventDispatcher],
+                 checkpoint: Optional[recovery.SweepCheckpoint]) -> None:
         self.workload = workload
         self.specs = specs
         self.warmup = warmup
@@ -216,23 +129,39 @@ class _GridRun:
         self.seed = seed
         self.repetitions = repetitions
         self.cache = cache
-        self.checkpoint = checkpoint
-        self.fingerprint = fingerprint
-        self.progress = progress
-        self.observability = observability
         self.obs = obs_runtime.resolve(observability)
         self.registry: Optional[MetricsRegistry] = (
             getattr(self.obs, "metrics", None)
             if self.obs is not None else None)
+        #: Every cell, in grid order.
+        self.order = [_Cell(capacity, index) for capacity in capacities
+                      for index in range(len(specs))]
         self.results: GridResults = {}
         self.failures: List[recovery.CellFailure] = []
+        self.checkpoint = checkpoint
+        self.fingerprint = ""
+        if checkpoint is not None:
+            self.fingerprint = recovery.grid_fingerprint(
+                workload, specs, capacities, warmup, measured, seed,
+                repetitions)
+            self.results.update(checkpoint.completed(self.fingerprint))
+
+    def run_cell(self, cell: _Cell, observability: Optional[EventDispatcher],
+                 metrics: Optional[MetricsRegistry] = None
+                 ) -> ProtocolResult:
+        """Run one cell: the routine of both the parent and a worker."""
+        return run_paper_protocol(
+            self.workload, self.specs[cell.index], cell.capacity,
+            self.warmup, self.measured, seed=self.seed,
+            repetitions=self.repetitions, observability=observability,
+            trace_cache=self.cache, metrics=metrics)
 
     def done(self, cell: _Cell) -> bool:
         """True once the cell's result is in :attr:`results`."""
         capacity, index = cell
         return (capacity, self.specs[index].label) in self.results
 
-    def track_progress(self, total: int) -> None:
+    def track_progress(self) -> None:
         """Publish the grid's cell-completion gauges for live scrapes.
 
         ``sweep.cells_total`` / ``sweep.cells_done`` are what ``repro
@@ -242,7 +171,8 @@ class _GridRun:
         if self.registry is None:
             return
         with self.registry.lock:
-            self.registry.set_gauge("sweep.cells_total", float(total))
+            self.registry.set_gauge("sweep.cells_total",
+                                    float(len(self.order)))
             self.registry.set_gauge("sweep.cells_done",
                                     float(len(self.results)))
             # Register the fault counters at zero up front: a live
@@ -258,10 +188,11 @@ class _GridRun:
         if self.registry is not None:
             self.registry.set_gauge("sweep.cells_done",
                                     float(len(self.results)))
-        if self.checkpoint is not None and self.fingerprint is not None:
+        if self.checkpoint is not None:
             self.checkpoint.record(self.fingerprint, result)
-        _narrate(_cell_line(capacity, label, result),
-                 self.progress, self.observability)
+        obs_runtime.narrate(
+            f"B={capacity:<6d} {label:<8s} C={result.hit_ratio:.4f}",
+            self.obs)
 
     def fail(self, cell: _Cell, attempt: int, kind: str, error: str,
              action: str) -> None:
@@ -274,7 +205,7 @@ class _GridRun:
         """
         capacity, index = cell
         label = self.specs[index].label
-        if self.obs is not None and self.obs.active:
+        if self.obs is not None and self.obs.has_sinks:
             self.obs.emit(CellFailureEvent(
                 capacity=capacity, label=label, attempt=attempt,
                 failure=kind, error=error, action=action))
@@ -295,22 +226,17 @@ class _GridRun:
         its pool did not return as ``attempt`` 2. A raising cell does
         not stop the others.
         """
-        for capacity, index in cells:
-            spec = self.specs[index]
+        for cell in cells:
+            label = self.specs[cell.index].label
             try:
-                with obs_trace.maybe_span("cell", capacity=capacity,
-                                          policy=spec.label):
-                    result = run_paper_protocol(
-                        self.workload, spec, capacity, self.warmup,
-                        self.measured, seed=self.seed,
-                        repetitions=self.repetitions,
-                        observability=self.observability,
-                        trace_cache=self.cache)
+                with obs_trace.maybe_span("cell", capacity=cell.capacity,
+                                          policy=label):
+                    result = self.run_cell(cell, self.obs)
             except Exception as exc:
-                self.fail(_Cell(capacity, index), attempt, recovery.ERROR,
-                          repr(exc), action="failed")
+                self.fail(cell, attempt, recovery.ERROR, repr(exc),
+                          action="failed")
                 continue
-            self.complete(capacity, spec.label, result)
+            self.complete(cell.capacity, label, result)
 
     def salvage(self) -> "recovery.SweepInterrupted":
         """Flush the checkpoint and wrap the completed cells for re-raise."""
@@ -327,26 +253,66 @@ class _GridRun:
         return self.results
 
 
-def run_grid(workload: Workload,
-             specs: Sequence[PolicySpec],
-             capacities: Sequence[int],
-             warmup: int,
-             measured: int,
-             seed: int = 0,
-             repetitions: int = 1,
-             jobs: Optional[int] = None,
-             trace_cache: Optional[TraceCache] = None,
-             progress: Optional[Callable[[str], None]] = None,
-             observability: Optional[EventDispatcher] = None,
-             checkpoint: Optional[recovery.SweepCheckpoint] = None
-             ) -> GridResults:
+# -- fork-shared grid state ----------------------------------------------------
+
+#: Grids visible to forked workers, each with whether the parent traced;
+#: keyed by a monotonically increasing id so overlapping grids (nested
+#: sweeps) cannot collide.
+_SHARED: Dict[int, Tuple[_GridRun, bool]] = {}
+_job_ids = itertools.count()
+
+
+def _run_cell(job_id: int, cell: _Cell) -> _CellOutput:
+    """Worker task: one (policy, capacity) cell of a published grid."""
+    # Forked workers inherit the parent's ambient dispatcher (and its
+    # open file sinks) and the parent's ambient tracer; emitting through
+    # the former from many processes would interleave corrupt output,
+    # and appending to the latter is invisible to the parent — so
+    # workers clear both and build their own instruments when asked.
+    obs_runtime.deactivate()
+    obs_trace.deactivate()
+    run, traced = _SHARED[job_id]
+    # A worker-local registry's snapshot is relayed for the parent to merge.
+    registry = MetricsRegistry() if run.registry is not None else None
+    observability = None
+    if run.obs is not None and run.obs.takes_references:
+        # A sink that takes per-reference events demotes serial runs to
+        # the object path, so worker runs take it too (their events are
+        # dropped).
+        observability = EventDispatcher()
+        observability.attach(CallbackSink(lambda event, context: None))
+    spans: List[Dict[str, object]] = []
+    if traced:
+        tracer = obs_trace.Tracer()
+        with obs_trace.activate(tracer):
+            result = run.run_cell(cell, observability, registry)
+        spans = tracer.serialize()
+    else:
+        result = run.run_cell(cell, observability, registry)
+    return _CellOutput(
+        result=result, spans=spans,
+        metrics=registry.snapshot() if registry is not None else None,
+        worker_pid=os.getpid())
+
+
+# -- the engine ----------------------------------------------------------------
+
+
+def execute_grid(workload: Workload, specs: Sequence[PolicySpec],
+                 capacities: Sequence[int], warmup: int, measured: int,
+                 seed: int, repetitions: int, jobs: int, cache: TraceCache,
+                 observability: Optional[EventDispatcher],
+                 checkpoint: Optional[recovery.SweepCheckpoint]
+                 ) -> GridResults:
     """Run every (policy, capacity) cell of a grid, ``jobs`` at a time.
 
-    Returns ``{(capacity, label): ProtocolResult}`` — an order-free shape
-    the caller assembles into its own row structure, making the merge
-    deterministic regardless of completion order. ``jobs=None`` means 1
-    (serial), and the engine falls back to in-process execution (still
-    sharing one trace cache) when process parallelism is unavailable.
+    The engine behind :func:`~repro.sim.sweep.sweep_buffer_sizes`, which
+    validates the grid, resolves ``jobs`` and supplies the cache.
+    Returns ``{(capacity, label): ProtocolResult}`` — an order-free
+    shape the caller assembles into its own rows, making the merge
+    deterministic regardless of completion order. The engine falls back
+    to in-process execution (still sharing the one trace cache) when
+    process parallelism is unavailable.
 
     Cells already present in ``checkpoint`` (matched by grid
     fingerprint) are returned without re-running; newly completed cells
@@ -356,38 +322,10 @@ def run_grid(workload: Workload,
     :class:`~repro.sim.recovery.CellExecutionError` — in both cases
     after the checkpoint is flushed, so no completed work is lost.
     """
-    jobs = resolve_jobs(jobs)
-    owns_cache = trace_cache is None
-    cache = trace_cache if trace_cache is not None else TraceCache()
-    try:
-        return _run_grid(workload, specs, capacities, warmup, measured,
-                         seed, repetitions, jobs, cache, progress,
-                         observability, checkpoint)
-    finally:
-        if owns_cache:
-            # The cache pins workloads and materialized arrays by id();
-            # a grid-local cache must not outlive the grid.
-            cache.clear()
-
-
-def _run_grid(workload: Workload, specs: Sequence[PolicySpec],
-              capacities: Sequence[int], warmup: int, measured: int,
-              seed: int, repetitions: int, jobs: int, cache: TraceCache,
-              progress: Optional[Callable[[str], None]],
-              observability: Optional[EventDispatcher],
-              checkpoint: Optional[recovery.SweepCheckpoint]) -> GridResults:
-    fingerprint = None
-    if checkpoint is not None:
-        fingerprint = recovery.grid_fingerprint(
-            workload, specs, capacities, warmup, measured, seed, repetitions)
-    run = _GridRun(workload, specs, warmup, measured, seed, repetitions,
-                   cache, checkpoint, fingerprint, progress, observability)
-    if checkpoint is not None:
-        run.results.update(checkpoint.completed(fingerprint))
-    order = [_Cell(capacity, index) for capacity in capacities
-             for index in range(len(specs))]
-    remaining = [cell for cell in order if not run.done(cell)]
-    run.track_progress(len(order))
+    run = _GridRun(workload, specs, capacities, warmup, measured, seed,
+                   repetitions, cache, observability, checkpoint)
+    remaining = [cell for cell in run.order if not run.done(cell)]
+    run.track_progress()
     if not remaining:
         return run.results
 
@@ -426,7 +364,6 @@ def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
     in-process. Returns the relayed snapshot and worker pid of the last
     cell in grid order when the pool returned that cell.
     """
-    global _next_job_id
     tracer = obs_trace.current()
     # Flush the parent's sinks before forking: a child inheriting
     # buffered-but-unwritten file output would duplicate it at exit.
@@ -434,21 +371,14 @@ def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
         run.obs.flush()
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
                                mp_context=multiprocessing.get_context("fork"))
-    job_id = _next_job_id
-    _next_job_id += 1
-    _SHARED[job_id] = _SweepJob(
-        workload=run.workload, specs=run.specs, warmup=run.warmup,
-        measured=run.measured, seed=run.seed, repetitions=run.repetitions,
-        trace_cache=run.cache, trace=tracer is not None,
-        collect_metrics=run.registry is not None,
-        takes_references=run.obs is not None and run.obs.takes_references)
+    job_id = next(_job_ids)
+    _SHARED[job_id] = (run, tracer is not None)
     last: Optional[Tuple[RegistrySnapshot, str]] = None
     try:
         window: Dict[Future, _Cell] = {}
         for cell in cells:
             try:
-                future = pool.submit(_run_cell, job_id, cell.index,
-                                     cell.capacity)
+                future = pool.submit(_run_cell, job_id, cell)
             except BrokenProcessPool as exc:
                 run.fail(cell, 1, recovery.CRASH, repr(exc),
                          action="fallback")
@@ -517,7 +447,3 @@ def _absorb_cell(tracer: "obs_trace.Tracer",
         capacity=capacity, policy=label, worker_pid=worker_pid)
     tracer.absorb(spans, parent_id=envelope.span_id)
 
-
-def suggested_jobs() -> int:
-    """A sensible ``--jobs`` default for this machine (all cores)."""
-    return max(1, os.cpu_count() or 1)

@@ -38,13 +38,16 @@ def sweep_buffer_sizes(workload: Workload,
                        measured: int,
                        seed: int = 0,
                        repetitions: int = 1,
-                       progress: Optional[callable] = None,
                        observability: Optional[EventDispatcher] = None,
                        jobs: Optional[int] = None,
                        trace_cache: Optional[TraceCache] = None,
                        checkpoint: Optional[recovery.SweepCheckpoint] = None
                        ) -> List[SweepCell]:
     """Run every (policy, capacity) cell of a table.
+
+    The one entry point to the grid: it validates the grid, resolves
+    ``jobs``, owns or borrows the trace cache and opens the ``sweep``
+    span, then runs the cells through :mod:`repro.sim.parallel`.
 
     All cells share one :class:`~repro.sim.trace_cache.TraceCache`, so
     each seed's reference string is materialized exactly once for the
@@ -60,8 +63,9 @@ def sweep_buffer_sizes(workload: Workload,
     completed cells stream into ``checkpoint`` when one is given — see
     :mod:`repro.sim.recovery`.
 
-    ``progress``, when given, is called with a human-readable string after
-    each cell — the CLI uses it for live feedback on long sweeps. Under
+    Each completed cell narrates one ``B=... C=...`` line through
+    :func:`repro.obs.runtime.narrate` — on ``observability``, else the
+    ambient dispatcher — which the CLI's console sink prints. Under
     ``jobs > 1`` the lines arrive in completion order rather than grid
     order.
     """
@@ -82,13 +86,13 @@ def sweep_buffer_sizes(workload: Workload,
                 "sweep", workload=type(workload).__name__,
                 policies=labels, capacities=list(capacities),
                 repetitions=repetitions, jobs=jobs):
-            grid = parallel.run_grid(
-                workload, specs, capacities, warmup, measured,
-                seed=seed, repetitions=repetitions, jobs=jobs,
-                trace_cache=cache, progress=progress,
-                observability=observability, checkpoint=checkpoint)
+            grid = parallel.execute_grid(
+                workload, specs, capacities, warmup, measured, seed,
+                repetitions, jobs, cache, observability, checkpoint)
     finally:
         if owns_cache:
+            # The cache pins workloads and materialized arrays by id();
+            # a sweep-local cache must not outlive the sweep.
             cache.clear()
     return [SweepCell(capacity=capacity,
                       results={spec.label: grid[(capacity, spec.label)]

@@ -1,7 +1,10 @@
 """Tests for the one-shot reproduction report."""
 
+import io
+
 from repro.cli import main
 from repro.experiments.report import generate_report
+from repro.obs import ConsoleProgressSink, EventDispatcher, activate
 
 
 class TestGenerateReport:
@@ -16,10 +19,15 @@ class TestGenerateReport:
         assert "Generated in" in report
 
     def test_progress_callback(self):
-        lines = []
-        generate_report(table_scale=0.2, oltp_scale=0.02, repetitions=1,
-                        progress=lines.append)
+        stream = io.StringIO()
+        dispatcher = EventDispatcher()
+        dispatcher.attach(ConsoleProgressSink(stream))
+        with activate(dispatcher):
+            generate_report(table_scale=0.2, oltp_scale=0.02, repetitions=1)
+        lines = stream.getvalue().splitlines()
         assert any("Table 4.1" in line for line in lines)
+        # The tables narrate their B(1)/B(2) ratios too.
+        assert any("B(LRU-1)/B(LRU-2)=" in line for line in lines)
 
     def test_paper_values_embedded(self):
         report = generate_report(table_scale=0.2, oltp_scale=0.02,

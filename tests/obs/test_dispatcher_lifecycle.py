@@ -43,7 +43,7 @@ class TestDeactivateOrdering:
         dispatcher.attach(CallbackSink(lambda event, ctx: seen.append(event)))
         dispatcher.emit(_event(1))
         dispatcher.close()
-        assert not dispatcher.active
+        assert dispatcher.has_sinks is False
         # Emitting on a closed dispatcher is a silent no-op: the sink
         # list is empty, so the detached sink must not observe this.
         dispatcher.emit(_event(2))

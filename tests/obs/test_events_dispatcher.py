@@ -62,8 +62,7 @@ class TestEventModel:
 class TestDispatcher:
     def test_inactive_without_sinks(self):
         dispatcher = EventDispatcher()
-        assert not dispatcher.active
-        assert not dispatcher
+        assert dispatcher.has_sinks is False
         dispatcher.emit(ProgressEvent(message="dropped"))  # no sinks: no-op
 
     def test_delivery_order_and_detach(self):
@@ -118,22 +117,14 @@ class TestHasSinks:
     def test_empty_dispatcher_has_no_sinks(self):
         dispatcher = EventDispatcher()
         assert dispatcher.has_sinks is False
-        assert not dispatcher
         assert dispatcher.sinks == ()
 
     def test_attach_detach_toggle_the_guard(self):
         dispatcher = EventDispatcher()
         sink = dispatcher.attach(RingBufferSink())
         assert dispatcher.has_sinks is True
-        assert bool(dispatcher)
         dispatcher.detach(sink)
         assert dispatcher.has_sinks is False
-
-    def test_active_is_an_alias_for_has_sinks(self):
-        dispatcher = EventDispatcher()
-        assert dispatcher.active is False
-        dispatcher.attach(RingBufferSink())
-        assert dispatcher.active is True
 
     def test_close_clears_the_guard(self):
         dispatcher = EventDispatcher()

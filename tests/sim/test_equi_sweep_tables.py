@@ -1,8 +1,11 @@
 """Tests for equi-effective search, sweeps, tables, and experiments."""
 
+import io
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs import ConsoleProgressSink, EventDispatcher
 from repro.sim import (
     ExperimentSpec,
     PolicySpec,
@@ -83,11 +86,14 @@ class TestSweep:
 
     def test_progress_callback_invoked(self):
         workload = TwoPoolWorkload(n1=10, n2=100)
-        lines = []
+        stream = io.StringIO()
+        dispatcher = EventDispatcher()
+        dispatcher.attach(ConsoleProgressSink(stream))
         sweep_buffer_sizes(workload, [PolicySpec.lru()], [10],
                            warmup=100, measured=200,
-                           progress=lines.append)
-        assert lines
+                           observability=dispatcher)
+        (line,) = stream.getvalue().splitlines()
+        assert line.startswith("  .. B=10     LRU-1    C=")
 
 
 class TestTables:

@@ -1,12 +1,19 @@
 """Parallel sweep engine, trace cache, and fast-path equivalence tests."""
 
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LRUKPolicy
 from repro.errors import ConfigurationError
-from repro.obs import CallbackSink, EventDispatcher, ProgressEvent
+from repro.obs import (
+    CallbackSink,
+    ConsoleProgressSink,
+    EventDispatcher,
+    ProgressEvent,
+)
 from repro.sim import (
     CachedTrace,
     CacheSimulator,
@@ -15,7 +22,6 @@ from repro.sim import (
     fork_available,
     measure_hit_ratio,
     run_experiment,
-    run_grid,
     sweep_buffer_sizes,
 )
 from repro.sim import parallel
@@ -160,13 +166,22 @@ GRID_SPECS = [PolicySpec.lru(), PolicySpec.lruk(2), PolicySpec.a0(),
               PolicySpec.opt()]
 
 
-def _table_42_grid(seed, jobs, progress=None, observability=None):
+def _table_42_grid(seed, jobs, observability=None):
     """Table 4.2's grid at reduced scale (N=100, short protocol)."""
     workload = ZipfianWorkload(n=100)
     return sweep_buffer_sizes(
         workload, GRID_SPECS, [8, 16, 32], warmup=500, measured=1500,
-        seed=seed, repetitions=2, jobs=jobs, progress=progress,
-        observability=observability)
+        seed=seed, repetitions=2, jobs=jobs, observability=observability)
+
+
+def _narrated_lines(seed, jobs):
+    """The progress lines of one reduced Table 4.2 grid (a console sink
+    takes no per-reference events, so the grid keeps its kernels)."""
+    stream = io.StringIO()
+    dispatcher = EventDispatcher()
+    dispatcher.attach(ConsoleProgressSink(stream, prefix=""))
+    _table_42_grid(seed, jobs=jobs, observability=dispatcher)
+    return stream.getvalue().splitlines()
 
 
 class TestParallelEquivalence:
@@ -197,10 +212,12 @@ class TestParallelEquivalence:
     def test_run_grid_shape(self):
         workload = ZipfianWorkload(n=50)
         specs = [PolicySpec.lru(), PolicySpec.lruk(2)]
-        grid = run_grid(workload, specs, [4, 8], warmup=100, measured=300,
-                        seed=1, repetitions=1, jobs=2)
-        assert set(grid) == {(4, "LRU-1"), (4, "LRU-2"),
-                             (8, "LRU-1"), (8, "LRU-2")}
+        cells = sweep_buffer_sizes(workload, specs, [4, 8], warmup=100,
+                                   measured=300, seed=1, repetitions=1,
+                                   jobs=2)
+        assert {(cell.capacity, label) for cell in cells
+                for label in cell.results} == {
+            (4, "LRU-1"), (4, "LRU-2"), (8, "LRU-1"), (8, "LRU-2")}
 
 
 class TestParallelProgress:
@@ -215,20 +232,10 @@ class TestParallelProgress:
         # Same format as the serial sweep's narration.
         assert all(e.message.startswith("B=") for e in progress)
 
-    def test_progress_callback_preferred_over_dispatcher(self):
-        lines, events = [], []
-        dispatcher = EventDispatcher()
-        dispatcher.attach(CallbackSink(
-            lambda event, context: events.append(event)))
-        _table_42_grid(0, jobs=2, progress=lines.append,
-                       observability=dispatcher)
-        assert len(lines) == 3 * len(GRID_SPECS)
-        assert not [e for e in events if isinstance(e, ProgressEvent)]
-
     def test_serial_progress_format_matches(self):
-        serial_lines, parallel_lines = [], []
-        _table_42_grid(3, jobs=1, progress=serial_lines.append)
-        _table_42_grid(3, jobs=2, progress=parallel_lines.append)
+        serial_lines = _narrated_lines(3, jobs=1)
+        parallel_lines = _narrated_lines(3, jobs=2)
+        assert len(serial_lines) == 3 * len(GRID_SPECS)
         assert sorted(serial_lines) == sorted(parallel_lines)
 
 

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.obs import CallbackSink, CellFailureEvent, EventDispatcher
+from repro.obs import (
+    CallbackSink,
+    CellFailureEvent,
+    EventDispatcher,
+    ProgressEvent,
+    Sink,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.policies import make_policy
 from repro.sim import (
@@ -21,7 +27,6 @@ from repro.sim import (
     fork_available,
     grid_fingerprint,
     run_experiment,
-    run_grid,
     sweep_buffer_sizes,
 )
 from repro.sim import experiment as experiment_module
@@ -38,10 +43,35 @@ CAPACITIES = [4, 8]
 
 
 def _grid(jobs=1, specs=SPECS, capacities=CAPACITIES, seed=1, **kwargs):
-    """A small Table 4.2-shaped grid, fast enough for failure injection."""
+    """A small Table 4.2-shaped grid, fast enough for failure injection,
+    as ``{(capacity, label): ProtocolResult}``."""
     workload = ZipfianWorkload(n=60)
-    return run_grid(workload, specs, capacities, warmup=100, measured=300,
-                    seed=seed, repetitions=2, jobs=jobs, **kwargs)
+    cells = sweep_buffer_sizes(workload, specs, capacities, warmup=100,
+                               measured=300, seed=seed, repetitions=2,
+                               jobs=jobs, **kwargs)
+    return {(cell.capacity, label): result for cell in cells
+            for label, result in cell.results.items()}
+
+
+class _Narration(Sink):
+    """Calls ``on_line`` with each progress line; a run-level sink, so
+    the grid's runs keep their kernels."""
+
+    takes_references = False
+
+    def __init__(self, on_line):
+        self.on_line = on_line
+
+    def handle(self, event, context):
+        if isinstance(event, ProgressEvent):
+            self.on_line(event.message)
+
+
+def _narrating(on_line):
+    """A dispatcher that hands every progress line to ``on_line``."""
+    dispatcher = EventDispatcher()
+    dispatcher.attach(_Narration(on_line))
+    return dispatcher
 
 
 def _observed():
@@ -135,7 +165,8 @@ class TestResume:
             first = _grid(checkpoint=checkpoint)
         narrated = []
         with SweepCheckpoint(path, resume=True) as checkpoint:
-            resumed = _grid(checkpoint=checkpoint, progress=narrated.append)
+            resumed = _grid(checkpoint=checkpoint,
+                            observability=_narrating(narrated.append))
         assert resumed == first
         assert narrated == []  # nothing re-ran, nothing re-narrated
 
@@ -150,7 +181,8 @@ class TestResume:
             handle.writelines(lines[:2])
         narrated = []
         with SweepCheckpoint(path, resume=True) as checkpoint:
-            resumed = _grid(checkpoint=checkpoint, progress=narrated.append)
+            resumed = _grid(checkpoint=checkpoint,
+                            observability=_narrating(narrated.append))
         assert resumed == full
         assert len(narrated) == len(full) - 2
 
@@ -165,7 +197,8 @@ class TestResume:
 
         with SweepCheckpoint(path) as checkpoint:
             with pytest.raises(SweepInterrupted) as info:
-                _grid(checkpoint=checkpoint, progress=interrupt_after_two)
+                _grid(checkpoint=checkpoint,
+                      observability=_narrating(interrupt_after_two))
         assert len(info.value.results) == 2  # completed cells salvaged
         with SweepCheckpoint(path, resume=True) as checkpoint:
             assert checkpoint.resumed_cells == 2
@@ -312,7 +345,7 @@ class TestParallelRecovery:
         with SweepCheckpoint(path) as checkpoint:
             with pytest.raises(SweepInterrupted) as info:
                 _grid(jobs=2, checkpoint=checkpoint,
-                      progress=interrupt_after_two)
+                      observability=_narrating(interrupt_after_two))
         assert len(info.value.results) == 2  # completed cells salvaged
         with SweepCheckpoint(path, resume=True) as checkpoint:
             assert checkpoint.resumed_cells == 2

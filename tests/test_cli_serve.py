@@ -7,7 +7,6 @@ import urllib.request
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ConfigurationError
 
 
 def free_port() -> int:
@@ -99,15 +98,19 @@ class TestServeBench:
 
 
 class TestTelemetryLifecycle:
-    def test_failed_sampler_does_not_leak_server_thread_or_port(self):
+    def test_failed_sampler_does_not_leak_server_thread_or_port(
+            self, capsys):
         # --sample-resources -1 makes ResourceSampler raise *after* the
         # MetricsServer bound its port; the try/finally in the CLI must
-        # still stop the server.
+        # still stop the server, and the error exits 2 like any other
+        # configuration error.
         port = free_port()
-        with pytest.raises(ConfigurationError):
-            main(["serve-bench", "--refs", "10", "--quiet",
-                  "--serve-metrics", str(port),
-                  "--sample-resources", "-1"])
+        assert main(["serve-bench", "--refs", "10", "--quiet",
+                     "--serve-metrics", str(port),
+                     "--sample-resources", "-1"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
         assert telemetry_threads() == []
         with socket.socket() as sock:  # the port is free again
             sock.bind(("127.0.0.1", port))
