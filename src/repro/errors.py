@@ -41,10 +41,6 @@ class PageNotResidentError(BufferError_, KeyError):
     """An operation required a page to be resident in the pool but it was not."""
 
 
-class PagePinnedError(BufferError_):
-    """An operation (eviction, shrink) hit a pinned page."""
-
-
 class InvalidPinError(BufferError_):
     """A page was unpinned more times than it was pinned."""
 

@@ -24,9 +24,10 @@ from .equi_effective import (
     equi_effective_buffer_size,
     stack_curves,
 )
+from .runner import PolicySpec, check_protocol
 # run_paper_protocol is unused here but stays importable from this
 # module: benchmarks/e2e/tracing.py wraps it by name.
-from .runner import PolicySpec, run_paper_protocol  # noqa: F401
+from .runner import run_paper_protocol  # noqa: F401
 from .sweep import SweepCell, sweep_buffer_sizes
 from .tables import Table
 from .trace_cache import TraceCache
@@ -51,17 +52,8 @@ class ExperimentSpec:
     caption: str = ""
 
     def __post_init__(self) -> None:
-        # The protocol is checked here, before any trace is built, so a
-        # bad value fails once rather than once per cell.
-        if self.repetitions < 1:
-            raise ConfigurationError("need at least one repetition")
-        if self.warmup < 0 or self.measured < 1:
-            raise ConfigurationError(
-                "warm-up must leave a non-empty measurement window")
-        if not self.capacities:
-            raise ConfigurationError("need at least one buffer capacity")
-        if min(self.capacities) <= 0:
-            raise ConfigurationError("buffer capacity must be positive")
+        check_protocol(self.capacities, self.warmup, self.measured,
+                       self.repetitions)
         labels = {spec.label for spec in self.policies}
         if self.equi_effective is not None:
             baseline, improved = self.equi_effective

@@ -11,10 +11,11 @@ retained history (Section 2.1.2) informed the choice — and, since the
 replay knows the whole reference string, what Belady's B0 oracle would
 have evicted from the same resident set and the per-eviction regret.
 
-Everything here is read-only over the simulation stack: the replay uses
-the same :class:`~repro.sim.cache.CacheSimulator` fast path as the
-measurement protocol, and provenance capture is decision-identical to an
-unobserved run (property-tested in ``tests/sim/test_explain.py``).
+Everything here is read-only over the simulation stack: the replay
+materializes its trace as the measurement protocol does and runs through
+the protocol's own driver, :func:`~repro.sim.runner.measure_hit_ratio`,
+and provenance capture is decision-identical to an unobserved run
+(property-tested in ``tests/sim/test_explain.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from ..workloads import (
 )
 from ..workloads.base import Workload
 from .cache import CacheSimulator
+from .runner import measure_hit_ratio
 from .trace_cache import CachedTrace
 
 #: Named workload factories the CLI can replay. Each builds the default
@@ -159,8 +161,7 @@ def replay_cell(workload: Workload, seed: int, capacity: int,
                 k: int = 2, correlated_reference_period: int = 0,
                 retained_information_period: Optional[int] = None,
                 top_candidates: int = 8,
-                belady: bool = True,
-                trace: Optional[CachedTrace] = None
+                belady: bool = True
                 ) -> "tuple[ProvenanceRecorder, CacheSimulator]":
     """Replay one cell with provenance (and optionally a Belady oracle).
 
@@ -169,23 +170,18 @@ def replay_cell(workload: Workload, seed: int, capacity: int,
     always reproduces the same decisions, which is what makes a post-hoc
     "why?" answerable at all.
 
-    ``trace`` short-circuits materialization with an already-cached (or
-    disk-baked) string. Only the first ``references`` ids of it are
-    replayed and indexed — asking about the head of a long baked trace
-    never materializes or scans the tail.
+    The trace is materialized with :meth:`CachedTrace.materialize` and
+    played by :func:`~repro.sim.runner.measure_hit_ratio` with no
+    warm-up, so every reference counts toward the hit ratio. The
+    recorder keeps the run on the object path: a fused kernel records
+    no decisions.
     """
     if references <= 0:
         raise ConfigurationError("need a positive reference count")
-    if trace is None:
-        trace = CachedTrace.materialize(workload, references, seed)
-    elif len(trace) < references:
-        raise ConfigurationError(
-            f"supplied trace holds {len(trace)} references, "
-            f"fewer than the {references} the replay needs")
-    pages = trace.page_ids(limit=references)
+    trace = CachedTrace.materialize(workload, references, seed)
     oracle: Optional[NextUseIndex] = None
     if belady:
-        oracle = NextUseIndex(pages)
+        oracle = NextUseIndex(trace.page_ids())
     recorder = ProvenanceRecorder(
         top_candidates=top_candidates,
         next_use=oracle.next_use if oracle is not None else None,
@@ -193,18 +189,10 @@ def replay_cell(workload: Workload, seed: int, capacity: int,
     policy = LRUKPolicy(
         k=k, correlated_reference_period=correlated_reference_period,
         retained_information_period=retained_information_period)
-    # Attach before constructing the simulator: the eviction path
-    # resolves the recorder once, at construction.
+    # Attach before the run: the simulator resolves the recorder once,
+    # at construction.
     policy.provenance = recorder
-    simulator = CacheSimulator(policy, capacity)
-    if trace.plain:
-        access_page = simulator.access_page
-        for page in pages:
-            access_page(page)
-    else:
-        for reference in trace.references()[:references]:
-            simulator.access(reference)
-    return recorder, simulator
+    return recorder, measure_hit_ratio(policy, trace, capacity, 0)
 
 
 def explain_eviction(workload_name: str, seed: int, capacity: int,

@@ -175,6 +175,30 @@ def _snapshot_counters(measured: HitRatioCounter, evictions: int,
     return counters
 
 
+#: Why a warm-up/measure split that measures nothing is rejected.
+_EMPTY_WINDOW = "warm-up must leave a non-empty measurement window"
+
+
+def check_protocol(capacities: Sequence[int], warmup: int, measured: int,
+                   repetitions: int) -> None:
+    """Reject a table protocol before any trace is built.
+
+    :class:`~repro.sim.ExperimentSpec` and :func:`~repro.sim.
+    sweep_buffer_sizes` call this first, so a bad value fails once
+    rather than once per cell; :func:`run_paper_protocol` checks its own
+    cell. A warm-up that leaves nothing to measure gets the message
+    :func:`measure_hit_ratio` would raise.
+    """
+    if repetitions < 1:
+        raise ConfigurationError("need at least one repetition")
+    if warmup < 0 or measured < 1:
+        raise ConfigurationError(_EMPTY_WINDOW)
+    if not capacities:
+        raise ConfigurationError("need at least one buffer capacity")
+    if min(capacities) <= 0:
+        raise ConfigurationError("buffer capacity must be positive")
+
+
 def measure_hit_ratio(policy: ReplacementPolicy,
                       references: TraceLike,
                       capacity: int,
@@ -203,8 +227,7 @@ def measure_hit_ratio(policy: ReplacementPolicy,
     opens them around its two kernel calls.
     """
     if warmup < 0 or warmup >= len(references):
-        raise ConfigurationError(
-            "warm-up must leave a non-empty measurement window")
+        raise ConfigurationError(_EMPTY_WINDOW)
     simulator = CacheSimulator(policy, capacity,
                                observability=observability)
     obs = simulator._obs
@@ -381,8 +404,7 @@ def run_paper_protocol(workload: Workload,
     dispatcher's — the run's totals accumulate into ``protocol.*``
     counters and its tier into ``sim.tier.*``, alike on every tier.
     """
-    if repetitions <= 0:
-        raise ConfigurationError("need at least one repetition")
+    check_protocol([capacity], warmup, measured, repetitions)
     obs = obs_runtime.resolve(observability)
     registry = metrics
     if registry is None and obs is not None:

@@ -11,7 +11,7 @@ from ..obs.dispatcher import EventDispatcher
 from ..stats import ConfidenceInterval
 from ..workloads.base import Workload
 from . import parallel, recovery
-from .runner import PolicySpec, ProtocolResult
+from .runner import PolicySpec, ProtocolResult, check_protocol
 from .trace_cache import TraceCache
 
 
@@ -45,7 +45,8 @@ def sweep_buffer_sizes(workload: Workload,
                        ) -> List[SweepCell]:
     """Run every (policy, capacity) cell of a table.
 
-    The one entry point to the grid: it validates the grid, resolves
+    The one entry point to the grid: it validates the grid and its
+    protocol (:func:`~repro.sim.runner.check_protocol`), resolves
     ``jobs``, owns or borrows the trace cache and opens the ``sweep``
     span, then runs the cells through :mod:`repro.sim.parallel`.
 
@@ -71,8 +72,7 @@ def sweep_buffer_sizes(workload: Workload,
     """
     if not specs:
         raise ConfigurationError("sweep needs at least one policy")
-    if not capacities:
-        raise ConfigurationError("sweep needs at least one buffer size")
+    check_protocol(capacities, warmup, measured, repetitions)
     labels = [spec.label for spec in specs]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"duplicate policy labels: {labels}")

@@ -81,11 +81,11 @@ class CachedTrace:
                     seed: int) -> "CachedTrace":
         """Expand a workload into a cached trace (no cache involved).
 
-        Tries the workload's bulk :meth:`~repro.workloads.base.Workload.
-        page_ids` materializer first — same stream, no intermediate
-        ``Reference`` objects — and falls back to draining
-        :meth:`~repro.workloads.base.Workload.references` when the
-        workload returns None (its stream carries metadata).
+        A plain workload's :meth:`~repro.workloads.base.Workload.page_ids`
+        column is the trace, with no ``Reference`` object built. A
+        workload whose references carry metadata returns None there, and
+        its :meth:`~repro.workloads.base.Workload.references` are drained
+        once into columns (:meth:`from_references`).
         """
         pages = workload.page_ids(total, seed=seed)
         if pages is None:
@@ -111,15 +111,8 @@ class CachedTrace:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def page_ids(self, limit: Optional[int] = None) -> Sequence[PageId]:
-        """The page-id column (shared, not a copy) — what oracles need.
-
-        ``limit`` asks for only the first ``limit`` ids, as a slice —
-        `repro explain` replaying the head of a long trace never scans
-        the tail.
-        """
-        if limit is not None and limit < len(self._pages):
-            return self._pages[:limit]
+    def page_ids(self) -> Sequence[PageId]:
+        """The page-id column (shared, not a copy) — what oracles need."""
         return self._pages
 
     def references(self) -> List[Reference]:

@@ -16,7 +16,7 @@ to simulated seconds when wall-clock-denominated parameters (the paper's
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 #: A page identifier. Pages are named by non-negative integers, exactly as
@@ -146,13 +146,3 @@ class HitRatioCounter:
         """Return a new counter combining two measurement windows."""
         return HitRatioCounter(hits=self.hits + other.hits,
                                misses=self.misses + other.misses)
-
-
-@dataclass
-class EvictionRecord:
-    """A single eviction event, for post-hoc analysis of policy behaviour."""
-
-    time: int
-    page: PageId
-    resident_for: int = field(default=0)
-    dirty: bool = False

@@ -16,9 +16,15 @@ motivates:
 - :class:`~repro.workloads.correlated.CorrelatedReferenceWrapper` — injects
   the Section 2.1.1 correlated reference-pair types into any base stream.
 - :mod:`~repro.workloads.mixed` — interleaving / concatenation combinators.
+
+Each generator defines its stream once (see :mod:`~repro.workloads.base`):
+the plain ones (two-pool, Zipfian, sequential scan, moving hotspot,
+:class:`~repro.workloads.base.SyntheticWorkload`) sample a page-id array
+in ``page_ids()`` and derive ``references()`` from it; the rest yield
+annotated references from ``references()``.
 """
 
-from .base import SyntheticWorkload, Workload, materialize
+from .base import SyntheticWorkload, Workload
 from .two_pool import TwoPoolWorkload
 from .zipfian import ZipfianWorkload, zipf_theta, zipfian_probabilities
 from .sequential_scan import ScanSwampingWorkload, SequentialScanWorkload
@@ -32,7 +38,6 @@ from .mixed import concatenate, interleave, ProbabilisticMix
 __all__ = [
     "Workload",
     "SyntheticWorkload",
-    "materialize",
     "TwoPoolWorkload",
     "ZipfianWorkload",
     "zipf_theta",

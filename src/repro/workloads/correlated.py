@@ -68,11 +68,6 @@ class CorrelatedReferenceWrapper(Workload):
         self.burst_fraction = burst_fraction
         self.spec = spec
 
-    def page_ids(self, count: int, seed: int = 0) -> None:
-        """Always None: burst follow-ups carry transaction ids, so the
-        stream cannot compact to bare page ids."""
-        return None
-
     def references(self, count: int, seed: int = 0) -> Iterator[Reference]:
         rng = SeededRng(seed)
         base_iter = self.base.references(count, seed)

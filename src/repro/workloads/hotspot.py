@@ -19,11 +19,11 @@ recovers fast while still discriminating.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Sequence
 
 from ..errors import ConfigurationError
 from ..stats import SeededRng
-from ..types import PageId, Reference
+from ..types import PageId
 from .base import Workload
 
 
@@ -53,27 +53,13 @@ class MovingHotspotWorkload(Workload):
         step = self.drift_pages if self.drift_pages else self.hot_pages
         return (epoch * step) % self.db_pages
 
-    def epoch_of(self, index: int) -> int:
-        """Epoch number of the reference at 0-based stream position."""
-        return index // self.epoch_length
-
-    def references(self, count: int, seed: int = 0) -> Iterator[Reference]:
-        rng = SeededRng(seed)
-        for index in range(count):
-            start = self.hot_start(self.epoch_of(index))
-            if rng.random() < self.hot_fraction:
-                page = (start + rng.randrange(self.hot_pages)) % self.db_pages
-            else:
-                # Cold reference: uniform over the pages outside the hot set.
-                offset = rng.randrange(self.db_pages - self.hot_pages)
-                page = (start + self.hot_pages + offset) % self.db_pages
-            yield Reference(page=page)
-
     def page_ids(self, count: int, seed: int = 0) -> array:
-        """Bulk sampling, chunked by epoch (hot-set start is loop-invariant
-        within one epoch). Consumes the RNG exactly as :meth:`references`
-        does — one ``random()`` then one ``randrange()`` per reference —
-        so the stream is identical for a given seed.
+        """Sample the stream, chunked by epoch (the hot-set start is
+        loop-invariant within one epoch).
+
+        Each reference draws one ``random()`` to pick hot or cold, then
+        one ``randrange()`` over that set: a hot reference is uniform
+        over the hot set, a cold one over the pages outside it.
         """
         rng = SeededRng(seed)
         random_ = rng.random
@@ -84,7 +70,7 @@ class MovingHotspotWorkload(Workload):
         # randrange(n) is _randbelow: getrandbits(n.bit_length()),
         # rejected while >= n. Inlining it here skips randrange's
         # Python-level argument checking on every draw while consuming
-        # the generator identically, so the stream stays bit-identical.
+        # the generator identically.
         bits_hot = hot.bit_length()
         bits_cold = cold.bit_length()
         fraction = self.hot_fraction

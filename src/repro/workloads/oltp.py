@@ -136,14 +136,6 @@ class BankOLTPWorkload(Workload):
 
     # -- generation --------------------------------------------------------------
 
-    def page_ids(self, count: int, seed: int = 0) -> None:
-        """Always None: every reference carries a process id, and some
-        write, so a page-id array alone would lose them. Declared so bulk
-        materialization skips generating the stream just to discover that;
-        :meth:`repro.sim.CachedTrace.from_references` builds the trace's
-        page and write columns from :meth:`references` instead."""
-        return None
-
     def references(self, count: int,
                    seed: int = 0) -> Iterator[Reference]:
         rng = SeededRng(seed)

@@ -16,6 +16,7 @@ LRU-2 shrugging the scan off.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, Sequence
 
 from ..errors import ConfigurationError
@@ -38,9 +39,9 @@ class SequentialScanWorkload(Workload):
         self.n = n
         self.first_page = first_page
 
-    def references(self, count: int, seed: int = 0) -> Iterator[Reference]:
-        for index in range(count):
-            yield Reference(page=self.first_page + index % self.n)
+    def page_ids(self, count: int, seed: int = 0) -> array:
+        return array("q", [self.first_page + index % self.n
+                           for index in range(count)])
 
     def pages(self) -> Sequence[PageId]:
         return range(self.first_page, self.first_page + self.n)
@@ -86,11 +87,6 @@ class ScanSwampingWorkload(Workload):
         self.hot_fraction = hot_fraction
         self.scan_processes = scan_processes
         self.scan_share = scan_share
-
-    def page_ids(self, count: int, seed: int = 0) -> None:
-        """Always None: references carry process ids (scanner identity),
-        so the stream cannot compact to bare page ids."""
-        return None
 
     def references(self, count: int, seed: int = 0) -> Iterator[Reference]:
         rng = SeededRng(seed)

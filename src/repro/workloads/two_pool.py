@@ -20,11 +20,12 @@ IRM source for the Section 3 analysis tests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence
+from array import array
+from typing import Dict, Sequence
 
 from ..errors import ConfigurationError
 from ..stats import SeededRng
-from ..types import PageId, Reference
+from ..types import PageId
 from .base import Workload
 
 
@@ -42,18 +43,19 @@ class TwoPoolWorkload(Workload):
         self.n2 = n2
         self.strict_alternation = strict_alternation
 
-    def references(self, count: int, seed: int = 0) -> Iterator[Reference]:
+    def page_ids(self, count: int, seed: int = 0) -> array:
         rng = SeededRng(seed)
+        out = array("q", bytes(8 * count))
         for index in range(count):
             if self.strict_alternation:
                 use_pool_1 = index % 2 == 0
             else:
                 use_pool_1 = rng.random() < 0.5
             if use_pool_1:
-                page: PageId = rng.randrange(self.n1)
+                out[index] = rng.randrange(self.n1)
             else:
-                page = self.n1 + rng.randrange(self.n2)
-            yield Reference(page=page)
+                out[index] = self.n1 + rng.randrange(self.n2)
+        return out
 
     def pages(self) -> Sequence[PageId]:
         return range(self.n1 + self.n2)

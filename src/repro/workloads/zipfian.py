@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Sequence
 
 from ..errors import ConfigurationError
 from ..stats import SeededRng
-from ..types import PageId, Reference
+from ..types import PageId
 from .base import Workload
 
 
@@ -67,27 +67,9 @@ class ZipfianWorkload(Workload):
         self.theta = zipf_theta(alpha, beta)
         self._inverse_exponent = 1.0 / self.theta
 
-    def sample_page(self, rng: SeededRng) -> PageId:
-        """Draw one page by inverse-CDF; ids are 1..N."""
-        u = rng.random()
-        # u == 0.0 would map to page 0; clamp into the support.
-        page = math.ceil(self.n * (u ** self._inverse_exponent))
-        return min(self.n, max(1, page))
-
-    def references(self, count: int, seed: int = 0) -> Iterator[Reference]:
-        rng = SeededRng(seed)
-        for _ in range(count):
-            yield Reference(page=self.sample_page(rng))
-
     def page_ids(self, count: int, seed: int = 0) -> array:
-        """Bulk inverse-CDF sampling into a preallocated ``array('q')``.
-
-        Draws exactly one uniform variate per reference, in the same
-        order as :meth:`references`, so the stream is bit-identical to
-        draining the generator for the same seed — just without a
-        generator frame, method dispatch, or ``Reference`` object per
-        sample.
-        """
+        """Inverse-CDF sampling into a preallocated ``array('q')``: one
+        uniform variate per reference; ids are 1..N."""
         rng = SeededRng(seed)
         random_ = rng.random
         ceil = math.ceil
@@ -95,6 +77,7 @@ class ZipfianWorkload(Workload):
         inv = self._inverse_exponent
         out = array("q", bytes(8 * count))
         for i in range(count):
+            # u == 0.0 would map to page 0; clamp into the support.
             page = ceil(n * random_() ** inv)
             out[i] = n if page > n else (1 if page < 1 else page)
         return out

@@ -27,7 +27,6 @@ from repro.sim import (
 from repro.sim import parallel
 from repro.types import AccessKind, Reference
 from repro.workloads import BankOLTPWorkload, ZipfianWorkload
-from repro.workloads.base import compact_reference_pages
 
 
 class _CountingWorkload(ZipfianWorkload):
@@ -45,21 +44,6 @@ class _CountingWorkload(ZipfianWorkload):
     def page_ids(self, count, seed=0):
         self.materializations += 1
         return super().page_ids(count, seed=seed)
-
-
-class TestCompactReferencePages:
-    def test_plain_stream_compacts(self):
-        refs = [Reference(page=p) for p in (3, 1, 4, 1, 5)]
-        pages = compact_reference_pages(refs)
-        assert list(pages) == [3, 1, 4, 1, 5]
-
-    def test_write_reference_blocks_compaction(self):
-        refs = [Reference(page=1), Reference(page=2, kind=AccessKind.WRITE)]
-        assert compact_reference_pages(refs) is None
-
-    def test_process_annotation_blocks_compaction(self):
-        refs = [Reference(page=1, process_id=7)]
-        assert compact_reference_pages(refs) is None
 
 
 class TestCachedTrace:
@@ -90,6 +74,20 @@ class TestCachedTrace:
         assert not trace.plain
         assert trace.references() == refs
         assert list(trace.page_ids()) == [ref.page for ref in refs]
+
+    @pytest.mark.parametrize("refs, next_write", [
+        ([Reference(page=1), Reference(page=2, kind=AccessKind.WRITE)],
+         [3, 2]),
+        ([Reference(page=1), Reference(page=2, process_id=7)], None),
+    ], ids=["write", "process"])
+    def test_one_annotated_reference_makes_the_trace_annotated(
+            self, refs, next_write):
+        trace = CachedTrace.from_references(refs)
+        assert not trace.plain
+        assert (None if trace.next_write is None
+                else list(trace.next_write)) == next_write
+        assert trace.references() == refs
+        assert list(trace.page_ids()) == [1, 2]
 
 
 class TestTraceCache:

@@ -1,5 +1,7 @@
 """Edge cases of the measurement protocol and experiment machinery."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +11,7 @@ from repro.sim import (
     PolicySpec,
     measure_hit_ratio,
     run_experiment,
+    sweep_buffer_sizes,
 )
 from repro.sim.equi_effective import equi_effective_buffer_size
 from repro.workloads import TwoPoolWorkload
@@ -33,38 +36,41 @@ class TestEquiEffectiveEdges:
 
 
 class TestSpecValidation:
-    """A spec checks its protocol when it is built, before any trace."""
+    """A spec checks its protocol when it is built, and a sweep before it
+    builds any trace, with the same messages."""
 
     WINDOW = "warm-up must leave a non-empty measurement window"
 
-    def spec(self, **changes):
-        fields = dict(name="bad", workload=TwoPoolWorkload(n1=10, n2=100),
-                      policies=[PolicySpec.lru()], capacities=[5, 10],
-                      warmup=50, measured=100, repetitions=1)
-        fields.update(changes)
-        return ExperimentSpec(**fields)
+    def rejected(self, **changes):
+        """The one message both entry points reject ``changes`` with."""
+        protocol = dict(capacities=[5, 10], warmup=50, measured=100,
+                        repetitions=1)
+        protocol.update(changes)
+        workload, policies = TwoPoolWorkload(n1=10, n2=100), [PolicySpec.lru()]
+        messages = set()
+        for entry in (partial(ExperimentSpec, "bad", workload, policies),
+                      partial(sweep_buffer_sizes, workload, policies)):
+            with pytest.raises(ConfigurationError) as error:
+                entry(**protocol)
+            messages.add(str(error.value))
+        assert len(messages) == 1, messages
+        return messages.pop()
 
     @pytest.mark.parametrize("repetitions", [0, -1])
     def test_repetitions(self, repetitions):
-        with pytest.raises(ConfigurationError, match="repetition"):
-            self.spec(repetitions=repetitions)
+        assert "repetition" in self.rejected(repetitions=repetitions)
 
     @pytest.mark.parametrize("warmup", [-1, -50])
     def test_warmup(self, warmup):
-        with pytest.raises(ConfigurationError) as error:
-            self.spec(warmup=warmup)
-        assert str(error.value) == self.WINDOW
+        assert self.rejected(warmup=warmup) == self.WINDOW
 
     @pytest.mark.parametrize("measured", [0, -5])
     def test_measured(self, measured):
-        with pytest.raises(ConfigurationError) as error:
-            self.spec(measured=measured)
-        assert str(error.value) == self.WINDOW
+        assert self.rejected(measured=measured) == self.WINDOW
 
     @pytest.mark.parametrize("capacities", [[], [0], [5, -1]])
     def test_capacities(self, capacities):
-        with pytest.raises(ConfigurationError, match="capacity"):
-            self.spec(capacities=capacities)
+        assert "capacity" in self.rejected(capacities=capacities)
 
     def test_window_message_is_the_protocols(self):
         with pytest.raises(ConfigurationError) as error:

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.irm import normalized
 from repro.errors import OracleError
 from repro.types import PageId
-from repro.workloads.base import SyntheticWorkload, Workload, materialize
+from repro.workloads.base import SyntheticWorkload, Workload
 
 
 class _Plain(Workload):
@@ -31,10 +31,6 @@ class TestWorkloadDefaults:
     def test_probabilities_raise_oracle_error_by_default(self):
         with pytest.raises(OracleError):
             _Plain().reference_probabilities()
-
-    def test_materialize(self):
-        refs = materialize(_Plain(), 5)
-        assert [r.page for r in refs] == [0, 1, 2, 0, 1]
 
 
 class TestSyntheticWorkload:

@@ -1,19 +1,25 @@
 """Bulk trace materialization: ``Workload.page_ids`` vs ``references``.
 
-The contract: for a given seed, ``page_ids(count, seed)`` yields exactly
-the page sequence that draining ``references(count, seed)`` would — same
-RNG consumption, same order — or None when the stream carries metadata a
-bare page-id array cannot represent. :meth:`CachedTrace.materialize`
-relies on this to skip per-reference object construction entirely.
+Every workload defines its stream exactly once. A plain workload (reads
+only, no process or transaction id) defines ``page_ids(count, seed)``,
+and its ``references`` yields one plain read per page of that column. A
+workload whose references carry metadata defines ``references``, and its
+``page_ids`` returns None without generating anything;
+:meth:`CachedTrace.materialize` then builds the trace's columns from
+``references``.
 """
 
+import importlib
+import pkgutil
 from array import array
 
 import pytest
 
+import repro.workloads
 from repro.sim import CachedTrace
-from repro.workloads import ZipfianWorkload
-from repro.workloads.base import SyntheticWorkload, compact_reference_pages
+from repro.types import AccessKind
+from repro.workloads import TwoPoolWorkload, ZipfianWorkload
+from repro.workloads.base import SyntheticWorkload, Workload
 from repro.workloads.correlated import CorrelatedReferenceWrapper
 from repro.workloads.hotspot import MovingHotspotWorkload
 from repro.workloads.oltp import BankOLTPWorkload
@@ -38,6 +44,8 @@ PLAIN_WORKLOADS = [
                           drift_pages=7),
     SequentialScanWorkload(17),
     UniformIRM(),
+    TwoPoolWorkload(n1=20, n2=300),
+    TwoPoolWorkload(n1=20, n2=300, strict_alternation=False),
 ]
 
 METADATA_WORKLOADS = [
@@ -53,10 +61,11 @@ class TestStreamIdentity:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_page_ids_matches_references(self, workload, seed):
         bulk = workload.page_ids(1000, seed=seed)
-        drained = compact_reference_pages(
-            workload.references(1000, seed=seed))
-        assert bulk is not None and drained is not None
-        assert list(bulk) == list(drained)
+        drained = list(workload.references(1000, seed=seed))
+        assert bulk is not None
+        assert all(ref.kind is AccessKind.READ and ref.process_id is None
+                   and ref.txn_id is None for ref in drained)
+        assert list(bulk) == [ref.page for ref in drained]
 
     @pytest.mark.parametrize("workload", PLAIN_WORKLOADS,
                              ids=lambda w: type(w).__name__)
@@ -102,3 +111,28 @@ class TestMaterialize:
         trace = CachedTrace.materialize(workload, 500, 2)
         assert list(trace.page_ids()) == [
             r.page for r in workload.references(500, seed=2)]
+
+
+def _workload_classes():
+    """Every :class:`Workload` subclass defined in :mod:`repro.workloads`."""
+    for module in pkgutil.iter_modules(repro.workloads.__path__):
+        importlib.import_module(f"repro.workloads.{module.name}")
+    found, pending = set(), [Workload]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            pending.append(subclass)
+            if subclass.__module__.startswith("repro.workloads."):
+                found.add(subclass)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+class TestOneGenerator:
+    @pytest.mark.parametrize("cls", _workload_classes(),
+                             ids=lambda cls: cls.__qualname__)
+    def test_defines_its_stream_once(self, cls):
+        below = cls.__mro__[:cls.__mro__.index(Workload)]
+        defined = [name for name in ("page_ids", "references")
+                   if any(name in vars(klass) for klass in below)]
+        assert len(defined) == 1, (
+            f"{cls.__qualname__} defines {defined or 'neither'}; a plain "
+            "workload defines page_ids, an annotated one references")
