@@ -53,7 +53,7 @@ longest, and count the event in :class:`LRUKStats.forced_evictions`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError, NoEvictableFrameError
@@ -443,6 +443,66 @@ class LRUKPolicy(ReplacementPolicy):
                        lambda: len(self.history))
         registry.gauge(f"{prefix}.purged_history_blocks",
                        lambda: self.history.purged_blocks)
+
+    @property
+    def stack_hits(self):
+        """The stack pass hook, declared only where LRU-K is a stack
+        algorithm; None otherwise.
+
+        With CRP 0 a hit and a readmission shift the history alike, so
+        every buffer size sees the same history, and with it the same
+        victim key (HIST(q,K), HIST(q,1), q). The hook is declared only
+        for that configuration with unlimited retention, heap selection,
+        no process awareness, unbounded history and no provenance
+        recorder; any of those makes history or selection depend on the
+        run.
+        """
+        if (self.crp or self.history.retained_information_period is not None
+                or self.selection != "heap" or self.distinguish_processes
+                or self.max_history_blocks is not None
+                or self.provenance is not None):
+            return None
+        return self._stack_pass
+
+    @property
+    def stack_key(self) -> int:
+        """What tells this policy's stack pass from another LRU-K's: K
+        (a trace cache keys passes by it)."""
+        return self.k
+
+    def _stack_pass(self, pages, warmup: int, next_write=None,
+                    capacities=None):
+        """A fresh run's totals and :class:`LRUKStats` at each of
+        ``capacities``, from one :func:`~repro.policies.kernel.stack_pass`.
+
+        Returns None for ``capacities=None`` (every size): only the
+        sizes asked for are answered. Each size's stats equal a kernel
+        run's: every reference is uncorrelated, every miss admits, and
+        correlated references, forced evictions and heap compactions
+        cannot occur.
+        """
+        if capacities is None:
+            return None
+        from ..policies.kernel import stack_pass
+        k = self.k
+        blank = (0,) * k
+        history: Dict[PageId, Tuple[int, ...]] = {}
+
+        def key_of(page, t, previous):
+            # HIST(p,1..K) after a reference at t: the times shift.
+            times = history[page] = (t,) + history.get(page, blank)[:-1]
+            return (times[-1], t, page)
+        result = stack_pass(pages, warmup, next_write, capacities, key_of)
+        stats = []
+        for capacity, infinite in zip(result.capacities,
+                                      result.zero_key_evictions):
+            totals = result.at(capacity)
+            stats.append(LRUKStats(
+                uncorrelated_references=result.references,
+                admissions=totals.warmup_misses + totals.misses,
+                evictions=totals.evictions,
+                infinite_distance_evictions=infinite))
+        return replace(result, stats=tuple(stats))
 
     def make_kernel(self, capacity: int):
         """Fused whole-trace kernel (see :mod:`repro.core.kernel`).

@@ -81,6 +81,30 @@ class A0Policy(ReplacementPolicy):
         from .kernel import make_a0_kernel
         return make_a0_kernel(self, capacity)
 
+    def stack_hits(self, pages, warmup: int, next_write=None,
+                   capacities=None):
+        """A fresh run's totals at each of ``capacities``, from one pass.
+
+        The victim key (beta, page) is fixed for the run, so A0 is a
+        stack algorithm and one :func:`~repro.policies.kernel.stack_pass`
+        answers every table row. Returns None for ``capacities=None``
+        (every size): only the sizes asked for are answered.
+        """
+        if capacities is None:
+            return None
+        from .kernel import stack_pass
+        beta = self._beta.get
+
+        def key_of(page, t, previous):
+            return (beta(page, 0.0), page) if previous is None else previous
+        return stack_pass(pages, warmup, next_write, capacities, key_of)
+
+    @property
+    def stack_key(self) -> frozenset:
+        """What tells this policy's stack pass from another A0's: its
+        probabilities (a trace cache keys passes by it)."""
+        return frozenset(self._beta.items())
+
     def reset(self) -> None:
         super().reset()
         self._heap.clear()

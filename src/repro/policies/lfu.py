@@ -129,6 +129,24 @@ class LFUPolicy(ReplacementPolicy):
         from .kernel import make_lfu_kernel
         return make_lfu_kernel(self, capacity)
 
+    def stack_hits(self, pages, warmup: int, next_write=None,
+                   capacities=None):
+        """A fresh run's totals at each of ``capacities``, from one pass.
+
+        The victim key (count, last access, page) never depends on the
+        buffer size, so LFU is a stack algorithm and one
+        :func:`~repro.policies.kernel.stack_pass` answers every table
+        row. Returns None for ``capacities=None`` (every size): only the
+        sizes asked for are answered.
+        """
+        if capacities is None:
+            return None
+        from .kernel import stack_pass
+
+        def key_of(page, t, previous):
+            return (1 if previous is None else previous[0] + 1, t, page)
+        return stack_pass(pages, warmup, next_write, capacities, key_of)
+
     def reset(self) -> None:
         super().reset()
         self._count.clear()
@@ -176,6 +194,10 @@ class AgedLFUPolicy(LFUPolicy):
     def make_kernel(self, capacity: int) -> None:
         """No kernel: the LFU loop does not replicate periodic halving."""
         return None
+
+    #: No stack pass either: halving lowers keys, and the pass, like
+    #: the kernel, relies on keys that never fall.
+    stack_hits = None
 
     def reset(self) -> None:
         super().reset()

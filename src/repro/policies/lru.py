@@ -54,19 +54,21 @@ class LRUPolicy(ReplacementPolicy):
         from .kernel import make_lru_kernel
         return make_lru_kernel(self, capacity)
 
-    def stack_hits(self, pages, warmup: int, next_write=None):
+    def stack_hits(self, pages, warmup: int, next_write=None,
+                   capacities=None):
         """Every total of a fresh run at every capacity, from one pass.
 
         LRU is a stack algorithm, so one Mattson pass over a trace's
         columns yields what a fresh run would report at each buffer
         size: measured and warm-up hits, evictions and write-backs (a
         :class:`~repro.policies.kernel.StackCurve`; see
-        :func:`repro.policies.kernel.lru_stack_hits`). Only LRU declares
-        this hook. A :class:`~repro.sim.trace_cache.TraceCache` keeps
-        the curves; the B(1) search (:mod:`repro.sim.equi_effective`)
-        and the measurement protocol's ``stack`` tier
-        (:func:`repro.sim.run_paper_protocol`) read capacities off them
-        instead of simulating each one.
+        :func:`repro.policies.kernel.lru_stack_hits`). It answers every
+        capacity, so ``capacities`` is ignored: the B(1) search
+        (:mod:`repro.sim.equi_effective`) probes sizes that are no
+        table row. A :class:`~repro.sim.trace_cache.TraceCache` keeps
+        the curves; the B(1) search and the measurement protocol's
+        ``stack`` tier (:func:`repro.sim.run_paper_protocol`) read
+        capacities off them instead of simulating each one.
         """
         from .kernel import lru_stack_hits
         return lru_stack_hits(pages, warmup, next_write)

@@ -103,7 +103,7 @@ class CacheSimulator:
         #: trace through the policy's fused kernel. The third tier,
         #: ``"stack"``, never reaches a simulator: the measurement
         #: protocol (:func:`repro.sim.run_paper_protocol`) answers such
-        #: a run from a stack curve, because a lookup cannot leave
+        #: a run from a stack pass, because a lookup cannot leave
         #: behind the policy state a kernel run leaves.
         self.tier = "object"
 

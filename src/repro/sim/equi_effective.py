@@ -13,28 +13,25 @@ bracketing, then bisection, for the smallest capacity whose hit ratio
 reaches the target. :func:`baseline_evaluator` supplies the hit ratio at
 each probed capacity, in one of two ways:
 
-- **Stack baselines.** A policy that declares the stack property (a
-  ``stack_hits`` hook; only :class:`~repro.policies.LRUPolicy` does)
-  holds, in a c-frame buffer, the pages it would hold in any larger
-  one. One Mattson stack-distance pass per repetition trace therefore
-  gives every total of a fresh run at *every* capacity — measured and
-  warm-up hits, evictions, write-backs
-  (:class:`~repro.policies.kernel.StackCurve`) — and each probe is a
-  lookup of the measured hits. A lookup returns the very float
-  :func:`~repro.sim.runner.run_paper_protocol` would, so B(1) is
-  bit-identical to bisecting over simulations; the curve is monotone,
-  so that is the smallest capacity reaching the target.
-  :func:`stack_curves` builds the curves into the experiment's
-  :class:`~repro.sim.trace_cache.TraceCache`, where
-  :func:`~repro.sim.runner.run_paper_protocol` also reads them: a
-  table's LRU-1 column takes the ``stack`` tier.
-  :func:`~repro.sim.experiment.run_experiment` calls it before its
-  sweep, so the column, the search and forked sweep workers share one
-  pass per trace.
+- **Stack baselines.** LRU is a stack algorithm: in a c-frame buffer
+  it holds the pages it would hold in any larger one. One Mattson
+  stack-distance pass per repetition trace therefore gives every total
+  of a fresh run at *every* capacity — measured and warm-up hits,
+  evictions, write-backs (:class:`~repro.policies.kernel.StackCurve`)
+  — and each probe is a lookup of the measured hits. A lookup returns
+  the very float :func:`~repro.sim.runner.run_paper_protocol` would, so
+  B(1) is bit-identical to bisecting over simulations; the curve is
+  monotone, so that is the smallest capacity reaching the target.
+  :func:`~repro.sim.sweep_buffer_sizes` builds the curves into the
+  experiment's :class:`~repro.sim.trace_cache.TraceCache` with every
+  other column's pass, before its cells run, and the search reads them
+  there (:func:`stack_curves` builds them only when the sweep did not).
 - **Other baselines** simulate each probed capacity with
-  :func:`~repro.sim.runner.run_paper_protocol`, cached per capacity.
-  Their hit ratio need only be non-decreasing in the buffer size up to
-  noise; bisection then finds a capacity where it crosses the target.
+  :func:`~repro.sim.runner.run_paper_protocol`, cached per capacity,
+  except where the sweep's pass answers it (LRU-K, LFU and A0 passes
+  answer the table rows only). Their hit ratio need only be
+  non-decreasing in the buffer size up to noise; bisection then finds a
+  capacity where it crosses the target.
 """
 
 from __future__ import annotations
@@ -42,13 +39,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, SimulationError
-from ..obs import trace as obs_trace
 from ..obs.dispatcher import EventDispatcher
-from ..policies.kernel import StackCurve
 from ..stats import mean_confidence_interval
 from ..workloads.base import Workload
 from .runner import PolicySpec, RunContext, run_paper_protocol
-from .trace_cache import TraceCache
+from .trace_cache import StackResult, TraceCache
 
 #: Evaluates the mean hit ratio of the baseline at a given capacity.
 HitRatioFunction = Callable[[int], float]
@@ -102,29 +97,23 @@ def equi_effective_buffer_size(evaluate: HitRatioFunction,
 
 def stack_curves(workload: Workload, baseline: PolicySpec, capacity: int,
                  warmup: int, total: int, seed: int, repetitions: int,
-                 trace_cache: TraceCache) -> Optional[List[StackCurve]]:
-    """The baseline's stack curves, one per repetition trace, or None.
+                 trace_cache: TraceCache) -> Optional[List[StackResult]]:
+    """The baseline's stack passes, one per repetition trace, or None.
 
-    None means the baseline does not declare the stack property (a
-    ``stack_hits`` hook). Curves ``trace_cache`` lacks are built into it,
-    one repetition at a time under one ``b1.curve`` span, so later calls
-    and :func:`~repro.sim.runner.run_paper_protocol` runs of the
-    baseline (its ``stack`` tier) read them there.
+    None means the baseline declares no stack property (a
+    ``stack_hits`` hook), or the cache holds no pass of it and its pass
+    cannot answer every capacity. The passes the sweep built are read
+    from ``trace_cache``; a missing LRU curve is built into it.
     """
     if baseline.needs_trace:
         return None
     policy = baseline.build(RunContext(capacity=capacity, workload=workload))
-    if getattr(policy, "stack_hits", None) is None:
-        return None
-    seeds = range(seed, seed + repetitions)
-    curves = [trace_cache.stack_curve(policy, workload, total, run_seed,
-                                      warmup) for run_seed in seeds]
+    curves = [trace_cache.build_stack_curve(policy, workload, total,
+                                            run_seed, warmup,
+                                            label=baseline.label)
+              for run_seed in range(seed, seed + repetitions)]
     if any(curve is None for curve in curves):
-        with obs_trace.maybe_span("b1.curve", policy=baseline.label,
-                                  repetitions=repetitions, references=total):
-            curves = [trace_cache.build_stack_curve(policy, workload, total,
-                                                    run_seed, warmup)
-                      for run_seed in seeds]
+        return None
     return curves
 
 
@@ -141,13 +130,13 @@ def baseline_evaluator(workload: Workload,
     """The baseline's mean hit ratio as a function of capacity.
 
     The first lookup decides how later ones are answered (see the module
-    docstring): stack baselines build their curves then and share them
-    across every later lookup; other baselines run
-    :func:`~repro.sim.runner.run_paper_protocol` per new capacity, with
-    ``known`` hit ratios (e.g. a sweep's column) seeding that cache.
-    Both read their traces from ``trace_cache``.
+    docstring): a stack baseline's passes are read (or its curves built)
+    then and answer every later lookup they cover; other capacities run
+    :func:`~repro.sim.runner.run_paper_protocol`, with ``known`` hit
+    ratios (e.g. a sweep's column) seeding that cache. Both read their
+    traces from ``trace_cache``.
     """
-    curves: Optional[List[StackCurve]] = None
+    curves: Optional[List[StackResult]] = None
     decided = False
     simulated: Dict[int, float] = dict(known or {})
 
@@ -158,7 +147,8 @@ def baseline_evaluator(workload: Workload,
                                   warmup + measured, seed, repetitions,
                                   trace_cache)
             decided = True
-        if curves is not None:
+        if curves is not None and all(curve.covers(capacity)
+                                      for curve in curves):
             return mean_confidence_interval(
                 [curve.at(capacity).hits / measured
                  for curve in curves]).mean

@@ -19,11 +19,7 @@ from ..obs.dispatcher import EventDispatcher
 from ..obs.runtime import narrate
 from ..workloads.base import Workload
 from . import recovery
-from .equi_effective import (
-    baseline_evaluator,
-    equi_effective_buffer_size,
-    stack_curves,
-)
+from .equi_effective import baseline_evaluator, equi_effective_buffer_size
 from .runner import PolicySpec, check_protocol
 # run_paper_protocol is unused here but stays importable from this
 # module: benchmarks/e2e/tracing.py wraps it by name.
@@ -125,15 +121,8 @@ def run_experiment(spec: ExperimentSpec,
     """
     trace_cache = TraceCache()
     try:
-        if spec.equi_effective is not None:
-            # A stack baseline's curves (LRU-1's) answer its B(1) search and
-            # every run of its column, so they are built first: before the
-            # sweep, and so before a pool forks and shares them.
-            stack_curves(spec.workload,
-                         spec.spec_by_label(spec.equi_effective[0]),
-                         spec.capacities[0], spec.warmup,
-                         spec.warmup + spec.measured, spec.seed,
-                         spec.repetitions, trace_cache)
+        # The sweep builds every column's stack pass into the cache, the
+        # baseline's included, so the B(1) search below reads them.
         cells = sweep_buffer_sizes(
             spec.workload, spec.policies, spec.capacities,
             warmup=spec.warmup, measured=spec.measured,
@@ -147,7 +136,7 @@ def run_experiment(spec: ExperimentSpec,
         high = (spec.equi_effective_high
                 if spec.equi_effective_high is not None
                 else 64 * max(spec.capacities))
-        # One evaluator serves every row, so its curves (or simulated
+        # One evaluator serves every row, so its passes (or simulated
         # capacities) are shared across the searches.
         evaluate = baseline_evaluator(
             spec.workload, spec.spec_by_label(baseline_label),

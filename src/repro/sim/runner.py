@@ -18,7 +18,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
@@ -27,12 +27,11 @@ from ..obs.dispatcher import EventDispatcher
 from ..obs.events import SnapshotEvent
 from ..obs.registry import MetricsRegistry
 from ..policies import A0Policy, BeladyPolicy, ReplacementPolicy, make_policy
-from ..policies.kernel import StackCurve
 from ..stats import ConfidenceInterval, mean_confidence_interval
 from ..types import HitRatioCounter, PageId, Reference
 from ..workloads.base import Workload
 from .cache import CacheSimulator, takes_every_reference
-from .trace_cache import CachedTrace, TraceCache, TraceLike
+from .trace_cache import CachedTrace, StackResult, TraceCache, TraceLike
 
 
 @dataclass
@@ -152,8 +151,9 @@ class RunResult:
 
 def _snapshot_counters(measured: HitRatioCounter, evictions: int,
                        writebacks: int, resident: int,
-                       policy: Optional[ReplacementPolicy] = None) -> dict:
-    """The counters a run-boundary SnapshotEvent carries."""
+                       stats: Optional[object] = None) -> dict:
+    """The counters a run-boundary SnapshotEvent carries; ``stats`` is
+    the policy's stats block, if it has one."""
     counters = {
         "hits": float(measured.hits),
         "misses": float(measured.misses),
@@ -164,7 +164,6 @@ def _snapshot_counters(measured: HitRatioCounter, evictions: int,
     }
     # LRU-K-family policies carry an LRUKStats block; surface it so the
     # eviction-quality counters land in the event stream too.
-    stats = getattr(policy, "stats", None)
     if stats is not None and is_dataclass(stats):
         for spec in dataclass_fields(stats):
             counters[f"policy.{spec.name}"] = float(
@@ -240,7 +239,8 @@ def measure_hit_ratio(policy: ReplacementPolicy,
                              counters=_snapshot_counters(
                                  simulator.counter, simulator.evictions,
                                  simulator.writebacks,
-                                 len(simulator.resident_pages), policy))
+                                 len(simulator.resident_pages),
+                                 getattr(policy, "stats", None)))
 
     measured = len(references) - warmup
     stream: Optional[Iterator] = None
@@ -283,14 +283,15 @@ def _start_snapshot(capacity: int, references: int,
                                    "warmup": float(warmup)})
 
 
-def _read_curve(curve: StackCurve, label: str, capacity: int, seed: int,
-                obs: Optional[EventDispatcher]) -> RunResult:
-    """One run of a stack-property policy, read off its curve.
+def _read_curve(curve: StackResult, label: str, capacity: int, seed: int,
+                obs: Optional[EventDispatcher]
+                ) -> Tuple[RunResult, Optional[object]]:
+    """One run of a stack-property policy, read off its pass, with the
+    stats block a kernel run would leave (LRU-K's; else None).
 
     This is the ``stack`` tier. It emits the ``start`` and ``end``
-    snapshots a kernel run of the same cell emits, and like a kernel
-    run no ``measurement`` snapshot. No policy runs, so the snapshot
-    carries no policy stats block (LRU has none).
+    snapshots a kernel run of the same cell emits, the latter with that
+    stats block, and like a kernel run no ``measurement`` snapshot.
     """
     totals = curve.at(capacity)
     measured = HitRatioCounter(totals.hits, totals.misses)
@@ -300,20 +301,21 @@ def _read_curve(curve: StackCurve, label: str, capacity: int, seed: int,
             time=curve.references, phase="end",
             counters=_snapshot_counters(measured, totals.evictions,
                                         totals.writebacks,
-                                        totals.resident)))
-    return RunResult.of(label, capacity, seed, measured,
-                        HitRatioCounter(totals.warmup_hits,
-                                        totals.warmup_misses),
-                        totals.evictions, totals.writebacks)
+                                        totals.resident, totals.stats)))
+    run = RunResult.of(label, capacity, seed, measured,
+                       HitRatioCounter(totals.warmup_hits,
+                                       totals.warmup_misses),
+                       totals.evictions, totals.writebacks)
+    return run, totals.stats
 
 
 def _record_protocol_counters(registry: MetricsRegistry, tier: str,
                               run: RunResult, references: int,
-                              policy: Optional[ReplacementPolicy]) -> None:
+                              stats: Optional[object]) -> None:
     """Fold one finished run's totals into protocol.* counters.
 
-    ``policy`` is the policy that ran, whose stats block (if any) is
-    folded in too; None for a run the ``stack`` tier read off a curve.
+    ``stats`` is the stats block of the policy that ran, or the one a
+    stack pass gives for the run; its counters are folded in too.
     """
     counter = registry.counter
     counter("protocol.runs").inc()
@@ -338,7 +340,6 @@ def _record_protocol_counters(registry: MetricsRegistry, tier: str,
     # run regardless of which process ran it.
     registry.set_gauge("protocol.last_run_hit_ratio", run.hit_ratio)
     registry.set_gauge("protocol.last_run_evictions", float(run.evictions))
-    stats = getattr(policy, "stats", None)
     if stats is not None and is_dataclass(stats):
         for spec in dataclass_fields(stats):
             value = getattr(stats, spec.name)
@@ -384,13 +385,14 @@ def run_paper_protocol(workload: Workload,
     A repetition runs on one of three tiers, all computing the same
     :class:`RunResult`:
 
-    - ``stack``: the policy declares the stack property (LRU), the
-      cache already holds its curve for this trace and warm-up (see
+    - ``stack``: the policy declares the stack property (LRU, LRU-K
+      with CRP 0, LFU, A0), the cache already holds its pass for this
+      trace and warm-up and the pass answers ``capacity`` (see
       :meth:`TraceCache.build_stack_curve`; this function never builds
       one, since for a single run a pass costs more than a kernel run),
       and nothing needs every reference
       (:func:`~repro.sim.cache.takes_every_reference`). The run is read
-      off the curve;
+      off the pass, with the stats block a kernel run leaves;
     - ``kernel`` or ``object``: otherwise :func:`measure_hit_ratio`
       drives the policy, through its fused kernel when it can.
 
@@ -425,7 +427,7 @@ def run_paper_protocol(workload: Workload,
         if (trace_cache is not None
                 and not takes_every_reference(policy, obs)):
             curve = trace_cache.stack_curve(policy, workload, total,
-                                            run_seed, warmup)
+                                            run_seed, warmup, capacity)
         scope = (obs.scoped(policy=spec.label, capacity=capacity,
                             seed=run_seed)
                  if obs is not None else nullcontext())
@@ -433,12 +435,13 @@ def run_paper_protocol(workload: Workload,
                                   capacity=capacity,
                                   seed=run_seed) as span, scope:
             if curve is not None:
-                tier, ran = "stack", None
-                run = _read_curve(curve, spec.label, capacity, run_seed, obs)
+                tier = "stack"
+                run, stats = _read_curve(curve, spec.label, capacity,
+                                         run_seed, obs)
             else:
                 simulator = measure_hit_ratio(policy, trace, capacity,
                                               warmup, observability=obs)
-                tier, ran = simulator.tier, policy
+                tier, stats = simulator.tier, getattr(policy, "stats", None)
                 run = RunResult.of(
                     spec.label, capacity, run_seed, simulator.counter,
                     simulator.warmup_counter, simulator.evictions,
@@ -449,7 +452,7 @@ def run_paper_protocol(workload: Workload,
             # One batch under the registry lock: a live scrape sees a
             # run's counters, histogram observation and gauges together.
             with registry.lock:
-                _record_protocol_counters(registry, tier, run, total, ran)
+                _record_protocol_counters(registry, tier, run, total, stats)
         runs.append(run)
     interval = mean_confidence_interval([run.hit_ratio for run in runs])
     return ProtocolResult(label=spec.label, capacity=capacity,

@@ -26,10 +26,11 @@ per-policy list copy.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
+from ..obs import trace as obs_trace
 from ..policies.base import ReplacementPolicy
-from ..policies.kernel import StackCurve
+from ..policies.kernel import StackCurve, StackPass
 from ..types import AccessKind, PageId, Reference
 from ..workloads.base import Workload
 
@@ -154,9 +155,27 @@ def _next_writes(references: Sequence[Reference]) -> array:
 #: Cache key: (workload identity, reference count, seed).
 _TraceKey = Tuple[int, int, int]
 
-#: Curve key: (policy class, workload identity, reference count, seed,
-#: warm-up).
-_CurveKey = Tuple[type, int, int, int, int]
+#: Pass key: (policy class, its stack key, workload identity, reference
+#: count, seed, warm-up).
+_CurveKey = Tuple[type, Hashable, int, int, int, int]
+
+#: What a ``stack_hits`` hook returns.
+StackResult = Union[StackCurve, StackPass]
+
+
+def _curve_key(policy: ReplacementPolicy, workload: Workload, total: int,
+               seed: int, warmup: int) -> Optional[_CurveKey]:
+    """Where ``policy``'s pass over this trace is kept, or None when the
+    policy declares no ``stack_hits`` hook.
+
+    Beside its class, a policy whose decisions depend on its parameters
+    names them in a ``stack_key`` (LRU-K its K, A0 its probabilities),
+    so LRU-3 never reads LRU-2's pass.
+    """
+    if getattr(policy, "stack_hits", None) is None:
+        return None
+    return (type(policy), getattr(policy, "stack_key", None), id(workload),
+            total, seed, warmup)
 
 
 class TraceCache:
@@ -171,21 +190,24 @@ class TraceCache:
     across the policies, capacities, and equi-effective probes of a
     table collapses ``P × B`` trace materializations into one per seed.
 
-    It also keeps stack curves: for a policy that declares the stack
-    property (a ``stack_hits`` hook; only
-    :class:`~repro.policies.LRUPolicy` does), one Mattson pass over a
-    trace with a given warm-up yields every total of a fresh run at every
-    capacity (:class:`~repro.policies.kernel.StackCurve`). Only
-    :meth:`build_stack_curve` runs a pass; :func:`~repro.sim.
-    run_experiment` calls it, through the B(1) search, before its sweep,
-    and :func:`~repro.sim.run_paper_protocol` reads the curves with
-    :meth:`stack_curve`. A curve holds O(distinct pages) integers.
+    It also keeps stack passes. A policy that declares the stack
+    property (a ``stack_hits`` hook: LRU, LRU-K with CRP 0, LFU, A0)
+    yields, from one pass over a trace with a given warm-up, every total
+    of a fresh run at each capacity asked for: LRU's
+    :class:`~repro.policies.kernel.StackCurve` answers every capacity,
+    the others' :class:`~repro.policies.kernel.StackPass` the table's
+    rows. Only :meth:`build_stack_curve` runs a pass (and
+    :meth:`add_stack_curve` keeps one a sweep worker ran);
+    :func:`~repro.sim.sweep_buffer_sizes` builds them before its cells,
+    and :func:`~repro.sim.run_paper_protocol` reads them with
+    :meth:`stack_curve`. A pass holds O(distinct pages + capacities)
+    integers.
     """
 
     def __init__(self) -> None:
         self._traces: Dict[_TraceKey, CachedTrace] = {}
         self._pinned: Dict[int, Workload] = {}
-        self._curves: Dict[_CurveKey, StackCurve] = {}
+        self._curves: Dict[_CurveKey, StackResult] = {}
         self.hits = 0
         self.misses = 0
 
@@ -206,26 +228,57 @@ class TraceCache:
         return trace
 
     def stack_curve(self, policy: ReplacementPolicy, workload: Workload,
-                    total: int, seed: int,
-                    warmup: int) -> Optional[StackCurve]:
-        """The curve built for ``policy``'s class on this trace and
-        warm-up, or None: this lookup never runs a pass."""
-        return self._curves.get(
-            (type(policy), id(workload), total, seed, warmup))
+                    total: int, seed: int, warmup: int,
+                    capacity: int) -> Optional[StackResult]:
+        """The pass built for ``policy`` on this trace and warm-up when
+        it answers ``capacity``, else None. This lookup never runs a
+        pass."""
+        key = _curve_key(policy, workload, total, seed, warmup)
+        curve = None if key is None else self._curves.get(key)
+        if curve is None or not curve.covers(capacity):
+            return None
+        return curve
 
     def build_stack_curve(self, policy: ReplacementPolicy,
                           workload: Workload, total: int, seed: int,
-                          warmup: int) -> StackCurve:
-        """The curve for this trace and warm-up, from ``policy``'s
-        ``stack_hits`` hook on first request."""
-        key = (type(policy), id(workload), total, seed, warmup)
+                          warmup: int,
+                          capacities: Optional[Sequence[int]] = None,
+                          label: Optional[str] = None
+                          ) -> Optional[StackResult]:
+        """The pass for this trace and warm-up, from ``policy``'s
+        ``stack_hits`` hook on first request.
+
+        ``capacities`` are the buffer sizes to answer; None asks for
+        every size, which only LRU's curve answers. None is returned
+        when the policy declares no hook or its pass cannot answer
+        ``capacities``. A pass records a ``stack.pass`` span named by
+        ``label`` (else the policy's name) under an ambient tracer.
+        """
+        key = _curve_key(policy, workload, total, seed, warmup)
+        if key is None:
+            return None
         curve = self._curves.get(key)
         if curve is None:
             trace = self.get(workload, total, seed)
-            curve = policy.stack_hits(trace.page_ids(), warmup,
-                                      trace.next_write)
-            self._curves[key] = curve
+            with obs_trace.maybe_span(
+                    "stack.pass", policy=label or policy.name, seed=seed,
+                    capacities=(None if capacities is None
+                                else len(set(capacities))),
+                    references=total):
+                curve = policy.stack_hits(trace.page_ids(), warmup,
+                                          trace.next_write, capacities)
+            if curve is not None:
+                self._curves[key] = curve
         return curve
+
+    def add_stack_curve(self, policy: ReplacementPolicy,
+                        workload: Workload, total: int, seed: int,
+                        warmup: int, curve: StackResult) -> None:
+        """Keep a pass built elsewhere: by a sweep's pool worker, or the
+        slice of one a worker's cell reads."""
+        key = _curve_key(policy, workload, total, seed, warmup)
+        if key is not None:
+            self._curves[key] = curve
 
     def clear(self) -> None:
         """Drop every cached trace and curve (frees the arrays/lists)."""

@@ -1,12 +1,11 @@
 """Observed table runs compute on the same tier as plain ones.
 
 A traced or narrated Table 4.1/4.2/4.3 run must render the untraced
-table and keep every cell off the object path. LRU-1 runs read the
-stack curves the B(1) column built: their ``simulate`` spans say
-``stack`` and have no children, since no reference is replayed. Every
-other run takes its fused kernel and records the span tree the object
-path records: a ``simulate`` span saying ``kernel`` with one ``warmup``
-and one ``measure`` child.
+table and keep every cell off the object path. Every run reads the
+stack pass its column built before the sweep's cells: its ``simulate``
+span says ``stack`` and has no children, since no reference is
+replayed. The passes record a ``stack.pass`` span each, with the
+``warmup`` and ``measure`` windows they play as children.
 """
 
 import pytest
@@ -32,14 +31,16 @@ def test_traced_table_matches_plain_and_keeps_the_kernels(table):
     assert traced == run_experiment(SPECS[table]()).to_table().render()
 
     simulates = tracer.find("simulate")
-    stack = [span for span in simulates if span.args["policy"] == "LRU-1"]
-    kernel = [span for span in simulates if span.args["policy"] != "LRU-1"]
-    assert stack and kernel
-    for span in stack:
+    spec = SPECS[table]()
+    assert len(simulates) == (len(spec.policies) * len(spec.capacities)
+                              * spec.repetitions)
+    for span in simulates:
         assert span.args["tier"] == "stack", span.args
         assert tracer.children_of(span.span_id) == [], span.args
-    for span in kernel:
-        assert span.args["tier"] == "kernel", span.args
+    passes = tracer.find("stack.pass")
+    assert sorted(span.args["policy"] for span in passes) == sorted(
+        column.label for column in spec.policies)
+    for span in passes:
         children = sorted(child.name
                           for child in tracer.children_of(span.span_id))
         assert children == ["measure", "warmup"], span.args

@@ -87,9 +87,18 @@ def test_curve_equals_simulation_on_references(references, choice):
     assert_curve_matches(trace, warmup_of(choice, len(references)))
 
 
-def test_only_lru_declares_the_stack_property():
-    assert getattr(LRUPolicy(), "stack_hits", None) is not None
-    for name in ("lru-k", "lfu", "fifo", "clock"):
+def test_only_lru_answers_every_capacity():
+    """B(1) probes sizes that are no table row, so only a pass that
+    answers every capacity can serve it: LRU's Mattson curve."""
+    pages = array("q", [1, 2, 3, 1, 4, 2, 5])
+    curve = LRUPolicy().stack_hits(pages, 2, None, None)
+    assert all(curve.covers(capacity) for capacity in (1, 7, 1000))
+    # LRU-K and LFU passes answer the rows they are asked for only.
+    for name in ("lru-k", "lfu"):
+        hook = make_policy(name).stack_hits
+        assert hook(pages, 2, None, None) is None
+        assert hook(pages, 2, None, [2, 3]).capacities == (2, 3)
+    for name in ("fifo", "clock"):
         assert getattr(make_policy(name), "stack_hits", None) is None
     # Hook profiling forwards unknown names to the wrapped policy, but
     # a run read off a curve would time no hook.
@@ -193,9 +202,10 @@ def test_curve_runs_under_observation(probes):
     with obs_trace.activate(tracer):
         observed = run_experiment(spec, observability=dispatcher)
     assert probes == []
-    (curve,) = tracer.find("b1.curve")
-    assert curve.args["policy"] == "LRU-1"
-    assert curve.args["repetitions"] == 2
+    # One pass per repetition trace, whichever tier the sweep took.
+    curves = [span for span in tracer.find("stack.pass")
+              if span.args["policy"] == "LRU-1"]
+    assert sorted(span.args["seed"] for span in curves) == [1, 2]
     assert observed.equi_effective_ratios == run_experiment(
         spec).equi_effective_ratios
 

@@ -1,12 +1,12 @@
 """The measurement protocol's ``stack`` tier.
 
-A run of a stack-property policy (LRU) is read off a curve its trace
-cache already holds whenever it would otherwise take a kernel. These
-tests hold such a run to a kernel or object-path run of the same cell:
-the same ``RunResult``, the same registry totals apart from the
-``sim.tier.*`` split, the same run-boundary snapshots and the same
-errors. A table builds one curve per repetition trace and simulates no
-LRU-1 run at all.
+A run of a stack-property policy (LRU, LRU-K with CRP 0, LFU, A0) is
+read off a pass its trace cache already holds whenever it would
+otherwise take a kernel. These tests hold such a run to a kernel or
+object-path run of the same cell: the same ``RunResult``, the same
+registry totals apart from the ``sim.tier.*`` split, the same
+run-boundary snapshots and the same errors. A table builds one pass per
+column and repetition trace and runs no kernel at all.
 """
 
 import io
@@ -23,6 +23,8 @@ from repro.obs import (
     RingBufferSink,
     SnapshotEvent,
 )
+from repro.core import kernel as lruk_kernels
+from repro.core.lruk import LRUKPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.policies import LRUPolicy
 from repro.policies import kernel as policy_kernels
@@ -64,13 +66,14 @@ class RecordingConsoleSink(ConsoleProgressSink):
         super().handle(event, context)
 
 
-def lru_runs(result):
-    return {cell.capacity: cell.results["LRU-1"].runs
-            for cell in result.cells}
+def all_runs(result):
+    return {(cell.capacity, label): protocol.runs
+            for cell in result.cells
+            for label, protocol in cell.results.items()}
 
 
 def test_table_4_3_stack_runs_equal_object_path_runs():
-    """The LRU-1 column and every registry total are tier-independent."""
+    """Every column and every registry total are tier-independent."""
     spec = table_4_3_spec(scale=0.02, repetitions=1)
     plain = EventDispatcher()
     plain.metrics = MetricsRegistry()
@@ -80,12 +83,15 @@ def test_table_4_3_stack_runs_equal_object_path_runs():
     demoted_dispatcher.attach(RingBufferSink(maxlen=1))
     demoted = run_experiment(spec, observability=demoted_dispatcher)
 
-    assert lru_runs(stacked) == lru_runs(demoted)
-    assert any(run.writebacks for runs in lru_runs(stacked).values()
-               for run in runs)
+    assert all_runs(stacked) == all_runs(demoted)
+    for label in ("LRU-1", "LRU-2", "LFU"):
+        assert any(run.writebacks
+                   for (_, column), runs in all_runs(stacked).items()
+                   if column == label for run in runs), label
     fused = plain.metrics.snapshot()
     slow = demoted_dispatcher.metrics.snapshot()
-    assert fused.counters["sim.tier.stack"] == 14
+    assert fused.counters["sim.tier.stack"] == 42
+    assert "sim.tier.kernel" not in fused.counters
     assert slow.counters["sim.tier.object"] == 42
 
     def untiered(counters):
@@ -99,29 +105,44 @@ def test_table_4_3_stack_runs_equal_object_path_runs():
 
 def test_stack_runs_emit_the_snapshots_of_kernel_runs():
     """Under a run-level sink each stack run emits ``start`` and ``end``
-    snapshots equal to a kernel run's, in the same context."""
+    snapshots equal to a kernel run's, in the same context, and records
+    the same counters: for LRU-1, and for LRU-2 with its stats block."""
+    stacked = cache_with_curves()
+    for seed in (SEED, SEED + 1):
+        stacked.build_stack_curve(LRUKPolicy(k=2), WORKLOAD,
+                                  WARMUP + MEASURED, seed, WARMUP,
+                                  [CAPACITY])
+    for spec in (PolicySpec.lru(), PolicySpec.lruk(2)):
+        assert_stack_run_equals_kernel_run(spec, stacked)
 
+
+def assert_stack_run_equals_kernel_run(spec, stacked):
     def observed(trace_cache):
         sink = RecordingConsoleSink()
         dispatcher = EventDispatcher()
         dispatcher.metrics = MetricsRegistry()
         dispatcher.attach(sink)
         result = run_paper_protocol(
-            WORKLOAD, PolicySpec.lru(), CAPACITY, WARMUP, MEASURED,
+            WORKLOAD, spec, CAPACITY, WARMUP, MEASURED,
             seed=SEED, repetitions=2, observability=dispatcher,
             trace_cache=trace_cache)
         snapshots = [(event.time, event.phase, event.counters, context)
                      for event, context in sink.snapshots]
-        return result, snapshots, dispatcher.metrics.snapshot().counters
+        return (result, snapshots,
+                dict(dispatcher.metrics.snapshot().counters))
 
-    stack, stack_snapshots, stack_counters = observed(cache_with_curves())
+    stack, stack_snapshots, stack_counters = observed(stacked)
     kernel, kernel_snapshots, kernel_counters = observed(TraceCache())
-    assert stack_counters["sim.tier.stack"] == 2
-    assert kernel_counters["sim.tier.kernel"] == 2
+    assert stack_counters.pop("sim.tier.stack") == 2
+    assert kernel_counters.pop("sim.tier.kernel") == 2
+    assert stack_counters == kernel_counters
     assert [phase for _, phase, _, _ in stack_snapshots] == [
         "start", "end", "start", "end"]
     assert stack_snapshots == kernel_snapshots
     assert stack.runs == kernel.runs
+    if spec.label == "LRU-2":
+        assert stack_counters["policy.admissions"] > 0
+        assert "policy.infinite_distance_evictions" in stack_snapshots[1][2]
 
 
 @pytest.mark.parametrize("warmup", [-1, WARMUP + MEASURED])
@@ -182,47 +203,60 @@ def test_profiled_lru_keeps_the_object_path():
 
 
 def test_a_table_makes_one_pass_per_trace(monkeypatch):
-    passes, lru_kernels, probes = [], [], []
+    passes, kernels, probes = [], [], []
     stack_hits = policy_kernels.lru_stack_hits
-    make_lru_kernel = policy_kernels.make_lru_kernel
+    stack_pass = policy_kernels.stack_pass
     protocol = equi_effective.run_paper_protocol
 
     def counted_pass(*args, **kwargs):
-        passes.append(args[1])
+        passes.append(("every size", args[1]))
         return stack_hits(*args, **kwargs)
 
-    def counted_kernel(policy, capacity):
-        kernel = make_lru_kernel(policy, capacity)
+    def counted_priority_pass(pages, warmup, next_write, capacities,
+                              key_of):
+        passes.append((f"{len(set(capacities))} sizes", warmup))
+        return stack_pass(pages, warmup, next_write, capacities, key_of)
 
-        def run(*args):
-            lru_kernels.append(capacity)
-            return kernel(*args)
-        return run
+    def counted(module, name):
+        factory = getattr(module, name)
+
+        def counted_factory(policy, capacity):
+            kernels.append((name, capacity))
+            return factory(policy, capacity)
+        monkeypatch.setattr(module, name, counted_factory)
 
     def counted_probe(workload, spec, capacity, *args, **kwargs):
         probes.append(capacity)
         return protocol(workload, spec, capacity, *args, **kwargs)
 
     monkeypatch.setattr(policy_kernels, "lru_stack_hits", counted_pass)
-    monkeypatch.setattr(policy_kernels, "make_lru_kernel", counted_kernel)
+    monkeypatch.setattr(policy_kernels, "stack_pass", counted_priority_pass)
+    for name in ("make_lru_kernel", "make_lfu_kernel", "make_a0_kernel"):
+        counted(policy_kernels, name)
+    counted(lruk_kernels, "make_lruk_kernel")
     monkeypatch.setattr(equi_effective, "run_paper_protocol", counted_probe)
     spec = table_4_2_spec(scale=0.1, repetitions=3)
     run_experiment(spec)
-    assert passes == [spec.warmup] * 3
-    assert lru_kernels == []
+    rows = f"{len(spec.capacities)} sizes"
+    # LRU-1's curve, and the LRU-2 and A0 passes over the rows: one
+    # pass each per repetition trace.
+    assert sorted(passes) == sorted(
+        [("every size", spec.warmup)] * 3 + [(rows, spec.warmup)] * 6)
+    assert kernels == []
     assert probes == []
 
 
 def test_tables_without_a_b1_column_keep_the_lru_kernel():
-    """Curves are built only for a B(1) column, never for the sweep."""
+    """The sweep builds every column's pass, the LRU-1 curve included,
+    whether or not a B(1) column reads it: no run takes a kernel."""
     dispatcher = EventDispatcher()
     dispatcher.metrics = MetricsRegistry()
     run_experiment(table_4_2_spec(scale=0.05, repetitions=1,
                                   include_equi_effective=False),
                    observability=dispatcher)
     counters = dispatcher.metrics.snapshot().counters
-    assert "sim.tier.stack" not in counters
-    assert counters["sim.tier.kernel"] == counters["protocol.runs"]
+    assert "sim.tier.kernel" not in counters
+    assert counters["sim.tier.stack"] == counters["protocol.runs"] == 33
 
 
 @pytest.mark.parametrize("argv", [
