@@ -229,10 +229,6 @@ class StackCurve:
         """True: the curve answers every buffer size."""
         return True
 
-    def only(self, capacity: int) -> "StackPass":
-        """The curve cut down to what it answers at ``capacity``."""
-        return _only(self, capacity, 0)
-
     def at(self, capacity: int) -> StackTotals:
         """What a fresh ``capacity``-frame LRU run of the trace reports."""
         if capacity <= 0:
@@ -370,11 +366,6 @@ class StackPass:
         """True when the pass answers ``capacity``."""
         return capacity in self.capacities
 
-    def only(self, capacity: int) -> "StackPass":
-        """The pass cut down to what it answers at ``capacity``."""
-        return _only(self, capacity, self.zero_key_evictions[
-            self.capacities.index(capacity)])
-
     def at(self, capacity: int) -> StackTotals:
         """What a fresh ``capacity``-frame run of the trace reports."""
         i = self.capacities.index(capacity)
@@ -382,18 +373,6 @@ class StackPass:
                        self.hits[i], self.writebacks[i],
                        min(capacity, self.distinct),
                        None if self.stats is None else self.stats[i])
-
-
-def _only(curve: "StackCurve | StackPass", capacity: int,
-          zero_key_evictions: int) -> StackPass:
-    """A pass answering ``capacity`` alone, as ``curve`` does."""
-    totals = curve.at(capacity)
-    return StackPass(curve.references, curve.warmup, (capacity,),
-                     curve.distinct, array("q", [totals.hits]),
-                     array("q", [totals.warmup_hits]),
-                     array("q", [totals.writebacks]),
-                     array("q", [zero_key_evictions]),
-                     None if totals.stats is None else (totals.stats,))
 
 
 def stack_pass(pages: Sequence[PageId], warmup: int,

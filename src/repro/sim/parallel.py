@@ -12,14 +12,15 @@ Policy specs hold closures, which do not pickle; the engine therefore
 requires the ``fork`` start method (standard on Linux): the grid's
 :class:`_GridRun` — its inputs and a trace cache pre-warmed with every
 run seed's reference string — is published in a module-level registry
-*before* the pool forks, and workers inherit it copy-on-write and run
-cells through its :meth:`~_GridRun.run_cell`, as the parent does; no
-worker regenerates a reference string. The same pool first builds the
-grid's stack passes, one task per (column, repetition) that returns
-only its totals. A cell task carries a job id, the cell and, since its
-worker forked before the passes existed, the slices of its column's
-passes that answer it. On platforms without ``fork`` the engine
-degrades to in-process execution with the same shared cache.
+*before* a pool forks, and workers inherit it copy-on-write; a task
+carries only a job id and its cell or pass. A pooled sweep forks twice.
+The first pool builds the grid's stack passes, one task per (column,
+repetition) that returns only its totals, and the parent keeps each in
+its cache. Only then does the cells' pool fork, so its workers inherit
+every pass as they inherit the traces, and run cells through
+:meth:`~_GridRun.run_cell`, as the parent does; no worker regenerates a
+reference string or rebuilds a pass. On platforms without ``fork`` the
+engine degrades to in-process execution with the same shared cache.
 
 Workers run unobserved: the parent's ambient event dispatcher (and its
 file sinks) must not be written from forked children, so the first thing
@@ -40,10 +41,14 @@ uses. A cell that raises in-process is recorded as a
 :class:`~repro.sim.recovery.CellFailure`; the other cells still finish
 and checkpoint, then :class:`~repro.sim.recovery.CellExecutionError` is
 raised. Cells are deterministic, so nothing is retried in the pool:
-after a worker dies, the rest of that sweep runs in-process. Completed
-cells stream into an optional
+after a worker dies, the rest of that sweep runs in-process. A pass the
+pool did not return is not rebuilt: its runs take their kernels.
+Completed cells stream into an optional
 :class:`~repro.sim.recovery.SweepCheckpoint`; a ``KeyboardInterrupt``
 salvages them (flushing the checkpoint) instead of orphaning the sweep.
+Ctrl-C interrupts a worker's task but never its result channel, nor the
+parent's wait for a pool to shut down (:func:`_in_worker`,
+:func:`_shut_down`).
 Failures surface as :class:`~repro.obs.events.CellFailureEvent`s and the
 ``sweep.cell.fallbacks`` / ``sweep.cell.failures`` counters.
 """
@@ -53,13 +58,15 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-from collections import deque
+import signal
+import threading
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
-                                as_completed, wait)
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..errors import ConfigurationError
 from ..obs import runtime as obs_runtime
@@ -68,7 +75,6 @@ from ..obs.dispatcher import CallbackSink, EventDispatcher
 from ..obs.events import CellFailureEvent
 from ..obs.registry import MetricsRegistry, RegistrySnapshot
 from ..policies.base import ReplacementPolicy
-from ..policies.kernel import StackPass
 from ..workloads.base import Workload
 from . import recovery
 from .cache import takes_every_reference
@@ -137,19 +143,10 @@ class _PassOutput:
     spans: List[Dict[str, object]] = field(default_factory=list)
 
 
-class _CellTask(NamedTuple):
-    """A cell sent to a pool worker, with what its column's stack passes
-    answer at its capacity, one slice per repetition seed: the worker
-    forked before the passes were built."""
-
-    cell: _Cell
-    passes: Tuple[Tuple[int, StackPass], ...] = ()
-
-
 class _GridRun:
     """One grid's inputs, completed cells and failure records.
 
-    :func:`_pool_pass` publishes it whole to forked workers.
+    :func:`_fork_pool` publishes it whole to forked workers.
     """
 
     def __init__(self, workload: Workload, specs: Sequence[PolicySpec],
@@ -194,7 +191,7 @@ class _GridRun:
         be built (its cells then fail as any cell does), declares no
         stack property, or must see every reference.
         """
-        if len(set(self.capacities)) < 2:
+        if len(self.capacities) < 2:
             return []
         trace = self.cache.get(self.workload, self.warmup + self.measured,
                                self.seed).page_ids()
@@ -219,12 +216,6 @@ class _GridRun:
             self.stack_columns[task.index], self.workload,
             self.warmup + self.measured, task.seed, self.warmup,
             self.capacities, label=self.specs[task.index].label)
-
-    def keep_pass(self, task: _Pass, curve: StackResult) -> None:
-        """Keep a pass a worker built, or a slice of one, in the cache."""
-        self.cache.add_stack_curve(
-            self.stack_columns[task.index], self.workload,
-            self.warmup + self.measured, task.seed, self.warmup, curve)
 
     def run_cell(self, cell: _Cell, observability: Optional[EventDispatcher],
                  metrics: Optional[MetricsRegistry] = None
@@ -342,16 +333,40 @@ _SHARED: Dict[int, Tuple[_GridRun, bool]] = {}
 _job_ids = itertools.count()
 
 
-def _traced(traced: bool, work: Callable[[], Any]
-            ) -> Tuple[Any, List[Dict[str, object]]]:
+#: Set in a worker once Ctrl-C has interrupted one of its tasks.
+_interrupted = False
+
+
+def _in_worker(traced: bool, work: Callable[[], Any]
+               ) -> Tuple[Any, List[Dict[str, object]]]:
     """Run ``work`` in a worker, under a fresh tracer when the parent
-    traced; its result and the serialized spans to relay."""
-    if not traced:
-        return work(), []
-    tracer = obs_trace.Tracer()
-    with obs_trace.activate(tracer):
-        result = work()
-    return result, tracer.serialize()
+    traced; its result and the serialized spans to relay.
+
+    Ctrl-C reaches the whole process group, but it interrupts ``work``
+    only: the worker blocks SIGINT while it sends a result back and
+    waits for its next task, and a SIGINT that arrives meanwhile
+    interrupts that task. A worker interrupted while it sends leaves
+    part of a message in the result pipe, on which the pool's reader
+    then blocks for good. Once interrupted, a worker fails every further
+    task at once, so the tasks the pool had queued for it do not hold up
+    the parent's shutdown.
+    """
+    global _interrupted
+    if _interrupted:
+        raise KeyboardInterrupt
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        if not traced:
+            return work(), []
+        tracer = obs_trace.Tracer()
+        with obs_trace.activate(tracer):
+            result = work()
+        return result, tracer.serialize()
+    except KeyboardInterrupt:
+        _interrupted = True
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
 
 
 def _worker(job_id: int) -> Tuple[_GridRun, bool]:
@@ -368,26 +383,17 @@ def _worker(job_id: int) -> Tuple[_GridRun, bool]:
     return _SHARED[job_id]
 
 
-def _run_task(job_id: int, task: "_Pass | _CellTask"
-              ) -> "_PassOutput | _CellOutput":
-    """Worker task: one stack pass or one cell of a published grid."""
+def _run_pass(job_id: int, task: _Pass) -> _PassOutput:
+    """Worker task: one column's stack pass over one repetition's trace."""
     run, traced = _worker(job_id)
-    if isinstance(task, _Pass):
-        return _run_pass(run, traced, task)
-    return _run_cell(run, traced, task)
-
-
-def _run_pass(run: _GridRun, traced: bool, task: _Pass) -> _PassOutput:
-    """One column's stack pass over one repetition's trace."""
-    curve, spans = _traced(traced, lambda: run.build_pass(task))
+    curve, spans = _in_worker(traced, lambda: run.build_pass(task))
     return _PassOutput(curve=curve, spans=spans)
 
 
-def _run_cell(run: _GridRun, traced: bool, task: _CellTask) -> _CellOutput:
-    """One (policy, capacity) cell, reading the pass slices it carries."""
-    cell = task.cell
-    for seed, curve in task.passes:
-        run.keep_pass(_Pass(cell.index, seed), curve)
+def _run_cell(job_id: int, cell: _Cell) -> _CellOutput:
+    """Worker task: one (policy, capacity) cell, reading the stack passes
+    its parent's cache held when this worker forked."""
+    run, traced = _worker(job_id)
     # A worker-local registry's snapshot is relayed for the parent to merge.
     registry = MetricsRegistry() if run.registry is not None else None
     observability = None
@@ -397,7 +403,7 @@ def _run_cell(run: _GridRun, traced: bool, task: _CellTask) -> _CellOutput:
         # dropped).
         observability = EventDispatcher()
         observability.attach(CallbackSink(lambda event, context: None))
-    result, spans = _traced(
+    result, spans = _in_worker(
         traced, lambda: run.run_cell(cell, observability, registry))
     return _CellOutput(
         result=result, spans=spans,
@@ -425,13 +431,12 @@ def execute_grid(workload: Workload, specs: Sequence[PolicySpec],
     process parallelism is unavailable.
 
     Every column whose policy declares the stack property gets one pass
-    per repetition trace (:meth:`_GridRun.plan_passes`) before its
-    cells run, so the cells only read totals. A serial sweep builds the
-    passes in order, then runs the cells; a pooled one runs the passes
-    as pool tasks and sends each column's cells, with the slices of its
-    passes they read, as soon as its passes are back
-    (:func:`_pool_pass`). A pass that raises leaves its runs to their
-    kernels.
+    per repetition trace (:meth:`_GridRun.plan_passes`) before any of
+    the grid's cells runs, so the cells only read totals. A serial sweep
+    builds the passes in order; a pooled one builds them on a pool of
+    their own (:func:`_pool_passes`) and forks the cells' pool
+    (:func:`_pool_pass`) only once every pass is back or lost. A pass
+    that raises leaves its runs to their kernels.
 
     Cells already present in ``checkpoint`` (matched by grid
     fingerprint) are returned without re-running, and a column whose
@@ -460,7 +465,8 @@ def execute_grid(workload: Workload, specs: Sequence[PolicySpec],
         passes = run.plan_passes(remaining)
         last = None
         if pooled:
-            last = _pool_pass(run, remaining, passes, jobs)
+            _pool_passes(run, passes, jobs)
+            last = _pool_pass(run, remaining, jobs)
         else:
             for task in passes:
                 try:
@@ -483,132 +489,129 @@ def execute_grid(workload: Workload, specs: Sequence[PolicySpec],
     return run.finish()
 
 
-#: How long the pool waits on cells before it looks at its passes again.
-_PASS_POLL_S = 0.02
-
-
-def _pool_pass(run: _GridRun, cells: Sequence[_Cell],
-               passes: Sequence[_Pass], jobs: int
-               ) -> Optional[Tuple[RegistrySnapshot, str]]:
-    """Run the grid's stack passes and cells on one fork pool, and
-    record every cell it returns.
-
-    At most ``jobs`` of the ``passes`` run at a time. Once a column's
-    passes are back (or lost), its
-    cells are sent at once, ahead of the passes still queued, each with
-    the slices of the passes that answer it; the cells of columns
-    without passes are sent at the start. A pass that is lost leaves its
-    runs to their kernels. A cell whose worker raised, or died and broke
-    the pool (which fails every task in flight with it), is reported as
-    a ``fallback`` and left for the caller to re-run in-process. Cells
-    are awaited with :func:`wait`, and passes apart from them. Returns
-    the relayed snapshot and worker pid of the last cell in grid order
-    when the pool returned that cell.
-    """
-    tracer = obs_trace.current()
-    columns = run.stack_columns
-    queued = deque(passes)
-    built: Dict[int, List[Tuple[int, StackResult]]] = {
-        index: [] for index in columns}
-    outstanding = {index: run.repetitions for index in columns}
-    ready = deque(_CellTask(cell) for cell in cells
-                  if cell.index not in columns)
-    pass_window: Dict[Future, _Pass] = {}
-    cell_window: Dict[Future, _Cell] = {}
-    last: Optional[Tuple[RegistrySnapshot, str]] = None
-
-    def pass_returned(task: _Pass) -> None:
-        """One of the column's passes is back or lost; once all are,
-        its cells are ready."""
-        outstanding[task.index] -= 1
-        if not outstanding[task.index]:
-            column = built[task.index]
-            ready.extend(
-                _CellTask(cell, tuple((seed, curve.only(cell.capacity))
-                                      for seed, curve in column))
-                for cell in cells if cell.index == task.index)
-
-    def record_pass(task: _Pass, output: _PassOutput) -> None:
-        if tracer is not None:
-            tracer.absorb(output.spans, parent_id=tracer.current_span_id())
-        if output.curve is not None:
-            run.keep_pass(task, output.curve)
-            built[task.index].append((task.seed, output.curve))
-        pass_returned(task)
-
-    def record_cell(cell: _Cell, output: _CellOutput) -> None:
-        nonlocal last
-        # The observability side channels merge as each cell completes
-        # — not at sweep end — so a live /metrics scrape sees worker
-        # counters, histogram buckets, and gauges mid-sweep. Counters
-        # and histogram bin counts are sums (order-independent, exact);
-        # only the histogram mean's Chan merge is completion-order
-        # sensitive, and only in the last ulp.
-        label = run.specs[cell.index].label
-        if tracer is not None:
-            _absorb_cell(tracer, output.spans, cell.capacity, label)
-        if run.registry is not None and output.metrics is not None:
-            worker = str(output.worker_pid)
-            run.registry.merge(output.metrics, worker=worker)
-            if cell == cells[-1]:
-                last = (output.metrics, worker)
-        run.complete(cell.capacity, label, output.result)
-
-    def lost(task: "_Pass | _Cell", error: BaseException) -> None:
-        if isinstance(task, _Pass):
-            pass_returned(task)
-            return
-        kind = (recovery.CRASH if isinstance(error, BrokenProcessPool)
-                else recovery.ERROR)
-        run.fail(task, 1, kind, repr(error), action="fallback")
-
-    def collect(window: Dict[Future, Any], future: Future, record) -> None:
-        task = window.pop(future)
-        try:
-            output = future.result()
-        except Exception as exc:
-            lost(task, exc)
-            return
-        record(task, output)
-
+@contextmanager
+def _fork_pool(run: _GridRun, tasks: int,
+               jobs: int) -> Iterator[Tuple[ProcessPoolExecutor, int]]:
+    """A fork pool of at most ``jobs`` workers for ``tasks`` tasks, and
+    the job id under which its workers find ``run``; on exit the pool is
+    shut down, its unstarted tasks cancelled, and ``run`` unpublished."""
     # Flush the parent's sinks before forking: a child inheriting
     # buffered-but-unwritten file output would duplicate it at exit.
     if run.obs is not None:
         run.obs.flush()
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(queued) + len(cells)),
+    pool = ProcessPoolExecutor(max_workers=min(jobs, tasks),
                                mp_context=multiprocessing.get_context("fork"))
     job_id = next(_job_ids)
-    _SHARED[job_id] = (run, tracer is not None)
-
-    def submit(task: "_Pass | _CellTask", window: Dict[Future, Any]) -> None:
-        # A cell's window entry is the cell itself.
-        key = task.cell if isinstance(task, _CellTask) else task
-        try:
-            window[pool.submit(_run_task, job_id, task)] = key
-        except BrokenProcessPool as exc:
-            lost(key, exc)
-
+    _SHARED[job_id] = (run, obs_trace.current() is not None)
     try:
-        while queued or pass_window or ready or cell_window:
-            while ready:
-                submit(ready.popleft(), cell_window)
-            while queued and len(pass_window) < jobs:
-                submit(queued.popleft(), pass_window)
-            if cell_window:
-                finished, _ = wait(
-                    cell_window, return_when=FIRST_COMPLETED,
-                    timeout=_PASS_POLL_S if pass_window else None)
-                for future in finished:
-                    collect(cell_window, future, record_cell)
-            elif pass_window:
-                next(as_completed(pass_window))
-            for future in [f for f in pass_window if f.done()]:
-                collect(pass_window, future, record_pass)
+        yield pool, job_id
     finally:
         try:
-            pool.shutdown(wait=True, cancel_futures=True)
+            _shut_down(pool)
         finally:
             _SHARED.pop(job_id, None)
+
+
+def _shut_down(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and wait for its workers, ignoring SIGINT
+    meanwhile in the main thread (the one thread it interrupts).
+
+    A terminal or ``timeout`` often sends SIGINT twice (to the parent,
+    then to its process group). A second KeyboardInterrupt landing in
+    the wait of a shutdown that the first one began leaves the workers
+    waiting for a sentinel and hangs the interpreter's exit.
+    """
+    # Only the main thread may set a handler; None is one not installed
+    # from Python, left alone.
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.getsignal(signal.SIGINT) if main else None
+    if previous is not None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGINT, previous)
+
+
+def _pool_passes(run: _GridRun, passes: Sequence[_Pass], jobs: int) -> None:
+    """Build the grid's stack passes on a fork pool and keep each one
+    the pool returns in the parent's cache, where the cells' pool
+    inherits it. A pass whose worker raised, or died and broke the pool,
+    is lost: its runs take their kernels."""
+    if not passes:
+        return
+    tracer = obs_trace.current()
+    with _fork_pool(run, len(passes), jobs) as (pool, job_id):
+        window: Dict[Future, _Pass] = {}
+        for task in passes:
+            try:
+                window[pool.submit(_run_pass, job_id, task)] = task
+            except BrokenProcessPool:
+                break  # the passes left are lost with the pool
+        for future, task in window.items():
+            try:
+                output = future.result()
+            except Exception:
+                continue
+            if tracer is not None:
+                tracer.absorb(output.spans,
+                              parent_id=tracer.current_span_id())
+            if output.curve is not None:
+                run.cache.add_stack_curve(
+                    run.stack_columns[task.index], run.workload,
+                    run.warmup + run.measured, task.seed, run.warmup,
+                    output.curve)
+
+
+def _pool_pass(run: _GridRun, cells: Sequence[_Cell], jobs: int
+               ) -> Optional[Tuple[RegistrySnapshot, str]]:
+    """Run cells on a fork pool and record every cell it returns.
+
+    All cells are submitted up front. A cell whose worker raised, or
+    died and broke the pool (which fails every pending cell with it),
+    is reported as a ``fallback`` and left for the caller to re-run
+    in-process. Returns the relayed snapshot and worker pid of the last
+    cell in grid order when the pool returned that cell.
+    """
+    tracer = obs_trace.current()
+    last: Optional[Tuple[RegistrySnapshot, str]] = None
+    with _fork_pool(run, len(cells), jobs) as (pool, job_id):
+        window: Dict[Future, _Cell] = {}
+        for cell in cells:
+            try:
+                window[pool.submit(_run_cell, job_id, cell)] = cell
+            except BrokenProcessPool as exc:
+                run.fail(cell, 1, recovery.CRASH, repr(exc),
+                         action="fallback")
+        while window:
+            done, _ = wait(window, return_when=FIRST_COMPLETED)
+            for future in done:
+                cell = window.pop(future)
+                try:
+                    output = future.result()
+                except Exception as exc:
+                    kind = (recovery.CRASH
+                            if isinstance(exc, BrokenProcessPool)
+                            else recovery.ERROR)
+                    run.fail(cell, 1, kind, repr(exc), action="fallback")
+                    continue
+                # The observability side channels merge as each cell
+                # completes — not at sweep end — so a live /metrics
+                # scrape sees worker counters, histogram buckets, and
+                # gauges mid-sweep. Counters and histogram bin counts
+                # are sums (order-independent, exact); only the
+                # histogram mean's Chan merge is completion-order
+                # sensitive, and only in the last ulp.
+                label = run.specs[cell.index].label
+                if tracer is not None:
+                    _absorb_cell(tracer, output.spans, cell.capacity, label)
+                if run.registry is not None and output.metrics is not None:
+                    worker = str(output.worker_pid)
+                    run.registry.merge(output.metrics, worker=worker)
+                    if cell == cells[-1]:
+                        last = (output.metrics, worker)
+                run.complete(cell.capacity, label, output.result)
     return last
 
 

@@ -186,7 +186,8 @@ def check_protocol(capacities: Sequence[int], warmup: int, measured: int,
     sweep_buffer_sizes` call this first, so a bad value fails once
     rather than once per cell; :func:`run_paper_protocol` checks its own
     cell. A warm-up that leaves nothing to measure gets the message
-    :func:`measure_hit_ratio` would raise.
+    :func:`measure_hit_ratio` would raise. A grid is keyed by (capacity,
+    policy label), so its capacities must be distinct.
     """
     if repetitions < 1:
         raise ConfigurationError("need at least one repetition")
@@ -196,6 +197,9 @@ def check_protocol(capacities: Sequence[int], warmup: int, measured: int,
         raise ConfigurationError("need at least one buffer capacity")
     if min(capacities) <= 0:
         raise ConfigurationError("buffer capacity must be positive")
+    if len(set(capacities)) != len(capacities):
+        raise ConfigurationError(
+            f"each buffer capacity must appear once: {list(capacities)}")
 
 
 def measure_hit_ratio(policy: ReplacementPolicy,

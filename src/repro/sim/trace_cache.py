@@ -274,8 +274,8 @@ class TraceCache:
     def add_stack_curve(self, policy: ReplacementPolicy,
                         workload: Workload, total: int, seed: int,
                         warmup: int, curve: StackResult) -> None:
-        """Keep a pass built elsewhere: by a sweep's pool worker, or the
-        slice of one a worker's cell reads."""
+        """Keep a pass built elsewhere: by a pooled sweep's pass worker,
+        before the cells' pool forks and its workers inherit the cache."""
         key = _curve_key(policy, workload, total, seed, warmup)
         if key is not None:
             self._curves[key] = curve

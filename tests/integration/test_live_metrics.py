@@ -1,7 +1,6 @@
 """End-to-end: scrape /metrics while a --jobs sweep is actually running."""
 
 import threading
-import time
 import urllib.request
 
 import pytest
@@ -10,7 +9,9 @@ from repro.obs import (
     EventDispatcher,
     MetricsRegistry,
     MetricsServer,
+    ProgressEvent,
     ResourceSampler,
+    Sink,
     parse_exposition,
 )
 from repro.sim import PolicySpec, fork_available, sweep_buffer_sizes
@@ -22,15 +23,33 @@ def _scrape(url):
         return response.read().decode("utf-8")
 
 
+class _ParkAtFirstCell(Sink):
+    """Parks the sweep thread at its first progress line until the test
+    has scraped. The parent narrates a pooled cell after merging that
+    cell's worker snapshot, so the scrape sees worker state mid-sweep.
+    A run-level sink, so the runs keep their tiers."""
+
+    takes_references = False
+
+    def __init__(self):
+        self.parked = threading.Event()
+        self.scraped = threading.Event()
+
+    def handle(self, event, context):
+        if isinstance(event, ProgressEvent) and not self.parked.is_set():
+            self.parked.set()
+            self.scraped.wait(timeout=60.0)
+
+
 @pytest.mark.skipif(not fork_available(),
                     reason="live relay needs the fork engine")
 class TestLiveScrape:
     def test_mid_sweep_exposition_carries_worker_state(self):
         dispatcher = EventDispatcher()
         dispatcher.metrics = MetricsRegistry()
+        gate = dispatcher.attach(_ParkAtFirstCell())
         workload = ZipfianWorkload(n=100)
         specs = [PolicySpec.lru(), PolicySpec.lruk(2)]
-        done = threading.Event()
         failure = []
 
         def sweep():
@@ -42,7 +61,7 @@ class TestLiveScrape:
             except Exception as exc:  # surfaced after join
                 failure.append(exc)
             finally:
-                done.set()
+                gate.parked.set()  # a sweep that failed early parks nowhere
 
         with MetricsServer(dispatcher.metrics) as server, \
                 ResourceSampler(dispatcher.metrics, interval=0.05,
@@ -50,20 +69,14 @@ class TestLiveScrape:
             worker = threading.Thread(target=sweep)
             worker.start()
             try:
-                # Poll the live endpoint until the first completed cell
-                # has relayed its counters and histogram bins — i.e. a
-                # scrape taken strictly mid-sweep.
+                # The sweep parks once its first completed cell has
+                # relayed its counters and histogram bins: a scrape
+                # taken now is strictly mid-sweep.
                 live = None
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline and not done.is_set():
-                    text = _scrape(server.url)
-                    exposition = parse_exposition(text)
-                    if exposition.histograms.get(
-                            "protocol_run_hit_ratio") is not None:
-                        live = exposition
-                        break
-                    time.sleep(0.02)
+                if gate.parked.wait(timeout=60.0) and not failure:
+                    live = parse_exposition(_scrape(server.url))
             finally:
+                gate.scraped.set()
                 worker.join(timeout=120.0)
             final = parse_exposition(_scrape(server.url))
 
@@ -71,6 +84,7 @@ class TestLiveScrape:
         assert live is not None, "no mid-sweep scrape saw worker state"
 
         # Worker-relayed protocol counters were visible mid-flight...
+        assert live.value("sweep.cells_done") == 1.0
         assert live.value("protocol.references") > 0
         assert live.value("protocol.hits") + live.value(
             "protocol.misses") > 0

@@ -1,8 +1,10 @@
 """Sweep failure handling, checkpoints, interrupts and resume."""
 
 import json
+import multiprocessing
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +353,50 @@ class TestParallelRecovery:
             assert checkpoint.resumed_cells == 2
             resumed = _grid(jobs=2, checkpoint=checkpoint)
         assert resumed == _grid()  # identical to a serial run
+
+    def test_interrupt_during_passes_salvages_and_resumes(
+            self, tmp_path, monkeypatch):
+        """Ctrl-C while the pass pool still runs, before any cell."""
+        path = str(tmp_path / "cells.jsonl")
+        store = TraceCache.add_stack_curve
+        pool_alive = []
+
+        def interrupt_first_store(self, *args):
+            # The parent keeps each pass a worker returns; interrupt at
+            # the first, while the pool and its other passes still run.
+            monkeypatch.setattr(TraceCache, "add_stack_curve", store)
+            pool_alive.append(bool(multiprocessing.active_children()))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(TraceCache, "add_stack_curve",
+                            interrupt_first_store)
+        with SweepCheckpoint(path) as checkpoint:
+            with pytest.raises(SweepInterrupted) as info:
+                _grid(jobs=2, checkpoint=checkpoint)
+        assert pool_alive == [True]
+        assert info.value.results == {}  # no cell had completed
+        assert multiprocessing.active_children() == []
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            assert checkpoint.resumed_cells == 0
+            resumed = _grid(jobs=2, checkpoint=checkpoint)
+        assert resumed == _grid()  # identical to a serial run
+
+    def test_sigint_during_pool_shutdown_is_ignored(self, monkeypatch):
+        """Ctrl-C often arrives twice, the second time while a pool shuts
+        down; that shutdown ignores it and still reaps every worker."""
+        shutdown = ProcessPoolExecutor.shutdown
+        signalled = []
+
+        def signal_then_shut_down(pool, *args, **kwargs):
+            signalled.append(pool)
+            os.kill(os.getpid(), signal.SIGINT)
+            return shutdown(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "shutdown",
+                            signal_then_shut_down)
+        assert _grid(jobs=2) == _grid()
+        assert len(signalled) == 2  # the passes' pool, then the cells'
+        assert multiprocessing.active_children() == []
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

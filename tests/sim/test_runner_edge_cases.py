@@ -68,7 +68,9 @@ class TestSpecValidation:
     def test_measured(self, measured):
         assert self.rejected(measured=measured) == self.WINDOW
 
-    @pytest.mark.parametrize("capacities", [[], [0], [5, -1]])
+    # A repeated capacity would run its cells twice into a grid keyed by
+    # (capacity, label), and leave cells_done short of cells_total.
+    @pytest.mark.parametrize("capacities", [[], [0], [5, -1], [8, 8, 16]])
     def test_capacities(self, capacities):
         assert "capacity" in self.rejected(capacities=capacities)
 
