@@ -23,25 +23,30 @@ and the library below it emit ``ProgressEvent``s on the command's
 dispatcher, and ``--quiet`` just leaves the console sink unattached, so
 it silences tables, ablations, reports and trace-stats uniformly.
 
-Parallelism: ``--jobs N`` (table commands) fans the sweep grid over N
-worker processes (:mod:`repro.sim.parallel`); results are identical to
-a serial run, and progress still narrates one line per completed cell.
-See docs/performance.md for the engine's observability trade-offs.
+Parallelism: ``--jobs N`` (table commands) builds the sweep's stack
+passes, one per column and repetition, on N worker processes
+(:mod:`repro.sim.parallel`); the passes are the work. The cells, each a
+lookup into its column's pass, run in this process in grid order, so
+results, narration, metrics, spans and events are those of a serial
+run. ``--metrics-out`` and ``--timeline`` take every reference, so
+their cells run here on the object path, where their events are
+written, and such a run takes as long as a serial one. See
+docs/performance.md.
 
 Checkpoints: on the table commands, ``--checkpoint PATH`` records
 completed cells to a JSONL ledger as they finish; adding ``--resume``
 on a later invocation skips the recorded cells and appends the rest —
 an interrupted sweep (Ctrl-C exits with code 130 after salvaging
 completed cells) picks up where it left off and produces the identical
-table. A cell the worker pool did not return (its worker raised or
-died) re-runs in-process; a cell that still raises exits 1 after every
-other cell finished. See the "Checkpoints and failures" section of
-docs/performance.md.
+table. A stack pass the worker pool did not return (its worker raised
+or died) leaves its column's runs to their kernels; a cell that raises
+exits 1 after every other cell finished. See the "Checkpoints and
+failures" section of docs/performance.md.
 
 Live telemetry: ``--serve-metrics PORT`` exposes the run's metrics
 registry as Prometheus text on ``localhost:PORT/metrics`` (plus
-``/healthz``) for the whole command, with worker counters, histogram
-buckets, and gauges merged in as sweep cells complete;
+``/healthz``) for the whole command, its counters, histogram buckets
+and gauges updated as sweep cells complete;
 ``--sample-resources SECONDS`` adds a periodic RSS/CPU/GC/sink-depth
 sampler. ``repro top`` renders a live terminal dashboard over either a
 ``/metrics`` endpoint or a ``--metrics-out`` file, and ``repro perf``
@@ -124,12 +129,12 @@ def _observability(quiet: bool,
     functions that never see a parameter — emit through it. On exit a
     ``phase="final"`` snapshot is emitted and file sinks are closed.
     With ``trace_out`` an ambient :class:`~repro.obs.trace.Tracer` is
-    activated alongside, and the recorded span tree (including spans
-    relayed from forked sweep workers) is written as Chrome trace-event
-    JSON when the command finishes. ``serve_metrics`` keeps a
-    ``/metrics`` + ``/healthz`` endpoint up for the command's whole
-    extent; ``sample_resources`` runs the periodic
-    :class:`~repro.obs.telemetry.ResourceSampler` beside it.
+    activated alongside, and the recorded span tree (including the
+    ``stack.pass`` spans relayed from forked sweep workers) is written
+    as Chrome trace-event JSON when the command finishes.
+    ``serve_metrics`` keeps a ``/metrics`` + ``/healthz`` endpoint up
+    for the command's whole extent; ``sample_resources`` runs the
+    periodic :class:`~repro.obs.telemetry.ResourceSampler` beside it.
     """
     dispatcher = EventDispatcher()
     if not quiet:
@@ -145,9 +150,8 @@ def _observability(quiet: bool,
             metrics_out, access_every=METRICS_ACCESS_SAMPLE))
     if metrics_out or serve_metrics is not None or sample_resources:
         # A registry rides along so the final snapshot carries protocol
-        # totals — accumulated locally in serial runs, merged from
-        # worker registries under --jobs N — and so the live endpoint
-        # and sampler have an instrument surface to publish into.
+        # totals, and so the live endpoint and sampler have an
+        # instrument surface to publish into.
         dispatcher.metrics = MetricsRegistry()
     server: Optional[MetricsServer] = None
     sampler: Optional[ResourceSampler] = None
@@ -331,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="write a Chrome trace-event JSON span timeline "
                  "(sweep -> cell -> simulate -> warmup/measure; each "
                  "simulate span names the tier that ran; loadable in "
-                 "Perfetto), including spans from --jobs workers. "
+                 "Perfetto), including the stack.pass spans of --jobs "
+                 "workers. "
                  "Tracing keeps the fused kernels")
         command_parser.add_argument(
             "--serve-metrics", type=int, default=None, metavar="PORT",
@@ -359,8 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="append an ASCII hit-ratio chart")
         table.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
-            help="worker processes for the sweep grid (default 1 = serial; "
-                 "results are identical either way)")
+            help="worker processes for the sweep's stack passes (default "
+                 "1 = serial). The cells run in this process; under "
+                 "--metrics-out or --timeline they take every reference "
+                 "and get no passes, so such a run is serial. Results "
+                 "are identical either way")
         table.add_argument(
             "--checkpoint", default=None, metavar="PATH",
             help="record completed sweep cells to this JSONL ledger as "
@@ -557,7 +565,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     A :class:`~repro.errors.ConfigurationError` from any command,
     including a telemetry flag the plane cannot start with, prints one
     ``error:`` line on stderr and exits 2. A sweep that lost cells
-    exits 1, an interrupted one 130.
+    exits 1. Ctrl-C prints one ``interrupted:`` line and exits 130,
+    inside a sweep (which salvages its completed cells first) or
+    outside it.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -568,6 +578,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted: stopped before the command finished",
+              file=sys.stderr)
+        return 130
 
 
 def _run_command(parser: argparse.ArgumentParser,

@@ -12,8 +12,7 @@ Four layers, all strictly pay-for-what-you-use:
   load and one truth test per reference.
 - **metrics** (:mod:`repro.obs.registry`, :mod:`repro.obs.window`):
   named counters/gauges/histograms, read as one immutable
-  :class:`RegistrySnapshot` and relayed across processes with
-  :meth:`MetricsRegistry.merge`, plus the sliding-window hit-ratio
+  :class:`RegistrySnapshot`, plus the sliding-window hit-ratio
   recorder that makes adaptivity quantitative.
 - **sinks & profiling** (:mod:`repro.obs.sinks`,
   :mod:`repro.obs.profiler`): JSONL files, bounded ring buffers, the
@@ -28,7 +27,8 @@ Four layers, all strictly pay-for-what-you-use:
 - **tracing & provenance** (:mod:`repro.obs.trace`,
   :mod:`repro.obs.provenance`): hierarchical wall/CPU-time spans
   (``sweep → cell → simulate → warmup/measure``) with cross-process relay
-  from forked sweep workers and Chrome trace-event export, plus
+  of the ``stack.pass`` spans of forked sweep workers and Chrome
+  trace-event export, plus
   per-eviction decision provenance — the candidate set, CRP exclusions,
   retained-history influence, and optional Belady-regret annotation
   behind ``repro explain``.

@@ -82,10 +82,9 @@ class EventDispatcher:
         self.context: Dict[str, object] = {}
         #: Optional :class:`~repro.obs.registry.MetricsRegistry` riding
         #: along with the dispatcher. Drivers that accumulate counters
-        #: (the measurement protocol) resolve it once per run; forked
-        #: sweep workers relay their own registries' counter values back
-        #: to be merged into this one, so ``--metrics-out`` totals are
-        #: identical under ``--jobs N`` and serial execution.
+        #: (the measurement protocol) resolve it once per run. A pooled
+        #: sweep runs its cells in the parent too, so ``--metrics-out``
+        #: totals are identical under ``--jobs N`` and serial execution.
         self.metrics: Optional["MetricsRegistry"] = None
 
     # -- sink management ---------------------------------------------------------
@@ -151,8 +150,8 @@ class EventDispatcher:
     def flush(self) -> None:
         """Flush every sink that buffers output (file sinks).
 
-        The parallel sweep engine calls this before forking workers so
-        no child inherits buffered-but-unwritten output.
+        The parallel sweep engine calls this before forking its pass
+        workers so no child inherits buffered-but-unwritten output.
         """
         for sink in tuple(self._sinks):
             sink.flush()

@@ -193,16 +193,14 @@ class ProgressEvent(ObsEvent):
 
 @dataclass(frozen=True)
 class CellFailureEvent(ObsEvent):
-    """One sweep-grid cell attempt failed (see :mod:`repro.sim.parallel`).
+    """One sweep-grid cell raised (see :mod:`repro.sim.parallel`).
 
-    ``failure`` is ``crash`` (the worker died and broke the pool) or
-    ``error`` (the cell raised), ``attempt`` the 1-based number of
-    attempts consumed so far, and ``action`` what the engine does next:
-    ``fallback`` (the pool did not return the cell; it re-runs
-    in-process after the pool drains) or ``failed`` (it raised
-    in-process; the sweep raises
+    The engine runs every cell once, in the sweep's own process, so a
+    sweep emits ``failure="error"``, ``attempt=1`` and
+    ``action="failed"``: the sweep raises
     :class:`~repro.sim.recovery.CellExecutionError` once every other
-    cell has finished).
+    cell has finished. The keys stay as they are so that readers of
+    ``--metrics-out`` files keep parsing them.
     """
 
     kind = "cell-failure"

@@ -10,14 +10,15 @@ for exact moments), so quantiles and means stay O(1)-per-observation.
 
 :meth:`MetricsRegistry.snapshot` is the one way to read a registry: an
 immutable :class:`RegistrySnapshot`, both a flat ``{name: value}``
-mapping and each instrument's raw reading. :meth:`MetricsRegistry.merge`
-folds one into another registry; forked sweep workers relay that way.
+mapping and each instrument's raw reading. A registry lives in one
+process: a pooled sweep runs every cell in the parent, so nothing is
+relayed into it from elsewhere.
 
-The lock rule: :meth:`~MetricsRegistry.snapshot`,
-:meth:`~MetricsRegistry.merge` and instrument creation take the one
-re-entrant :attr:`MetricsRegistry.lock`. Instruments take no lock, so a
-writer that can run beside a snapshot holds ``lock`` around its whole
-batch of updates, and a snapshot sees the batch entirely or not at all.
+The lock rule: :meth:`~MetricsRegistry.snapshot` and instrument
+creation take the one re-entrant :attr:`MetricsRegistry.lock`.
+Instruments take no lock, so a writer that can run beside a snapshot
+holds ``lock`` around its whole batch of updates, and a snapshot sees
+the batch entirely or not at all.
 Quantiles and exposition text are computed from the copy after the lock
 is released. The registry lock comes first in lock order: a snapshot
 reads callable gauges while holding it, and a callable may take another
@@ -68,11 +69,6 @@ class Gauge:
         self._value: float = 0.0
         self._fn = fn
 
-    @property
-    def live(self) -> bool:
-        """True when the gauge reads a callable (a live view)."""
-        return self._fn is not None
-
     def set(self, value: float) -> None:
         """Pin the gauge to a value (only for non-callable gauges)."""
         if self._fn is not None:
@@ -85,18 +81,6 @@ class Gauge:
         if self._fn is not None:
             return float(self._fn())
         return self._value
-
-
-class GaugeReading(NamedTuple):
-    """One gauge in a :class:`RegistrySnapshot`."""
-
-    value: float
-    #: The relayed worker that last wrote the gauge (see
-    #: :meth:`MetricsRegistry.merge`), or None when written locally.
-    worker: Optional[str] = None
-    #: True when the value was read from a callable; such live views of
-    #: process-local objects are never relayed.
-    live: bool = False
 
 
 class HistogramReading(NamedTuple):
@@ -187,17 +171,6 @@ class HistogramMetric:
                                 tuple(self._histogram.counts),
                                 self._moments.state())
 
-    def _merge(self, reading: HistogramReading) -> None:
-        if (reading.low, reading.high, reading.bins) != (
-                self.low, self.high, self.bins):
-            raise ConfigurationError(
-                f"histogram {self.name!r} binning mismatch: cannot merge "
-                f"[{reading.low}, {reading.high})/{reading.bins} into "
-                f"[{self.low}, {self.high})/{self.bins}")
-        self._histogram.merge_counts(list(reading.counts))
-        self._moments = self._moments.merge(
-            StreamingMoments.restore(reading.moments))
-
 
 class RegistrySnapshot(Mapping[str, float]):
     """An immutable reading of a whole registry, taken under its lock.
@@ -207,8 +180,7 @@ class RegistrySnapshot(Mapping[str, float]):
     ``name.count/.mean/.p50/.p95/.p99``. Percentiles are omitted while a
     histogram is empty, so a snapshot never fabricates numbers.
     :attr:`counters`, :attr:`gauges` and :attr:`histograms` carry the
-    raw parts that :meth:`MetricsRegistry.merge` and the exposition
-    renderer read. The flat view (and its quantiles) is built on first
+    raw parts that the exposition renderer reads. The flat view (and its quantiles) is built on first
     use, from the copy.
     """
 
@@ -216,7 +188,7 @@ class RegistrySnapshot(Mapping[str, float]):
 
     def __init__(self,
                  counters: Optional[Dict[str, int]] = None,
-                 gauges: Optional[Dict[str, GaugeReading]] = None,
+                 gauges: Optional[Dict[str, float]] = None,
                  histograms: Optional[Dict[str, HistogramReading]] = None
                  ) -> None:
         self._counters = dict(counters or {})
@@ -230,8 +202,8 @@ class RegistrySnapshot(Mapping[str, float]):
         return MappingProxyType(self._counters)
 
     @property
-    def gauges(self) -> Mapping[str, GaugeReading]:
-        """``{name: GaugeReading}`` of every gauge."""
+    def gauges(self) -> Mapping[str, float]:
+        """``{name: value}`` of every gauge."""
         return MappingProxyType(self._gauges)
 
     @property
@@ -244,8 +216,7 @@ class RegistrySnapshot(Mapping[str, float]):
             flat: Dict[str, float] = {}
             for name, value in self._counters.items():
                 flat[name] = float(value)
-            for name, gauge in self._gauges.items():
-                flat[name] = gauge.value
+            flat.update(self._gauges)
             for name, histogram in self._histograms.items():
                 flat[f"{name}.count"] = float(histogram.count)
                 flat[f"{name}.mean"] = histogram.mean
@@ -276,10 +247,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, HistogramMetric] = {}
-        #: Which relayed worker last wrote each merged gauge (see
-        #: :meth:`merge`); the exposition renderer surfaces it as a
-        #: ``worker`` label.
-        self._gauge_workers: Dict[str, str] = {}
 
     def _claim(self, name: str) -> None:
         if (name in self._counters or name in self._gauges
@@ -326,8 +293,8 @@ class MetricsRegistry:
         """Create (or fetch) the histogram instrument over ``[low, high)``.
 
         Re-registering the same name with the *same* binning returns the
-        existing instrument (so per-run drivers and worker-relay merges
-        can both use get-or-create); a different binning raises.
+        existing instrument (so per-run drivers can use get-or-create); a
+        different binning raises.
         """
         with self.lock:
             existing = self._histograms.get(name)
@@ -366,38 +333,8 @@ class MetricsRegistry:
         with self.lock:
             counters = {name: counter.value
                         for name, counter in self._counters.items()}
-            gauges = {name: GaugeReading(gauge.read(),
-                                         self._gauge_workers.get(name),
-                                         gauge.live)
+            gauges = {name: gauge.read()
                       for name, gauge in self._gauges.items()}
             histograms = {name: histogram._reading()
                           for name, histogram in self._histograms.items()}
         return RegistrySnapshot(counters, gauges, histograms)
-
-    def merge(self, snapshot: RegistrySnapshot,
-              worker: Optional[str] = None) -> None:
-        """Fold another registry's snapshot into this one.
-
-        - Counters and histogram bins add, exactly and in any order;
-          histogram means merge by Chan's formula (last-ulp order
-          sensitivity); a binning mismatch raises
-          :class:`~repro.errors.ConfigurationError`.
-        - Set gauges are last-write-wins, and ``worker`` records who
-          wrote the surviving value (the exposition's ``worker`` label).
-        - Callable gauges are live views of process-local objects: the
-          snapshot's are not relayed, and this registry's are never
-          overwritten.
-        """
-        with self.lock:
-            for name, value in snapshot.counters.items():
-                self.counter(name).inc(value)
-            for name, reading in snapshot.histograms.items():
-                self.histogram(name, reading.low, reading.high,
-                               reading.bins)._merge(reading)
-            for name, gauge in snapshot.gauges.items():
-                existing = self._gauges.get(name)
-                if gauge.live or (existing is not None and existing.live):
-                    continue
-                self.set_gauge(name, gauge.value)
-                if worker is not None:
-                    self._gauge_workers[name] = worker

@@ -58,7 +58,7 @@ def deactivate() -> None:
     Forked worker processes inherit the parent's ambient dispatcher —
     and with it open file sinks that must only be written from the
     parent — so the parallel sweep engine clears it as the first act of
-    every worker task. Not for use in normal (single-process) flow;
+    every pass task. Not for use in normal (single-process) flow;
     there, :func:`activate`'s scoped restore is the right tool.
     """
     global _active

@@ -8,9 +8,8 @@ hot path; no thread or socket exists unless explicitly started):
 
 - :func:`render_exposition` — serialize a :class:`MetricsRegistry` as
   Prometheus text exposition format (version 0.0.4): ``# HELP`` /
-  ``# TYPE`` lines, counters, gauges (with a ``worker`` label for
-  values relayed from forked sweep workers), and histograms as
-  cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
+  ``# TYPE`` lines, counters, gauges, and histograms as cumulative
+  ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
   :func:`parse_exposition` is the matching reader used by ``repro top``
   and the tests.
 - :class:`MetricsServer` — a stdlib :mod:`http.server` endpoint serving
@@ -75,12 +74,6 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _escape_label(value: str) -> str:
-    """Escape a label value (backslash, quote, newline)."""
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
 def _format_value(value: float) -> str:
     """Render a sample value: integral floats without the trailing .0."""
     if value != value:  # NaN
@@ -98,9 +91,7 @@ def render_exposition(registry: MetricsRegistry) -> str:
     The text comes from one
     :meth:`~repro.obs.registry.MetricsRegistry.snapshot` of the registry.
 
-    - Counters and gauges render one sample each; gauges whose value was
-      merged from a forked sweep worker carry a ``worker="<pid>"`` label
-      (see :meth:`~repro.obs.registry.MetricsRegistry.merge`).
+    - Counters and gauges render one unlabelled sample each.
     - Histograms render the full cumulative ``_bucket{le="..."}``
       ladder over their fixed binning, a terminal ``le="+Inf"`` bucket,
       and ``_sum`` / ``_count`` samples, all from one reading. The
@@ -121,13 +112,11 @@ def render_exposition(registry: MetricsRegistry) -> str:
         lines.append(f"# TYPE {exposed} counter")
         lines.append(f"{exposed} {_format_value(float(value))}")
 
-    for name, gauge in sorted(snapshot.gauges.items()):
+    for name, value in sorted(snapshot.gauges.items()):
         exposed = exposition_name(name)
         lines.append(f"# HELP {exposed} {_escape_help(name)}")
         lines.append(f"# TYPE {exposed} gauge")
-        label = (f'{{worker="{_escape_label(gauge.worker)}"}}'
-                 if gauge.worker is not None else "")
-        lines.append(f"{exposed}{label} {_format_value(gauge.value)}")
+        lines.append(f"{exposed} {_format_value(value)}")
 
     for name, histogram in sorted(snapshot.histograms.items()):
         total = sum(histogram.counts)
@@ -196,10 +185,8 @@ class Exposition:
     def __init__(self) -> None:
         #: Scalar samples keyed by exposed metric name (labels stripped;
         #: last sample of a name wins — sufficient for this repo's
-        #: single-label exposition).
+        #: unlabelled scalars).
         self.samples: Dict[str, float] = {}
-        #: Label sets seen per metric name, e.g. ``{"worker": "123"}``.
-        self.labels: Dict[str, Dict[str, str]] = {}
         #: ``# TYPE`` declarations by exposed name.
         self.types: Dict[str, str] = {}
         #: ``# HELP`` text by exposed name (the original dotted name).
@@ -285,8 +272,6 @@ def parse_exposition(text: str) -> Exposition:
             exposition.histograms[name[:-6]].count = int(value)
             continue
         exposition.samples[name] = value
-        if labels:
-            exposition.labels[name] = labels
     return exposition
 
 

@@ -4,8 +4,8 @@ A curses-free counterpart of ``top(1)`` for a running sweep: poll the
 ``--serve-metrics`` endpoint (or read the final ``snapshot`` record of a
 ``--metrics-out`` JSONL file), derive rates from successive scrapes, and
 render one compact frame per interval — windowed hit ratio, references
-per second, cell completion, the sweep's failure counters (cells re-run
-in-process and cells that failed), and the
+per second, cell completion, the sweep's failure counter (cells that
+raised), and the
 :class:`~repro.obs.telemetry.ResourceSampler` gauges.
 
 Everything here is plain string assembly over
@@ -29,7 +29,7 @@ from .telemetry import Exposition, HistogramSeries, parse_exposition
 __all__ = ["fetch_url", "read_snapshot_file", "render_frame", "run_top"]
 
 #: ANSI fragments, keyed so rendering can run colorless for tests/pipes.
-_CODES = {"reset": "\x1b[0m", "bold": "\x1b[1m", "dim": "\x1b[2m",
+_CODES = {"reset": "\x1b[0m", "bold": "\x1b[1m",
           "red": "\x1b[31m", "green": "\x1b[32m", "yellow": "\x1b[33m",
           "cyan": "\x1b[36m"}
 _CLEAR = "\x1b[2J\x1b[H"
@@ -276,16 +276,10 @@ def render_frame(current: Exposition,
                          f"({int(total_requests):,} reqs)")
 
     # -- sweep failures
-    fault_names = (("fallbacks", "sweep.cell.fallbacks"),
-                   ("failures", "sweep.cell.failures"))
-    faults = [(label, current.value(name, 0.0))
-              for label, name in fault_names]
-    if any(current.has(name) for _, name in fault_names) or any(
-            value for _, value in faults):
-        rendered = "  ".join(
-            paint("red" if value else "green", f"{label} {int(value)}")
-            for label, value in faults)
-        lines.append(f"  faults   {rendered}")
+    if current.has("sweep.cell.failures"):
+        failures = int(current.value("sweep.cell.failures"))
+        lines.append("  faults   " + paint("red" if failures else "green",
+                                           f"failures {failures}"))
 
     # -- resources
     rss = current.value("process.rss_bytes", 0.0)
@@ -296,15 +290,6 @@ def render_frame(current: Exposition,
         lines.append(
             f"  process  rss {_human_bytes(rss)}  cpu {cpu:,.1f}s"
             f"  threads {int(threads)}  gc2 {int(gc2)}")
-
-    # -- worker-relayed gauges
-    workers = sorted({labels["worker"]
-                      for name, labels in current.labels.items()
-                      if "worker" in labels})
-    if workers:
-        lines.append(paint(
-            "dim", f"  workers  last gauge writes from: "
-                   f"{', '.join(workers)}"))
 
     if len(lines) == 1:
         lines.append("  (no samples yet — is the sweep serving metrics?)")

@@ -19,11 +19,13 @@ Cross-process relay
 -------------------
 Spans use *absolute* wall-clock timestamps (``time.time_ns``), so spans
 recorded in a forked sweep worker line up with the parent's timeline
-without clock translation. Workers serialize completed spans to plain
-dicts (:meth:`Tracer.serialize`) over the existing result channel and the
-parent re-parents them with :meth:`Tracer.absorb` — worker root spans
-become children of the parent-side ``cell`` span, and every absorbed
-span is re-numbered into the parent's id space.
+without clock translation. A pooled sweep's pass workers serialize their
+``stack.pass`` spans to plain dicts (:meth:`Tracer.serialize`) over the
+existing result channel and the parent re-parents them with
+:meth:`Tracer.absorb` — worker root spans become children of the
+parent-side ``sweep`` span, and every absorbed span is re-numbered into
+the parent's id space. The sweep's cells run in the parent, so their
+spans need no relay.
 """
 
 from __future__ import annotations
@@ -164,9 +166,8 @@ class Tracer:
                tid: Optional[int] = None, **args: object) -> Span:
         """Record an already-measured (synthetic) span.
 
-        Used for the parent-side ``cell`` envelopes synthesized around
-        relayed worker spans. When ``parent_id`` is None the span
-        parents under the innermost open span, like :meth:`span`.
+        When ``parent_id`` is None the span parents under the innermost
+        open span, like :meth:`span`.
         """
         span = Span(
             name=name,
@@ -196,8 +197,8 @@ class Tracer:
 
         Every span is re-numbered into this tracer's id space; spans that
         were roots in the worker (``parent_id`` None) are re-parented
-        under ``parent_id`` — the parent-side ``cell`` span. Returns the
-        adopted spans.
+        under ``parent_id`` — the parent-side ``sweep`` span. Returns
+        the adopted spans.
         """
         remap: Dict[int, int] = {}
         adopted: List[Span] = []
@@ -286,8 +287,8 @@ def deactivate() -> None:
 
     Forked sweep workers inherit the parent's tracer object; appending to
     it from a child is invisible to the parent and would pollute the
-    worker's own relay payload, so worker tasks clear it first and build
-    a fresh tracer when the job asks for one.
+    worker's own relay payload, so pass tasks clear it first and build
+    a fresh tracer when the sweep is traced.
     """
     global _active
     _active = None

@@ -20,6 +20,7 @@ trace in :func:`repro.policies.kernel.make_a0_kernel`.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import NoEvictableFrameError, OracleError
@@ -99,10 +100,12 @@ class A0Policy(ReplacementPolicy):
             return (beta(page, 0.0), page) if previous is None else previous
         return stack_pass(pages, warmup, next_write, capacities, key_of)
 
-    @property
+    @cached_property
     def stack_key(self) -> frozenset:
         """What tells this policy's stack pass from another A0's: its
-        probabilities (a trace cache keys passes by it)."""
+        probabilities (a trace cache keys passes by it). Computed once
+        per policy: the protocol looks up each repetition's pass with
+        the same policy."""
         return frozenset(self._beta.items())
 
     def reset(self) -> None:

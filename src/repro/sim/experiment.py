@@ -113,7 +113,8 @@ def run_experiment(spec: ExperimentSpec,
     The cache is scoped to this call — cleared on the way out, success or
     failure, so a long-lived process running many experiments does not
     pin every workload's traces forever.
-    ``jobs`` fans the sweep grid out over worker processes;
+    ``jobs`` builds the sweep's stack passes on that many worker
+    processes;
     ``checkpoint`` records completed cells for ``--resume`` (see
     :mod:`repro.sim.recovery`). Each cell and each B(1)/B(2) ratio is
     narrated through :func:`repro.obs.runtime.narrate` (on

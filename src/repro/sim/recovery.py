@@ -14,8 +14,8 @@ long multi-policy sweep does not finish:
   discarding completed work, with one :class:`CellFailure` per cell
   that raised.
 
-Cells are pure functions of their inputs, so a re-run or resumed cell
-is bit-identical to a serial run: results round-trip through the
+Cells are pure functions of their inputs, so a resumed cell is
+bit-identical to an uninterrupted run: results round-trip through the
 checkpoint exactly (JSON floats serialize via ``repr``, the shortest
 round-trip form), property-tested in ``tests/sim/test_recovery.py``.
 """
@@ -33,9 +33,9 @@ from ..stats import ConfidenceInterval
 from ..workloads.base import Workload
 from .runner import PolicySpec, ProtocolResult, RunResult
 
-#: Failure kinds attached to events and :class:`CellFailure` records.
-CRASH = "crash"          # the worker process died (SIGKILL, OOM, ...)
-ERROR = "error"          # the cell raised
+#: The failure kind attached to events and :class:`CellFailure` records:
+#: the cell raised.
+ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class SweepInterrupted(ReproError):
 
 
 class CellExecutionError(SimulationError):
-    """One or more cells raised when run in-process.
+    """One or more cells raised.
 
     Every *other* cell completed and was checkpointed before this was
     raised, so a ``--resume`` re-run retries only the failed cells.

@@ -330,18 +330,12 @@ def _record_protocol_counters(registry: MetricsRegistry, tier: str,
     counter("protocol.misses").inc(run.misses)
     counter("protocol.evictions").inc(run.evictions)
     counter("protocol.writebacks").inc(run.writebacks)
-    # Hit ratios are bounded in [0, 1], so a fixed binning is exact for
-    # relay: forked sweep workers ship bin counts + raw moments in their
-    # snapshots and the parent merges them (see MetricsRegistry.merge),
-    # keeping --metrics-out distributions identical under --jobs N and
-    # serial.
+    # Hit ratios are bounded in [0, 1], so one fixed binning serves
+    # every run.
     registry.histogram("protocol.run_hit_ratio", 0.0, 1.0).observe(
         run.hit_ratio)
-    # Point-in-time gauges for the live telemetry plane: non-callable,
-    # so they ride a forked worker's snapshot at cell exit and the
-    # parent merges them last-write-wins (MetricsRegistry.merge) — a
-    # /metrics scrape mid-sweep then shows the most recently completed
-    # run regardless of which process ran it.
+    # Point-in-time gauges for the live telemetry plane: a /metrics
+    # scrape mid-sweep shows the most recently completed run.
     registry.set_gauge("protocol.last_run_hit_ratio", run.hit_ratio)
     registry.set_gauge("protocol.last_run_evictions", float(run.evictions))
     if stats is not None and is_dataclass(stats):
@@ -396,7 +390,10 @@ def run_paper_protocol(workload: Workload,
       one, since for a single run a pass costs more than a kernel run),
       and nothing needs every reference
       (:func:`~repro.sim.cache.takes_every_reference`). The run is read
-      off the pass, with the stats block a kernel run leaves;
+      off the pass, with the stats block a kernel run leaves. Such a
+      policy was only a key, so the next repetition looks its pass up
+      with the same one instead of building another (an A0 build and
+      its key cost O(pages));
     - ``kernel`` or ``object``: otherwise :func:`measure_hit_ratio`
       drives the policy, through its fused kernel when it can.
 
@@ -417,16 +414,18 @@ def run_paper_protocol(workload: Workload,
         registry = getattr(obs, "metrics", None)
     total = warmup + measured
     runs: List[RunResult] = []
+    policy = None
     for repetition in range(repetitions):
         run_seed = seed + repetition
         if trace_cache is not None:
             trace = trace_cache.get(workload, total, run_seed)
         else:
             trace = CachedTrace.materialize(workload, total, run_seed)
-        context = RunContext(capacity=capacity, workload=workload)
-        if spec.needs_trace:
-            context.trace = trace.page_ids()
-        policy = spec.build(context)
+        if policy is None or spec.needs_trace:
+            context = RunContext(capacity=capacity, workload=workload)
+            if spec.needs_trace:
+                context.trace = trace.page_ids()
+            policy = spec.build(context)
         curve = None
         if (trace_cache is not None
                 and not takes_every_reference(policy, obs)):
@@ -450,6 +449,7 @@ def run_paper_protocol(workload: Workload,
                     spec.label, capacity, run_seed, simulator.counter,
                     simulator.warmup_counter, simulator.evictions,
                     simulator.writebacks)
+                policy = None  # played: the next repetition builds afresh
             if span is not None:
                 span.args["tier"] = tier
         if registry is not None:

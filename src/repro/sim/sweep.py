@@ -57,18 +57,16 @@ def sweep_buffer_sizes(workload: Workload,
     the sweep finishes — including the failure and interrupt paths — so
     sweeps in a long-lived process do not pin workloads forever.
 
-    ``jobs`` fans the grid out over that many worker processes via
-    :mod:`repro.sim.parallel`; ``None`` means 1 (serial). Results are
-    merged deterministically: a parallel sweep returns cells equal to a
-    serial one. Cells the pool did not return re-run in-process, and
-    completed cells stream into ``checkpoint`` when one is given — see
-    :mod:`repro.sim.recovery`.
+    ``jobs`` builds the grid's stack passes on that many worker
+    processes via :mod:`repro.sim.parallel`; ``None`` means 1 (serial).
+    The cells themselves always run in this process, in grid order, so
+    a pooled sweep returns cells equal to a serial one and emits the
+    same events, metrics and spans. Completed cells stream into
+    ``checkpoint`` when one is given — see :mod:`repro.sim.recovery`.
 
     Each completed cell narrates one ``B=... C=...`` line through
     :func:`repro.obs.runtime.narrate` — on ``observability``, else the
-    ambient dispatcher — which the CLI's console sink prints. Under
-    ``jobs > 1`` the lines arrive in completion order rather than grid
-    order.
+    ambient dispatcher — which the CLI's console sink prints.
     """
     if not specs:
         raise ConfigurationError("sweep needs at least one policy")

@@ -275,7 +275,7 @@ class TraceCache:
                         workload: Workload, total: int, seed: int,
                         warmup: int, curve: StackResult) -> None:
         """Keep a pass built elsewhere: by a pooled sweep's pass worker,
-        before the cells' pool forks and its workers inherit the cache."""
+        for the cells the parent runs next."""
         key = _curve_key(policy, workload, total, seed, warmup)
         if key is not None:
             self._curves[key] = curve

@@ -59,7 +59,7 @@ class Histogram:
         """Fold another same-shaped histogram's per-bin counts into this one.
 
         Bin counts are sums, so the merge is exact and order-independent
-        — how forked sweep workers' histogram state reaches the parent.
+        — how a metrics registry reading rebuilds its bins for quantiles.
         """
         if len(counts) != self.bins:
             raise ConfigurationError(

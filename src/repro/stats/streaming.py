@@ -58,22 +58,9 @@ class StreamingMoments:
         return merged
 
     def state(self) -> Tuple[int, float, float]:
-        """The raw ``(count, mean, m2)`` accumulator state.
-
-        A picklable snapshot for process-boundary relays; feed it to
-        :meth:`restore` on the far side and merge as usual.
-        """
+        """The raw ``(count, mean, m2)`` accumulator state (what a
+        metrics registry snapshot copies)."""
         return (self._count, self._mean, self._m2)
-
-    @classmethod
-    def restore(cls, state: Tuple[int, float, float]) -> "StreamingMoments":
-        """Rebuild an accumulator from a :meth:`state` snapshot."""
-        count, mean, m2 = state
-        moments = cls()
-        moments._count = int(count)
-        moments._mean = float(mean)
-        moments._m2 = float(m2)
-        return moments
 
     @property
     def count(self) -> int:

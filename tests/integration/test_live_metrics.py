@@ -25,9 +25,10 @@ def _scrape(url):
 
 class _ParkAtFirstCell(Sink):
     """Parks the sweep thread at its first progress line until the test
-    has scraped. The parent narrates a pooled cell after merging that
-    cell's worker snapshot, so the scrape sees worker state mid-sweep.
-    A run-level sink, so the runs keep their tiers."""
+    has scraped. A pooled sweep runs its cells in the parent after its
+    passes and narrates each once its counters are in, so the scrape
+    sees the first cell's state mid-sweep. A run-level sink, so the
+    runs keep their tiers."""
 
     takes_references = False
 
@@ -42,7 +43,7 @@ class _ParkAtFirstCell(Sink):
 
 
 @pytest.mark.skipif(not fork_available(),
-                    reason="live relay needs the fork engine")
+                    reason="pooled passes need the fork engine")
 class TestLiveScrape:
     def test_mid_sweep_exposition_carries_worker_state(self):
         dispatcher = EventDispatcher()
@@ -69,9 +70,9 @@ class TestLiveScrape:
             worker = threading.Thread(target=sweep)
             worker.start()
             try:
-                # The sweep parks once its first completed cell has
-                # relayed its counters and histogram bins: a scrape
-                # taken now is strictly mid-sweep.
+                # The sweep parks once its first cell has recorded its
+                # counters and histogram bins: a scrape taken now is
+                # strictly mid-sweep.
                 live = None
                 if gate.parked.wait(timeout=60.0) and not failure:
                     live = parse_exposition(_scrape(server.url))
@@ -81,10 +82,13 @@ class TestLiveScrape:
             final = parse_exposition(_scrape(server.url))
 
         assert not failure, failure
-        assert live is not None, "no mid-sweep scrape saw worker state"
+        assert live is not None, "no mid-sweep scrape saw the first cell"
 
-        # Worker-relayed protocol counters were visible mid-flight...
+        # The first cell's protocol counters were visible mid-flight:
+        # its two runs, both read off the passes the pool built ...
         assert live.value("sweep.cells_done") == 1.0
+        assert live.value("protocol.runs") == 2.0
+        assert live.value("sim.tier.stack") == 2.0
         assert live.value("protocol.references") > 0
         assert live.value("protocol.hits") + live.value(
             "protocol.misses") > 0
@@ -95,11 +99,10 @@ class TestLiveScrape:
         assert cumulative == sorted(cumulative)
         assert series.buckets[-1][0] == float("inf")
         assert series.buckets[-1][1] == series.count
-        # ... alongside the sweep's failure counters (present at zero in
+        # ... alongside the sweep's failure counter (present at zero in
         # a healthy sweep, not absent) ...
-        for name in ("sweep.cell.fallbacks", "sweep.cell.failures"):
-            assert live.has(name), name
-            assert live.value(name) == 0.0
+        assert live.has("sweep.cell.failures")
+        assert live.value("sweep.cell.failures") == 0.0
         # ... and grid-progress gauges tracking completion (repetitions
         # run inside a cell: 6 capacities x 2 policies = 12 cells).
         assert live.value("sweep.cells_total") == 12.0
@@ -115,7 +118,3 @@ class TestLiveScrape:
         # and every run (2 repetitions per cell).
         assert final.value("sweep.cells_done") == 12.0
         assert final.histograms["protocol_run_hit_ratio"].count == 24
-        workers = {labels["worker"]
-                   for name, labels in final.labels.items()
-                   if "worker" in labels}
-        assert workers, "no worker-relayed gauges in the final scrape"

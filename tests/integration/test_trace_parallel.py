@@ -1,10 +1,10 @@
-"""Cross-process tracing and metrics relay under the parallel sweep.
+"""Cross-process tracing and metrics under the parallel sweep.
 
-The acceptance bar for the span-relay design: a sweep run with
-``jobs=4`` and an active tracer must export Chrome trace-event JSON in
-which worker-recorded ``simulate`` spans sit under parent-side ``cell``
-envelopes, and a worker-metered sweep must merge counter deltas into the
-parent registry so serial and parallel totals are identical.
+A sweep run with ``jobs=4`` and an active tracer must export Chrome
+trace-event JSON in which the ``stack.pass`` spans recorded in the pool
+workers sit under the parent's ``sweep`` span and every ``cell`` and
+``simulate`` span is the parent's own, and a metered pooled sweep must
+total exactly what a serial one does.
 """
 
 import json
@@ -50,13 +50,21 @@ class TestParallelTraceRelay:
         assert all(cell.parent_id == sweep_spans[0].span_id
                    for cell in cells)
 
+        # The cells and their runs are the parent's own spans ...
+        parent_pid = sweep_spans[0].pid
         cell_ids = {cell.span_id for cell in cells}
         simulates = tracer.find("simulate")
         assert len(simulates) == len(cells)
         assert all(span.parent_id in cell_ids for span in simulates)
-        # The relayed spans really were recorded in other processes.
-        parent_pid = sweep_spans[0].pid
-        assert {span.pid for span in simulates} != {parent_pid}
+        assert {span.pid for span in cells + simulates} == {parent_pid}
+        assert all(span.args["tier"] == "stack" for span in simulates)
+        # ... while the stack passes, one per column, were recorded in
+        # the pool's workers and relayed under the sweep.
+        passes = tracer.find("stack.pass")
+        assert len(passes) == len(SPECS)
+        assert all(span.parent_id == sweep_spans[0].span_id
+                   for span in passes)
+        assert parent_pid not in {span.pid for span in passes}
 
     def test_chrome_export_is_valid_and_loadable(self, tmp_path):
         tracer = Tracer()

@@ -109,13 +109,6 @@ class TestRenderEdgeCases:
         assert counts == sorted(counts)
         assert counts[-1] == series.count == 2
 
-    def test_worker_label_is_escaped_and_rendered(self):
-        registry, worker = MetricsRegistry(), MetricsRegistry()
-        worker.set_gauge("g", 7.0)
-        registry.merge(worker.snapshot(), worker='we"ird\\pid')
-        text = render_exposition(registry)
-        assert 'g{worker="we\\"ird\\\\pid"} 7' in text
-
     def test_help_line_escapes_newline_and_backslash(self):
         registry = MetricsRegistry()
         registry.counter("weird\nname\\here").inc()
@@ -146,11 +139,10 @@ class TestRenderEdgeCases:
 
 class TestParseRoundTrip:
     def test_render_parse_round_trip(self):
-        registry, worker = MetricsRegistry(), MetricsRegistry()
+        registry = MetricsRegistry()
         registry.counter("protocol.hits").inc(10)
         registry.set_gauge("sweep.cells_done", 2)
-        worker.set_gauge("protocol.last_run_hit_ratio", 0.25)
-        registry.merge(worker.snapshot(), worker="4242")
+        registry.set_gauge("protocol.last_run_hit_ratio", 0.25)
         histogram = registry.histogram("protocol.run_hit_ratio",
                                        0.0, 1.0, bins=8)
         for value in (0.125, 0.25, 0.5, 0.875):
@@ -161,9 +153,8 @@ class TestParseRoundTrip:
         assert exposition.value("protocol.hits") == 10
         assert exposition.value("sweep.cells_done") == 2
         assert exposition.value("protocol.last_run_hit_ratio") == 0.25
-        assert exposition.labels["protocol_last_run_hit_ratio"] == \
-            {"worker": "4242"}
         assert exposition.types["protocol_hits"] == "counter"
+        assert exposition.types["protocol_last_run_hit_ratio"] == "gauge"
         assert exposition.help["protocol_hits"] == "protocol.hits"
         series = exposition.histograms["protocol_run_hit_ratio"]
         assert series.count == 4

@@ -12,7 +12,9 @@ from repro.obs import (
     CallbackSink,
     ConsoleProgressSink,
     EventDispatcher,
+    HitRatioWindowRecorder,
     ProgressEvent,
+    RingBufferSink,
 )
 from repro.sim import (
     CachedTrace,
@@ -249,46 +251,32 @@ class TestParallelMetricsParity:
         return dispatcher.metrics.snapshot()
 
     def test_metrics_out_identical_under_jobs(self):
+        # Every cell runs in the parent, in grid order, so every key —
+        # histogram means and last-run gauges included — is exact.
         serial = self._snapshot(jobs=1)
         fanned = self._snapshot(jobs=4)
-        assert set(serial) == set(fanned)
-        for key, value in serial.items():
-            if key.endswith(".mean"):
-                # Welford means merge via Chan's parallel formula — equal
-                # up to floating-point association, not bit-for-bit.
-                assert fanned[key] == pytest.approx(value)
-            else:
-                # Counters and histogram counts/quantiles merge exactly.
-                assert fanned[key] == value
+        assert dict(fanned) == dict(serial)
 
-    def test_final_gauges_follow_grid_order_not_completion_order(
-            self, monkeypatch):
-        """Cells finishing out of grid order still end on a serial
-        sweep's last-run gauges."""
-        real_wait = parallel.wait
-        completed = []
+    def test_reference_events_identical_under_jobs(self):
+        """A per-reference sink sees a pooled sweep's every event, as
+        it sees a serial one's."""
+        def records(jobs):
+            dispatcher = EventDispatcher()
+            ring = dispatcher.attach(RingBufferSink(maxlen=100_000))
+            dispatcher.attach(HitRatioWindowRecorder(
+                dispatcher, window=100, stride=50))
+            sweep_buffer_sizes(
+                ZipfianWorkload(n=60), [PolicySpec.lru(), PolicySpec.lruk(2)],
+                [4, 8], warmup=100, measured=300, seed=1, repetitions=2,
+                jobs=jobs, observability=dispatcher)
+            assert len(ring) < ring.maxlen
+            return ring.records()
 
-        def latest_cell_first(window, timeout=None, return_when=None):
-            # Let every in-flight cell finish, then hand the engine only
-            # the one latest in grid order: each window completes in
-            # reverse, so the grid's last cell is never merged last.
-            real_wait(window)
-            future = max(window, key=lambda f: (window[f].capacity,
-                                                 window[f].index))
-            completed.append((window[future].capacity,
-                              window[future].index))
-            return {future}, set(window) - {future}
-
-        serial = self._snapshot(jobs=1)
-        monkeypatch.setattr(parallel, "wait", latest_cell_first)
-        fanned = self._snapshot(jobs=2)
-        grid = [(capacity, index) for capacity in (8, 16, 32)
-                for index in range(len(GRID_SPECS))]
-        assert sorted(completed) == grid
-        assert completed[-1] != grid[-1]
-        for key in ("protocol.last_run_hit_ratio",
-                    "protocol.last_run_evictions"):
-            assert fanned[key] == serial[key]
+        serial = records(jobs=1)
+        pooled = records(jobs=2)
+        kinds = {event.kind for event, _ in pooled}
+        assert {"access", "eviction", "window", "snapshot"} <= kinds
+        assert pooled == serial
 
     def test_worker_histograms_reach_metrics_snapshot(self):
         fanned = self._snapshot(jobs=2)

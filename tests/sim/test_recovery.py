@@ -90,6 +90,55 @@ def _failure_events(events):
     return [e for e in events if isinstance(e, CellFailureEvent)]
 
 
+class _RunEvents(Sink):
+    """Keeps every event; a run-level sink, so the grid keeps its stack
+    passes and kernels."""
+
+    takes_references = False
+
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event, context):
+        self.events.append(event)
+
+
+def _observed_runs():
+    """A dispatcher with a metrics registry and a run-level event
+    recorder: the grid's passes stay planned."""
+    dispatcher = EventDispatcher()
+    recorder = dispatcher.attach(_RunEvents())
+    dispatcher.metrics = MetricsRegistry()
+    return dispatcher, recorder.events
+
+
+def _passes_fail_in_workers(monkeypatch, failing, kill=False):
+    """Make each stack pass for which ``failing(label, seed)`` holds
+    raise, or SIGKILL its worker, when a pool worker builds it; passes
+    the parent builds are left alone."""
+    build = TraceCache.build_stack_curve
+    parent = os.getpid()
+
+    def build_or_fail(self, policy, workload, total, seed, warmup,
+                      capacities=None, label=None):
+        if os.getpid() != parent and failing(label, seed):
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("injected pass failure")
+        return build(self, policy, workload, total, seed, warmup,
+                     capacities, label)
+
+    monkeypatch.setattr(TraceCache, "build_stack_curve", build_or_fail)
+
+
+def _tiers(dispatcher):
+    """Runs per execution tier, from the sweep's registry."""
+    counters = dispatcher.metrics.snapshot().counters
+    return {name.rsplit(".", 1)[1]: value
+            for name, value in counters.items()
+            if name.startswith("sim.tier.")}
+
+
 class TestCheckpointRoundTrip:
     def test_result_serialization_round_trips_exactly(self):
         grid = _grid()
@@ -250,90 +299,90 @@ class TestSerialRetry:
 @pytest.mark.skipif(not fork_available(),
                     reason="parallel engine needs the fork start method")
 class TestParallelRecovery:
-    def test_injected_raises_recover_to_serial_answer(self):
-        baseline = _grid()
-        parent = os.getpid()
-
-        def raises_in_workers(spec):
-            def factory(ctx):
-                if os.getpid() != parent:
-                    raise RuntimeError("injected worker failure")
-                return spec.build(ctx)
-            return PolicySpec(spec.label, factory)
-
-        specs = [raises_in_workers(spec) for spec in SPECS]  # every cell
-        dispatcher, events = _observed()
-        grid = _grid(jobs=2, specs=specs, observability=dispatcher)
-        assert grid == baseline
-        cells = len(SPECS) * len(CAPACITIES)
-        metrics = dispatcher.metrics
-        assert metrics.counter("sweep.cell.fallbacks").value == cells
-        assert metrics.counter("sweep.cell.failures").value == 0
-        failures = _failure_events(events)
-        assert len(failures) == cells
-        assert all(e.action == "fallback" for e in failures)
-
-    def test_sigkilled_worker_loses_no_cells(self, tmp_path):
+    def test_injected_raises_recover_to_serial_answer(
+            self, tmp_path, monkeypatch):
+        """Every pass raises in its worker: every run takes its kernel
+        in the parent, and the grid is the serial one."""
         baseline = _grid()
         path = str(tmp_path / "cells.jsonl")
-        parent = os.getpid()
-
-        def killed_in_workers(ctx):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return make_policy("lru")
-
-        specs = [PolicySpec("LRU-1", killed_in_workers), PolicySpec.lruk(2)]
-        dispatcher, events = _observed()
+        _passes_fail_in_workers(monkeypatch, lambda label, seed: True)
+        dispatcher, events = _observed_runs()
         with SweepCheckpoint(path) as checkpoint:
-            grid = _grid(jobs=2, specs=specs, observability=dispatcher,
+            grid = _grid(jobs=2, observability=dispatcher,
                          checkpoint=checkpoint)
-        assert grid == baseline  # bit-identical to the serial run
-        assert any(e.failure == "crash" and e.action == "fallback"
-                   for e in _failure_events(events))
+        assert grid == baseline
+        runs = len(SPECS) * len(CAPACITIES) * 2  # 2 repetitions per cell
+        assert _tiers(dispatcher) == {"kernel": runs}
         assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
-        # Completed cells survived to the checkpoint despite the kills.
+        assert _failure_events(events) == []
+        assert multiprocessing.active_children() == []
         reopened = SweepCheckpoint(path, resume=True)
         assert reopened.resumed_cells == len(grid)
         reopened.close()
 
-    def test_worker_only_failure_falls_back_to_serial(self):
+    def test_sigkilled_worker_loses_no_cells(self, tmp_path, monkeypatch):
+        """A pass worker killed mid-sweep breaks the pool: the passes it
+        took with it leave their runs to the kernels."""
         baseline = _grid()
-        parent = os.getpid()
+        path = str(tmp_path / "cells.jsonl")
+        _passes_fail_in_workers(monkeypatch, lambda label, seed: True,
+                                kill=True)
+        dispatcher, events = _observed_runs()
+        with SweepCheckpoint(path) as checkpoint:
+            grid = _grid(jobs=2, observability=dispatcher,
+                         checkpoint=checkpoint)
+        assert grid == baseline  # bit-identical to the serial run
+        runs = len(SPECS) * len(CAPACITIES) * 2
+        assert _tiers(dispatcher) == {"kernel": runs}
+        assert _failure_events(events) == []
+        assert multiprocessing.active_children() == []
+        # Every cell reached the checkpoint despite the kills.
+        reopened = SweepCheckpoint(path, resume=True)
+        assert reopened.resumed_cells == len(grid)
+        reopened.close()
 
-        def parent_only(ctx):
-            if os.getpid() != parent:
-                raise RuntimeError("refuses to build in a worker")
-            return make_policy("lru")
-
-        specs = [PolicySpec("LRU-1", parent_only), PolicySpec.lruk(2)]
-        dispatcher, events = _observed()
-        grid = _grid(jobs=2, specs=specs, observability=dispatcher)
-        # The degraded cells re-ran in-process and still match serial.
+    def test_worker_only_failure_falls_back_to_serial(
+            self, tmp_path, monkeypatch):
+        """One column's passes raise in their workers: that column's
+        runs take their kernels, the other column keeps its passes."""
+        baseline = _grid()
+        path = str(tmp_path / "cells.jsonl")
+        _passes_fail_in_workers(monkeypatch,
+                                lambda label, seed: label == "LRU-1")
+        dispatcher, events = _observed_runs()
+        with SweepCheckpoint(path) as checkpoint:
+            grid = _grid(jobs=2, observability=dispatcher,
+                         checkpoint=checkpoint)
         assert grid == baseline
-        assert dispatcher.metrics.counter("sweep.cell.fallbacks").value == \
-            len(CAPACITIES)
-        assert dispatcher.metrics.counter("sweep.cell.failures").value == 0
-        assert any(e.action == "fallback" for e in _failure_events(events))
+        column = len(CAPACITIES) * 2  # one column's runs
+        assert _tiers(dispatcher) == {"kernel": column, "stack": column}
+        assert _failure_events(events) == []
+        assert multiprocessing.active_children() == []
+        reopened = SweepCheckpoint(path, resume=True)
+        assert reopened.resumed_cells == len(grid)
+        reopened.close()
 
     def test_failure_everywhere_names_only_that_policy(self):
         def always_broken(ctx):
             raise RuntimeError("always broken")
 
         specs = [PolicySpec("BROKEN", always_broken), PolicySpec.lru()]
-        dispatcher, events = _observed()
+        dispatcher, events = _observed_runs()
         with pytest.raises(CellExecutionError) as info:
             _grid(jobs=2, specs=specs, observability=dispatcher)
         assert {f.label for f in info.value.failures} == {"BROKEN"}
-        # Each failed once in the pool and once in-process.
-        assert all(f.attempts == 2 for f in info.value.failures)
-        # The healthy policy's cells all completed and were salvaged.
+        # Each cell ran once, in the parent; nothing is retried.
+        assert all(f.attempts == 1 for f in info.value.failures)
+        # The healthy policy's cells all completed, off pooled passes.
         assert set(info.value.results) == {(c, "LRU-1") for c in CAPACITIES}
-        metrics = dispatcher.metrics
-        assert metrics.counter("sweep.cell.fallbacks").value == \
+        assert _tiers(dispatcher) == {"stack": len(CAPACITIES) * 2}
+        assert dispatcher.metrics.counter("sweep.cell.failures").value == \
             len(CAPACITIES)
-        assert metrics.counter("sweep.cell.failures").value == \
-            len(CAPACITIES)
+        failures = _failure_events(events)
+        assert len(failures) == len(CAPACITIES)
+        assert all(e.action == "failed" and e.failure == "error"
+                   for e in failures)
+        assert multiprocessing.active_children() == []
 
     def test_interrupt_under_jobs_salvages_and_resumes(self, tmp_path):
         path = str(tmp_path / "cells.jsonl")
@@ -395,24 +444,30 @@ class TestParallelRecovery:
         monkeypatch.setattr(ProcessPoolExecutor, "shutdown",
                             signal_then_shut_down)
         assert _grid(jobs=2) == _grid()
-        assert len(signalled) == 2  # the passes' pool, then the cells'
+        assert len(signalled) == 1  # the one pool: the passes'
         assert multiprocessing.active_children() == []
 
     @settings(max_examples=3, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_property_recovered_grid_equals_serial(self, seed):
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           lost=st.sets(st.sampled_from([(label, repetition)
+                                         for label in ("LRU-1", "LRU-2")
+                                         for repetition in (0, 1)])))
+    def test_property_recovered_grid_equals_serial(self, seed, lost):
+        """Whichever passes the workers lose, the grid is the serial one
+        and exactly the lost passes' runs take their kernels."""
         serial = _grid(seed=seed)
-        parent = os.getpid()
-
-        def raises_at_b8_in_workers(ctx):
-            if os.getpid() != parent and ctx.capacity == 8:
-                raise RuntimeError("injected worker failure")
-            return make_policy("lru")
-
-        specs = [PolicySpec("LRU-1", raises_at_b8_in_workers),
-                 PolicySpec.lruk(2)]
-        recovered = _grid(jobs=2, seed=seed, specs=specs)
+        dispatcher, _ = _observed_runs()
+        with pytest.MonkeyPatch.context() as patch:
+            _passes_fail_in_workers(
+                patch, lambda label, run_seed: (label, run_seed - seed)
+                in lost)
+            recovered = _grid(jobs=2, seed=seed, observability=dispatcher)
         assert recovered == serial
+        kernel = len(lost) * len(CAPACITIES)  # a pass answers each size
+        stack = len(SPECS) * len(CAPACITIES) * 2 - kernel
+        assert _tiers(dispatcher) == {
+            tier: runs for tier, runs in (("kernel", kernel),
+                                          ("stack", stack)) if runs}
 
 
 class TestTransientFactory:
@@ -440,7 +495,7 @@ class TestJobsDefaultIsSerial:
         def forbidden(*args, **kwargs):
             raise AssertionError("jobs=None must not spawn a pool")
 
-        monkeypatch.setattr("repro.sim.parallel._pool_pass", forbidden)
+        monkeypatch.setattr("repro.sim.parallel._pool_passes", forbidden)
         grid = _grid(jobs=None)
         assert len(grid) == len(SPECS) * len(CAPACITIES)
 

@@ -270,3 +270,28 @@ def test_pooled_table_prints_the_serial_table(argv, capsys):
     serial = capsys.readouterr().out
     assert main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+
+def test_a_cell_builds_a_policy_only_for_its_played_repetitions():
+    """A policy read off a pass is only a key, so the next repetition
+    looks its pass up with the same one; a played policy is never used
+    again."""
+    builds = []
+
+    def counted(context):
+        builds.append(context.capacity)
+        return LRUPolicy()
+
+    # Only the first of three repetitions has a pass: the second plays
+    # the policy the first looked up with, the third builds its own.
+    result = run_paper_protocol(
+        WORKLOAD, PolicySpec("LRU-1", counted), CAPACITY, WARMUP,
+        MEASURED, seed=SEED, repetitions=3,
+        trace_cache=cache_with_curves(repetitions=1))
+    assert len(builds) == 2
+    fresh = [measure_hit_ratio(
+        LRUPolicy(), CachedTrace.materialize(WORKLOAD, WARMUP + MEASURED,
+                                             seed), CAPACITY, WARMUP)
+             for seed in range(SEED, SEED + 3)]
+    assert [(run.hits, run.misses) for run in result.runs] == [
+        (run.counter.hits, run.counter.misses) for run in fresh]

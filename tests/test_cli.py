@@ -162,3 +162,18 @@ class TestCheckpointFlags:
             handle.writelines(lines[: len(lines) // 2])  # "interrupted"
         assert main(base + ["--resume"]) == 0
         assert capsys.readouterr().out == full
+
+    def test_interrupt_outside_the_sweep_prints_one_line(
+            self, monkeypatch, capsys):
+        """Ctrl-C in the B(1) search, after the sweep, exits 130 with
+        one line instead of a traceback."""
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            "repro.sim.experiment.equi_effective_buffer_size", interrupted)
+        assert main(["table4.2", "--scale", "0.02", "--quiet"]) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("interrupted: ")
+        assert captured.err.count("\n") == 1

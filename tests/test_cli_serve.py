@@ -126,10 +126,10 @@ class TestTelemetryLifecycle:
 
         service.run_load = exploding_run_load
         try:
-            with pytest.raises(KeyboardInterrupt):
-                main(["serve-bench", "--refs", "10", "--quiet",
-                      "--serve-metrics", str(port),
-                      "--sample-resources", "0.05"])
+            # Ctrl-C unwinds the command; main reports it as exit 130.
+            assert main(["serve-bench", "--refs", "10", "--quiet",
+                         "--serve-metrics", str(port),
+                         "--sample-resources", "0.05"]) == 130
         finally:
             service.run_load = original
         assert telemetry_threads() == []
